@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from .congestion import CongestionAssessment, Pool
 from .model import AnalysisConfig, CapabilityCatalog, MeasurementRecord
@@ -96,10 +96,3 @@ def attribute(
         binding_upper_bound_kbps=binding_cap,
         congestion_pool=pool,
     )
-
-
-def filter_natural(
-    records_with_verdicts: List[Tuple[MeasurementRecord, LimitingFactorVerdict]],
-) -> List[MeasurementRecord]:
-    """Keep only records not limited by an artificial factor, in order."""
-    return [record for record, verdict in records_with_verdicts if not verdict.artificial]

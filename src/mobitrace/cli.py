@@ -22,9 +22,13 @@ from .attribution import Factor, LimitingFactorVerdict, attribute
 from .congestion import Pool, classify
 from .coverage import HandoverEvent, camping_stats, detect_handovers, handover_impact
 from .ingest import build_sessions, read_catalog, read_records, record_from_obj, record_to_obj, write_records
-from .model import AnalysisConfig, CapabilityCatalog, RadioTechnology, TechnologyGroup
+from .model import AnalysisConfig, CapabilityCatalog, RadioTechnology, TechnologyGroup, to_json
 from .reports import (
-    _hourly_csv,
+    HistogramBin,
+    OperatorSummary,
+    PoolPoint,
+    SignalBin,
+    TrendPoint,
     hourly_profile,
     operator_summary,
     pool_trend,
@@ -34,7 +38,13 @@ from .reports import (
 )
 from .synth import Scenario, ScenarioConfig, generate
 
-REPORT_NAMES = ("histogram", "hourly", "trend", "operators", "pools", "signal", "camping", "handovers")
+
+class UsageError(Exception):
+    """Bad usage or config; main() reports it with exit code 2."""
+
+
+class EmptyResult(Exception):
+    """Nothing to analyze; main() reports it with exit code 3."""
 
 
 def _sha256(path: Path) -> str:
@@ -73,21 +83,27 @@ def _write_manifest(out_dir: Path, command: str, config_obj: dict, inputs, outpu
     _write_json(manifest, out_dir / "manifest.json")
 
 
-def _config_to_obj(cfg: AnalysisConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(AnalysisConfig)}
-
-
-def _load_analysis_config(args) -> AnalysisConfig:
+def _load_config(args, build):
+    """Return build(values, args), where values is the --config JSON object
+    ({} without --config) and build applies the flags over it. A bad value
+    raises UsageError; an unreadable file raises OSError."""
     values = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        known = {f.name for f in fields(AnalysisConfig)}
-        unknown = set(file_values) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        values.update(file_values)
-    if getattr(args, "utc_offset_minutes", None) is not None:
+    try:
+        if args.config:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                values = json.load(fh)
+            if not isinstance(values, dict):
+                raise ValueError("config must be a JSON object")
+        return build(values, args)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(exc) from exc
+
+
+def _analysis_config(values: dict, args) -> AnalysisConfig:
+    unknown = set(values) - {f.name for f in fields(AnalysisConfig)}
+    if unknown:
+        raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    if args.utc_offset_minutes is not None:
         values["utc_offset_minutes"] = args.utc_offset_minutes
     return AnalysisConfig(**values)
 
@@ -96,18 +112,10 @@ def _load_analysis_config(args) -> AnalysisConfig:
 # synth
 
 
-def _scenario_from_args(args) -> ScenarioConfig:
-    values = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            values.update(json.load(fh))
-    if args.scenario is not None:
-        values["scenario"] = args.scenario
-    if args.seed is not None:
-        values["seed"] = args.seed
-    for flag in ("base_capacity_kbps", "diurnal_dip", "records_per_hour", "noise_cv",
-                 "spike_rate", "utc_offset_minutes", "boundary_gap_ms"):
-        value = getattr(args, flag, None)
+def _scenario_config(values: dict, args) -> ScenarioConfig:
+    for flag in ("scenario", "seed", "base_capacity_kbps", "diurnal_dip", "records_per_hour",
+                 "noise_cv", "spike_rate", "utc_offset_minutes", "boundary_gap_ms"):
+        value = getattr(args, flag)
         if value is not None:
             values[flag] = value
     if "seed" not in values:
@@ -124,127 +132,38 @@ def _scenario_from_args(args) -> ScenarioConfig:
     return ScenarioConfig(**values)
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     started = time.monotonic()
-    try:
-        cfg = _scenario_from_args(args)
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = _load_config(args, _scenario_config)
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        records, truth = generate(cfg)
-        write_records(records, out_dir / "trace.jsonl")
-        _write_json(truth.to_json_obj(), out_dir / "ground_truth.json")
-        config_obj = json.loads(
-            json.dumps(
-                {**{f.name: getattr(cfg, f.name) for f in fields(ScenarioConfig)}},
-                default=lambda o: o.value if hasattr(o, "value") else list(o),
-            )
-        )
-        _write_manifest(out_dir, "synth", config_obj, [], ["trace.jsonl", "ground_truth.json"], started)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    out_dir.mkdir(parents=True, exist_ok=True)
+    records, truth = generate(cfg)
+    write_records(records, out_dir / "trace.jsonl")
+    _write_json(to_json(truth), out_dir / "ground_truth.json")
+    _write_manifest(out_dir, "synth", to_json(cfg), [], ["trace.jsonl", "ground_truth.json"], started)
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
 
-def _verdict_to_obj(record_id: str, verdict: LimitingFactorVerdict) -> dict:
-    return {
-        "record_id": record_id,
-        "factor": verdict.factor.value,
-        "artificial": verdict.artificial,
-        "binding_upper_bound_kbps": verdict.binding_upper_bound_kbps,
-        "congestion_pool": verdict.congestion_pool.value if verdict.congestion_pool else None,
-    }
-
-
-def _assessment_to_obj(assessment) -> dict:
-    return {
-        "upper_bound_kbps": assessment.upper_bound_kbps,
-        "upper_bound_window": assessment.upper_bound_window,
-        "overall_mape_pct": assessment.overall_mape_pct,
-        "pool": assessment.pool.value,
-        "spikes_replaced": assessment.spikes_replaced,
-        "windows": [
-            {
-                "window_index": w.window_index,
-                "mean_kbps": w.mean_kbps,
-                "rad": w.rad,
-                "mape_pct": w.mape_pct,
-                "excluded_slow_start": w.excluded_slow_start,
-            }
-            for w in assessment.windows
-        ],
-    }
-
-
-def _event_to_obj(event: HandoverEvent) -> dict:
-    return {
-        "user_id": event.user_id,
-        "at_ms": event.at_ms,
-        "from_cell": event.from_cell,
-        "to_cell": event.to_cell,
-        "from_tech": event.from_tech.value,
-        "to_tech": event.to_tech.value,
-        "from_kbps": event.from_kbps,
-        "to_kbps": event.to_kbps,
-        "from_dbm": event.from_dbm,
-        "to_dbm": event.to_dbm,
-        "downgrade": event.downgrade,
-        "gap_ms": event.gap_ms,
-    }
-
-
 def _event_from_obj(obj: dict) -> HandoverEvent:
-    return HandoverEvent(
-        user_id=obj["user_id"],
-        at_ms=obj["at_ms"],
-        from_cell=obj["from_cell"],
-        to_cell=obj["to_cell"],
-        from_tech=RadioTechnology(obj["from_tech"]),
-        to_tech=RadioTechnology(obj["to_tech"]),
-        from_kbps=obj["from_kbps"],
-        to_kbps=obj["to_kbps"],
-        from_dbm=obj.get("from_dbm"),
-        to_dbm=obj.get("to_dbm"),
-        downgrade=obj["downgrade"],
-        gap_ms=obj["gap_ms"],
-    )
+    return HandoverEvent(**{**obj, "from_tech": RadioTechnology(obj["from_tech"]),
+                            "to_tech": RadioTechnology(obj["to_tech"])})
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     started = time.monotonic()
-    try:
-        cfg = _load_analysis_config(args)
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = _load_config(args, _analysis_config)
     inputs = [args.infile]
-    try:
-        records, ingest_report = read_records(args.infile)
-        if args.catalog:
-            catalog, catalog_report = read_catalog(args.catalog)
-            inputs.append(args.catalog)
-        else:
-            catalog, catalog_report = CapabilityCatalog.empty(), None
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    records, ingest_report = read_records(args.infile)
+    if args.catalog:
+        catalog, catalog_report = read_catalog(args.catalog)
+        inputs.append(args.catalog)
+    else:
+        catalog, catalog_report = CapabilityCatalog.empty(), None
     if not records:
-        print("error: no analyzable records", file=sys.stderr)
-        return 3
+        raise EmptyResult("no analyzable records")
 
     sessions = build_sessions(records)
     all_events = []
@@ -263,54 +182,33 @@ def cmd_analyze(args) -> int:
         return False
 
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "analyzed.jsonl", "w", encoding="utf-8") as fh:
-            for record in records:
-                assessment = None
-                if record.samples is not None and len(record.samples.values) >= 2 * cfg.window_size:
-                    try:
-                        assessment = classify(record.samples, cfg)
-                    except ValueError:
-                        assessment = None
-                verdict = attribute(record, catalog, assessment, handover_nearby(record), cfg)
-                line = {
-                    "record": record_to_obj(record),
-                    "verdict": _verdict_to_obj(record.record_id, verdict),
-                    "assessment": _assessment_to_obj(assessment) if assessment else None,
-                }
-                fh.write(json.dumps(line, sort_keys=True))
-                fh.write("\n")
-        with open(out_dir / "handovers.jsonl", "w", encoding="utf-8") as fh:
-            for event in all_events:
-                fh.write(json.dumps(_event_to_obj(event), sort_keys=True))
-                fh.write("\n")
-        ingest_obj = {
-            "records": {
-                "accepted": ingest_report.accepted,
-                "rejected": ingest_report.rejected,
-                "warnings": [[line, reason] for line, reason in ingest_report.warnings],
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "analyzed.jsonl", "w", encoding="utf-8") as fh:
+        for record in records:
+            assessment = None
+            if record.samples is not None and len(record.samples.values) >= 2 * cfg.window_size:
+                try:
+                    assessment = classify(record.samples, cfg)
+                except ValueError:
+                    assessment = None
+            verdict = attribute(record, catalog, assessment, handover_nearby(record), cfg)
+            line = {
+                "record": record_to_obj(record),
+                "verdict": {"record_id": record.record_id, **to_json(verdict)},
+                "assessment": to_json(assessment),
             }
-        }
-        if catalog_report is not None:
-            ingest_obj["catalog"] = {
-                "accepted": catalog_report.accepted,
-                "rejected": catalog_report.rejected,
-                "warnings": [[line, reason] for line, reason in catalog_report.warnings],
-            }
-        _write_json(ingest_obj, out_dir / "ingest_report.json")
-        _write_manifest(
-            out_dir,
-            "analyze",
-            _config_to_obj(cfg),
-            inputs,
-            ["analyzed.jsonl", "handovers.jsonl", "ingest_report.json"],
-            started,
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+            fh.write(json.dumps(line, sort_keys=True))
+            fh.write("\n")
+    with open(out_dir / "handovers.jsonl", "w", encoding="utf-8") as fh:
+        for event in all_events:
+            fh.write(json.dumps(to_json(event), sort_keys=True))
+            fh.write("\n")
+    ingest_obj = {"records": to_json(ingest_report)}
+    if catalog_report is not None:
+        ingest_obj["catalog"] = to_json(catalog_report)
+    _write_json(ingest_obj, out_dir / "ingest_report.json")
+    _write_manifest(out_dir, "analyze", to_json(cfg), inputs,
+                    ["analyzed.jsonl", "handovers.jsonl", "ingest_report.json"], started)
 
 
 # ---------------------------------------------------------------------------
@@ -346,110 +244,98 @@ def _read_events(in_dir: Path):
         return [_event_from_obj(json.loads(line)) for line in fh]
 
 
-def cmd_report(args) -> int:
+# Each report maps (records, pools, events, cfg, args) to its JSON object,
+# CSV header and CSV rows. They call the analysis functions through this
+# module's globals when a report runs, so a wrapper set on this module
+# after import (perfbench/tracer.py sets one per function) sees every call.
+
+
+def _histogram(records, pools, events, cfg, args):
+    h = throughput_histogram(records, cfg)
+    return to_json(h), HistogramBin._fields, h.bins
+
+
+def _hourly(records, pools, events, cfg, args):
+    profiles = hourly_profile(records, args.key, cfg)
+    rows = [(p.key, hour, mean) for p in profiles
+            for hour, mean in enumerate(p.hour_means_kbps) if mean is not None]
+    return to_json(profiles), ("key", "hour", "mean_kbps"), rows
+
+
+def _trend(records, pools, events, cfg, args):
+    t = quarterly_trend(records, cfg)
+    header = ("technology_group", "region_tag", "network_type", *TrendPoint._fields)
+    rows = [(s.technology_group, s.region_tag, s.network_type, *p) for s in t.series for p in s.points]
+    return to_json(t), header, rows
+
+
+def _operators(records, pools, events, cfg, args):
+    summaries = operator_summary(records)
+    return to_json(summaries), OperatorSummary._fields, summaries
+
+
+def _pools(records, pools, events, cfg, args):
+    t = pool_trend([(r, p) for r, p in zip(records, pools) if p is not None], cfg)
+    return to_json(t), PoolPoint._fields, t.points
+
+
+def _signal(records, pools, events, cfg, args):
+    s = signal_correlation(records, cfg)
+    return to_json(s), SignalBin._fields, s.bins
+
+
+def _camping(records, pools, events, cfg, args):
+    group = TechnologyGroup.G4 if args.subscription == "4g" else TechnologyGroup.G3
+    objs = [{"user_id": session.user_id, "subscriber_operator": session.subscriber_operator,
+             **to_json(camping_stats(session, group))}
+            for session in build_sessions(records)]
+    header = ("user_id", "subscriber_operator", "total", "on_subscribed", "on_lower", "fraction_lower")
+    return objs, header, [[o[k] for k in header] for o in objs]
+
+
+def _handovers(records, pools, events, cfg, args):
+    obj = {**to_json(handover_impact(events)), "downgrades": sum(1 for e in events if e.downgrade)}
+    header = ("count", "downgrades", "mean_throughput_ratio", "throughput_excluded",
+              "mean_signal_ratio", "signal_excluded")
+    return obj, header, [[obj[k] for k in header]]
+
+
+REPORTS = {
+    "histogram": _histogram,
+    "hourly": _hourly,
+    "trend": _trend,
+    "operators": _operators,
+    "pools": _pools,
+    "signal": _signal,
+    "camping": _camping,
+    "handovers": _handovers,
+}
+REPORT_NAMES = tuple(REPORTS)
+
+
+def cmd_report(args) -> None:
     started = time.monotonic()
     names = REPORT_NAMES if args.report == "all" else (args.report,)
-    if any(n not in REPORT_NAMES for n in names):
-        print(f"error: unknown report '{args.report}'; valid: all, {', '.join(REPORT_NAMES)}",
-              file=sys.stderr)
-        return 2
-    try:
-        cfg = _load_analysis_config(args)
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if any(n not in REPORTS for n in names):
+        raise UsageError(f"unknown report '{args.report}'; valid: all, {', '.join(REPORT_NAMES)}")
+    cfg = _load_config(args, _analysis_config)
     in_dir = Path(args.indir)
-    try:
-        records, verdicts, pools = _read_analyzed(in_dir)
-        events = _read_events(in_dir)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    records, verdicts, pools = _read_analyzed(in_dir)
+    events = _read_events(in_dir)
 
-    if args.include_artificial:
-        selected = list(zip(records, pools))
-    else:
-        selected = [(r, p) for r, v, p in zip(records, verdicts, pools) if not v.artificial]
-    report_records = [r for r, _ in selected]
+    if not args.include_artificial:
+        kept = [(r, p) for r, v, p in zip(records, verdicts, pools) if not v.artificial]
+        records, pools = [r for r, _ in kept], [p for _, p in kept]
 
     out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-
-    def emit(name: str, json_obj, header, rows):
+    for name in names:
+        json_obj, header, rows = REPORTS[name](records, pools, events, cfg, args)
         _write_json(json_obj, out_dir / f"{name}.json")
         _write_csv(header, rows, out_dir / f"{name}.csv")
         outputs.extend([f"{name}.json", f"{name}.csv"])
-
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name in names:
-            if name == "histogram":
-                h = throughput_histogram(report_records, cfg)
-                emit(name, h.to_json_obj(), h.csv_header(), h.csv_rows())
-            elif name == "hourly":
-                profiles = hourly_profile(report_records, args.key, cfg)
-                header, rows = _hourly_csv(profiles)
-                emit(name, [p.to_json_obj() for p in profiles], header, rows)
-            elif name == "trend":
-                t = quarterly_trend(report_records, cfg)
-                emit(name, t.to_json_obj(), t.csv_header(), t.csv_rows())
-            elif name == "operators":
-                summaries = operator_summary(report_records)
-                header = ["operator", "count", "min_kbps", "q1_kbps", "median_kbps",
-                          "q3_kbps", "max_kbps", "mean_kbps"]
-                rows = [[s.operator, s.count, s.min_kbps, s.q1_kbps, s.median_kbps,
-                         s.q3_kbps, s.max_kbps, s.mean_kbps] for s in summaries]
-                emit(name, [s.to_json_obj() for s in summaries], header, rows)
-            elif name == "pools":
-                assessed = [(r, p) for r, p in selected if p is not None]
-                t = pool_trend(assessed, cfg)
-                emit(name, t.to_json_obj(), t.csv_header(), t.csv_rows())
-            elif name == "signal":
-                s = signal_correlation(report_records, cfg)
-                emit(name, s.to_json_obj(), s.csv_header(), s.csv_rows())
-            elif name == "camping":
-                group = TechnologyGroup.G4 if args.subscription == "4g" else TechnologyGroup.G3
-                rows = []
-                json_rows = []
-                for session in build_sessions(report_records):
-                    stats = camping_stats(session, group)
-                    rows.append([session.user_id, session.subscriber_operator, stats.total,
-                                 stats.on_subscribed, stats.on_lower, stats.fraction_lower])
-                    json_rows.append({
-                        "user_id": session.user_id,
-                        "subscriber_operator": session.subscriber_operator,
-                        "subscription_group": stats.subscription_group.value,
-                        "total": stats.total,
-                        "on_subscribed": stats.on_subscribed,
-                        "on_lower": stats.on_lower,
-                        "fraction_lower": stats.fraction_lower,
-                    })
-                header = ["user_id", "subscriber_operator", "total", "on_subscribed",
-                          "on_lower", "fraction_lower"]
-                emit(name, json_rows, header, rows)
-            elif name == "handovers":
-                impact = handover_impact(events)
-                downgrades = sum(1 for e in events if e.downgrade)
-                obj = {
-                    "count": impact.count,
-                    "downgrades": downgrades,
-                    "mean_throughput_ratio": impact.mean_throughput_ratio,
-                    "throughput_excluded": impact.throughput_excluded,
-                    "mean_signal_ratio": impact.mean_signal_ratio,
-                    "signal_excluded": impact.signal_excluded,
-                }
-                header = ["count", "downgrades", "mean_throughput_ratio", "throughput_excluded",
-                          "mean_signal_ratio", "signal_excluded"]
-                emit(name, obj, header, [[obj[k] for k in header]])
-        _write_manifest(out_dir, "report", _config_to_obj(cfg),
-                        [in_dir / "analyzed.jsonl"], outputs, started)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    _write_manifest(out_dir, "report", to_json(cfg), [in_dir / "analyzed.jsonl"], outputs, started)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +384,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except UsageError as exc:
+        message, code = exc, 2
+    except OSError as exc:
+        message, code = exc, 1
+    except EmptyResult as exc:
+        message, code = exc, 3
+    else:
+        return 0
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

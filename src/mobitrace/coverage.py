@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .ingest import Session
-from .model import GROUP_RANK, AnalysisConfig, RadioTechnology, TechnologyGroup, group_of
+from .model import GROUP_RANK, AnalysisConfig, RadioTechnology, TechnologyGroup, group_of, is_downgrade
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,6 @@ class CampingStats:
     fraction_lower: float
 
 
-def _is_downgrade(from_tech: RadioTechnology, to_tech: RadioTechnology) -> bool:
-    from_rank = GROUP_RANK.get(group_of(from_tech))
-    to_rank = GROUP_RANK.get(group_of(to_tech))
-    if from_rank is None or to_rank is None:
-        return False
-    return to_rank < from_rank
-
-
 def detect_handovers(session: Session, cfg: AnalysisConfig) -> List[HandoverEvent]:
     """One event per adjacent cell change within handover_max_gap_ms.
 
@@ -83,17 +75,13 @@ def detect_handovers(session: Session, cfg: AnalysisConfig) -> List[HandoverEven
                 to_tech=cur.technology,
                 from_kbps=prev.download_kbps,
                 to_kbps=cur.download_kbps,
-                downgrade=_is_downgrade(prev.technology, cur.technology),
+                downgrade=is_downgrade(prev.technology, cur.technology),
                 gap_ms=gap,
                 from_dbm=prev.signal_dbm,
                 to_dbm=cur.signal_dbm,
             )
         )
     return events
-
-
-def downgrade_events(events: List[HandoverEvent]) -> List[HandoverEvent]:
-    return [e for e in events if e.downgrade]
 
 
 def handover_impact(events: List[HandoverEvent]) -> HandoverImpact:

@@ -8,7 +8,7 @@ milliseconds. Busy-hour bucketing applies a configurable UTC offset
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -58,6 +58,41 @@ def group_of(technology: RadioTechnology) -> Optional[TechnologyGroup]:
     return _TECH_TO_GROUP.get(technology)
 
 
+def is_downgrade(from_tech: RadioTechnology, to_tech: RadioTechnology) -> bool:
+    """True when to_tech is a lower cellular generation than from_tech."""
+    from_rank = GROUP_RANK.get(group_of(from_tech))
+    to_rank = GROUP_RANK.get(group_of(to_tech))
+    if from_rank is None or to_rank is None:
+        return False
+    return to_rank < from_rank
+
+
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
+def to_json(obj):
+    """JSON-ready copy of a dataclass, NamedTuple, Enum, tuple, list or dict.
+
+    Dataclasses and NamedTuples become objects keyed by field name, enums
+    their value, tuples arrays, and dict keys strings, so that sort_keys
+    orders them as text. Plain scalars pass through without a call each;
+    enums are tested before dataclasses because the analyze loop encodes
+    mostly enums and scalars.
+    """
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (tuple, list)):
+        values = [v if type(v) in _PLAIN else to_json(v) for v in obj]
+        names = getattr(obj, "_fields", None)
+        return values if names is None else dict(zip(names, values))
+    if isinstance(obj, dict):
+        return {str(k): v if type(v) in _PLAIN else to_json(v) for k, v in obj.items()}
+    if is_dataclass(obj):
+        return {f.name: v if type(v) in _PLAIN else to_json(v)
+                for f in fields(obj) for v in (getattr(obj, f.name),)}
+    return obj
+
+
 @dataclass(frozen=True)
 class SampleSeries:
     """Intra-measurement throughput samples taken at a fixed interval."""
@@ -71,11 +106,19 @@ class SampleSeries:
             raise ValueError("sample interval must be positive")
         if len(self.values) < 2:
             raise ValueError("sample series needs at least 2 values")
-        if any(v < 0 for v in self.values):
-            raise ValueError("negative sample value")
+        if not all(0.0 <= v < math.inf for v in self.values):
+            raise ValueError("non-finite or negative sample value")
 
     def mean(self) -> float:
         return math.fsum(self.values) / len(self.values)
+
+
+# MeasurementRecord fields checked by type at construction, so that a bad
+# trace line is rejected at ingest rather than crashing a later stage.
+_TEXT_FIELDS = ("record_id", "user_id", "manufacturer", "model", "os_name", "os_version",
+                "network_operator", "subscriber_operator")
+_OPTIONAL_TEXT_FIELDS = ("cell_id", "ip_address", "region_tag", "plan_id")
+_OPTIONAL_REAL_FIELDS = ("latitude", "longitude", "signal_dbm")
 
 
 @dataclass(frozen=True)
@@ -106,12 +149,26 @@ class MeasurementRecord:
     plan_id: Optional[str] = None
 
     def __post_init__(self):
-        if self.timestamp <= 0:
-            raise ValueError("timestamp must be positive")
-        if self.download_kbps < 0 or self.upload_kbps < 0:
-            raise ValueError("negative throughput")
-        if self.latency_ms is not None and self.latency_ms < 0:
-            raise ValueError("negative latency")
+        for name in _TEXT_FIELDS:
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
+        for name in _OPTIONAL_TEXT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string")
+        for name in _OPTIONAL_REAL_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be finite")
+        # type(...) is int rejects bool, which is an int subclass
+        if type(self.timestamp) is not int or self.timestamp <= 0:
+            raise ValueError("timestamp must be a positive integer")
+        if self.transport_port is not None and type(self.transport_port) is not int:
+            raise ValueError("transport_port must be an integer")
+        if not (0 <= self.download_kbps < math.inf and 0 <= self.upload_kbps < math.inf):
+            raise ValueError("non-finite or negative throughput")
+        if self.latency_ms is not None and not 0 <= self.latency_ms < math.inf:
+            raise ValueError("non-finite or negative latency")
         if self.samples is not None:
             m = self.samples.mean()
             if m == 0:
@@ -172,22 +229,42 @@ class AnalysisConfig:
     utc_offset_minutes: int = 330  # +5:30 local time
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # bool is an int subclass; neither kind of field takes it
+            if f.type == "int" and type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer")
+            if f.type == "float" and (type(value) not in (int, float) or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number")
         if self.window_size < 2:
             raise ValueError("window_size must be at least 2")
         if not (0 < self.mape_low_max < self.mape_medium_max):
             raise ValueError("require 0 < mape_low_max < mape_medium_max")
         if not (0 < self.attribution_alpha <= 1):
             raise ValueError("attribution_alpha must be in (0, 1]")
+        if not (0 < self.slow_start_activation_fraction <= 1):
+            raise ValueError("slow_start_activation_fraction must be in (0, 1]")
         if self.smoothing_half_width < 1:
             raise ValueError("smoothing_half_width must be at least 1")
         if self.spike_factor <= 1:
             raise ValueError("spike_factor must exceed 1")
+        if self.rad_stability_max < 0:
+            raise ValueError("rad_stability_max must not be negative")
+        if self.slow_start_min_excluded < 0:
+            raise ValueError("slow_start_min_excluded must not be negative")
+        if self.handover_max_gap_ms < 0:
+            raise ValueError("handover_max_gap_ms must not be negative")
+        if self.histogram_bin_kbps <= 0 or self.signal_bin_dbm <= 0:
+            raise ValueError("histogram_bin_kbps and signal_bin_dbm must be positive")
         if not (0 <= self.busy_hour_start <= 23 and 0 <= self.busy_hour_end <= 23):
             raise ValueError("busy hours must be within 0-23")
 
+    def local_ms(self, timestamp_ms: int) -> int:
+        """The timestamp shifted by the configured UTC offset, in ms."""
+        return timestamp_ms + self.utc_offset_minutes * 60_000
+
     def local_hour(self, timestamp_ms: int) -> int:
-        local = timestamp_ms + self.utc_offset_minutes * 60_000
-        return (local // 3_600_000) % 24
+        return (self.local_ms(timestamp_ms) // 3_600_000) % 24
 
     def is_busy_hour(self, hour: int) -> bool:
         if self.busy_hour_start <= self.busy_hour_end:

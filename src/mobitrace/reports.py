@@ -4,8 +4,8 @@ signal-vs-throughput correlation.
 
 Every aggregation is permutation-invariant (means use exact summation)
 and no record is dropped silently: exclusions are counted on the report.
-Serialization helpers emit plot-ready JSON objects and flat CSV rows with
-deterministic ordering.
+Field names are the plot-ready JSON keys; row types are NamedTuples whose
+fields are also the CSV columns.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .congestion import Pool
 from .model import AnalysisConfig, TechnologyGroup, group_of
@@ -56,8 +56,7 @@ def pearson_r(xs, ys) -> Optional[float]:
 
 
 def _local_dt(timestamp_ms: int, cfg: AnalysisConfig) -> datetime:
-    local_ms = timestamp_ms + cfg.utc_offset_minutes * 60_000
-    return datetime.fromtimestamp(local_ms / 1000.0, tz=timezone.utc)
+    return datetime.fromtimestamp(cfg.local_ms(timestamp_ms) / 1000.0, tz=timezone.utc)
 
 
 def quarter_label(timestamp_ms: int, cfg: AnalysisConfig) -> str:
@@ -74,26 +73,17 @@ def month_label(timestamp_ms: int, cfg: AnalysisConfig) -> str:
 # Throughput histogram
 
 
+class HistogramBin(NamedTuple):
+    lower_edge_kbps: float
+    count: int
+
+
 @dataclass(frozen=True)
 class Histogram:
     bin_width_kbps: float
-    bins: Tuple[Tuple[float, int], ...]  # (lower edge, count), consecutive from 0
+    bins: Tuple[HistogramBin, ...]  # consecutive from 0
     total: int
     fraction_below_1mbps: Optional[float]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "bin_width_kbps": self.bin_width_kbps,
-            "bins": [{"lower_edge_kbps": e, "count": c} for e, c in self.bins],
-            "total": self.total,
-            "fraction_below_1mbps": self.fraction_below_1mbps,
-        }
-
-    def csv_header(self) -> List[str]:
-        return ["lower_edge_kbps", "count"]
-
-    def csv_rows(self) -> List[List]:
-        return [[e, c] for e, c in self.bins]
 
 
 def throughput_histogram(records, cfg: AnalysisConfig) -> Histogram:
@@ -108,27 +98,8 @@ def throughput_histogram(records, cfg: AnalysisConfig) -> Histogram:
     if not counts:
         return Histogram(width, (), 0, None)
     top = max(counts)
-    bins = tuple((k * width, counts.get(k, 0)) for k in range(top + 1))
+    bins = tuple(HistogramBin(k * width, counts.get(k, 0)) for k in range(top + 1))
     return Histogram(width, bins, total, below / total)
-
-
-def merge_histograms(a: Histogram, b: Histogram) -> Histogram:
-    """Exact associative merge of two histograms over disjoint record sets."""
-    if a.bin_width_kbps != b.bin_width_kbps:
-        raise ValueError("bin widths differ")
-    counts: Dict[float, int] = dict(a.bins)
-    for edge, count in b.bins:
-        counts[edge] = counts.get(edge, 0) + count
-    total = a.total + b.total
-    below_a = a.fraction_below_1mbps * a.total if a.fraction_below_1mbps is not None else 0.0
-    below_b = b.fraction_below_1mbps * b.total if b.fraction_below_1mbps is not None else 0.0
-    if not counts:
-        return Histogram(a.bin_width_kbps, (), 0, None)
-    top = max(counts)
-    width = a.bin_width_kbps
-    bins = tuple((k * width, int(counts.get(k * width, 0))) for k in range(int(top // width) + 1))
-    below = int(round(below_a + below_b))
-    return Histogram(width, bins, total, below / total if total else None)
 
 
 # ---------------------------------------------------------------------------
@@ -138,29 +109,10 @@ def merge_histograms(a: Histogram, b: Histogram) -> Histogram:
 @dataclass(frozen=True)
 class HourlyProfile:
     key: str  # base-station id or operator name
-    hour_means: Tuple[Optional[float], ...]  # 24 entries, local hours
-    busy_mean: Optional[float]
-    offpeak_mean: Optional[float]
+    hour_means_kbps: Tuple[Optional[float], ...]  # 24 entries, local hours
+    busy_mean_kbps: Optional[float]
+    offpeak_mean_kbps: Optional[float]
     dip_fraction: Optional[float]  # 1 - busy/offpeak
-
-    def to_json_obj(self) -> dict:
-        return {
-            "key": self.key,
-            "hour_means_kbps": list(self.hour_means),
-            "busy_mean_kbps": self.busy_mean,
-            "offpeak_mean_kbps": self.offpeak_mean,
-            "dip_fraction": self.dip_fraction,
-        }
-
-
-def _hourly_csv(profiles: List[HourlyProfile]) -> Tuple[List[str], List[List]]:
-    header = ["key", "hour", "mean_kbps"]
-    rows = []
-    for p in profiles:
-        for hour, mean in enumerate(p.hour_means):
-            if mean is not None:
-                rows.append([p.key, hour, mean])
-    return header, rows
 
 
 def hourly_profile(records, key: str, cfg: AnalysisConfig) -> List[HourlyProfile]:
@@ -197,8 +149,7 @@ def hourly_profile(records, key: str, cfg: AnalysisConfig) -> List[HourlyProfile
 # Quarterly trend
 
 
-@dataclass(frozen=True)
-class TrendPoint:
+class TrendPoint(NamedTuple):
     quarter: str
     mean_kbps: float
     max_kbps: float
@@ -217,38 +168,6 @@ class TrendSeries:
 class TrendReport:
     series: Tuple[TrendSeries, ...]
     excluded_unknown: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "series": [
-                {
-                    "technology_group": s.technology_group,
-                    "region_tag": s.region_tag,
-                    "network_type": s.network_type,
-                    "points": [
-                        {
-                            "quarter": p.quarter,
-                            "mean_kbps": p.mean_kbps,
-                            "max_kbps": p.max_kbps,
-                            "count": p.count,
-                        }
-                        for p in s.points
-                    ],
-                }
-                for s in self.series
-            ],
-            "excluded_unknown": self.excluded_unknown,
-        }
-
-    def csv_header(self) -> List[str]:
-        return ["technology_group", "region_tag", "network_type", "quarter", "mean_kbps", "max_kbps", "count"]
-
-    def csv_rows(self) -> List[List]:
-        return [
-            [s.technology_group, s.region_tag, s.network_type, p.quarter, p.mean_kbps, p.max_kbps, p.count]
-            for s in self.series
-            for p in s.points
-        ]
 
 
 def quarterly_trend(records, cfg: AnalysisConfig) -> TrendReport:
@@ -278,8 +197,7 @@ def quarterly_trend(records, cfg: AnalysisConfig) -> TrendReport:
 # Operator summary
 
 
-@dataclass(frozen=True)
-class OperatorSummary:
+class OperatorSummary(NamedTuple):
     operator: str
     count: int
     min_kbps: float
@@ -288,18 +206,6 @@ class OperatorSummary:
     q3_kbps: float
     max_kbps: float
     mean_kbps: float
-
-    def to_json_obj(self) -> dict:
-        return {
-            "operator": self.operator,
-            "count": self.count,
-            "min_kbps": self.min_kbps,
-            "q1_kbps": self.q1_kbps,
-            "median_kbps": self.median_kbps,
-            "q3_kbps": self.q3_kbps,
-            "max_kbps": self.max_kbps,
-            "mean_kbps": self.mean_kbps,
-        }
 
 
 def operator_summary(records) -> List[OperatorSummary]:
@@ -329,8 +235,7 @@ def operator_summary(records) -> List[OperatorSummary]:
 # Congestion pool trend
 
 
-@dataclass(frozen=True)
-class PoolPoint:
+class PoolPoint(NamedTuple):
     month: str
     fraction_low: float
     fraction_medium: float
@@ -338,36 +243,16 @@ class PoolPoint:
     count: int
 
 
+class UrbanShare(NamedTuple):
+    month: str
+    fraction: float  # MEDIUM+HIGH share of the month's urban records
+    count: int
+
+
 @dataclass(frozen=True)
 class PoolTrend:
     points: Tuple[PoolPoint, ...]
-    urban_medium_high: Tuple[Tuple[str, float, int], ...]  # (month, fraction, count)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "points": [
-                {
-                    "month": p.month,
-                    "fraction_low": p.fraction_low,
-                    "fraction_medium": p.fraction_medium,
-                    "fraction_high": p.fraction_high,
-                    "count": p.count,
-                }
-                for p in self.points
-            ],
-            "urban_medium_high": [
-                {"month": m, "fraction": f, "count": c} for m, f, c in self.urban_medium_high
-            ],
-        }
-
-    def csv_header(self) -> List[str]:
-        return ["month", "fraction_low", "fraction_medium", "fraction_high", "count"]
-
-    def csv_rows(self) -> List[List]:
-        return [
-            [p.month, p.fraction_low, p.fraction_medium, p.fraction_high, p.count]
-            for p in self.points
-        ]
+    urban_medium_high: Tuple[UrbanShare, ...]
 
 
 def pool_trend(assessed, cfg: AnalysisConfig, urban_tag: str = "urban") -> PoolTrend:
@@ -399,7 +284,7 @@ def pool_trend(assessed, cfg: AnalysisConfig, urban_tag: str = "urban") -> PoolT
                 count=total,
             )
         )
-    urban_rows = tuple((m, urban[m][0] / urban[m][1], urban[m][1]) for m in sorted(urban))
+    urban_rows = tuple(UrbanShare(m, urban[m][0] / urban[m][1], urban[m][1]) for m in sorted(urban))
     return PoolTrend(tuple(points), urban_rows)
 
 
@@ -407,26 +292,17 @@ def pool_trend(assessed, cfg: AnalysisConfig, urban_tag: str = "urban") -> PoolT
 # Signal vs throughput
 
 
+class SignalBin(NamedTuple):
+    signal_lower_edge_dbm: float
+    mean_kbps: float
+    count: int
+
+
 @dataclass(frozen=True)
 class SignalCorrelation:
-    bins: Tuple[Tuple[float, float, int], ...]  # (lower edge dBm, mean kbps, count)
+    bins: Tuple[SignalBin, ...]
     pearson_r: Optional[float]
     excluded_missing_signal: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "bins": [
-                {"signal_lower_edge_dbm": e, "mean_kbps": m, "count": c} for e, m, c in self.bins
-            ],
-            "pearson_r": self.pearson_r,
-            "excluded_missing_signal": self.excluded_missing_signal,
-        }
-
-    def csv_header(self) -> List[str]:
-        return ["signal_lower_edge_dbm", "mean_kbps", "count"]
-
-    def csv_rows(self) -> List[List]:
-        return [[e, m, c] for e, m, c in self.bins]
 
 
 def signal_correlation(records, cfg: AnalysisConfig) -> SignalCorrelation:
@@ -443,5 +319,5 @@ def signal_correlation(records, cfg: AnalysisConfig) -> SignalCorrelation:
         binned.setdefault(math.floor(r.signal_dbm / width) * width, []).append(r.download_kbps)
         xs.append(r.signal_dbm)
         ys.append(r.download_kbps)
-    bins = tuple((edge, _mean(binned[edge]), len(binned[edge])) for edge in sorted(binned))
+    bins = tuple(SignalBin(edge, _mean(binned[edge]), len(binned[edge])) for edge in sorted(binned))
     return SignalCorrelation(bins, pearson_r(xs, ys), excluded)

@@ -18,8 +18,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .congestion import Pool
-from .model import AnalysisConfig, MeasurementRecord, RadioTechnology, SampleSeries
-from .coverage import _is_downgrade
+from .model import AnalysisConfig, MeasurementRecord, RadioTechnology, SampleSeries, is_downgrade
 
 # 2016-01-04T00:00:00 UTC; traces start at local midnight relative to the
 # configured offset.
@@ -110,6 +109,8 @@ class ScenarioConfig:
             raise ValueError("samples_per_record must be at least 2")
         if self.sample_interval_ms <= 0:
             raise ValueError("sample_interval_ms must be positive")
+        if type(self.utc_offset_minutes) is not int:
+            raise ValueError("utc_offset_minutes must be an integer")
         if self.scenario is Scenario.COMMUTE:
             if len(self.cells) < 2:
                 raise ValueError("commute scenario needs at least 2 cells")
@@ -161,38 +162,6 @@ class GroundTruth:
     hour_means_kbps: Dict[int, float]
     record_labels: Tuple[RecordLabel, ...]
     handovers: Tuple[PlantedHandover, ...]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "scenario": self.scenario,
-            "diurnal_dip": self.diurnal_dip,
-            "hour_means_kbps": {str(h): m for h, m in sorted(self.hour_means_kbps.items())},
-            "record_labels": [
-                {
-                    "record_id": l.record_id,
-                    "local_hour": l.local_hour,
-                    "true_mean_kbps": l.true_mean_kbps,
-                    "cell_id": l.cell_id,
-                    "technology": l.technology,
-                    "true_pool": l.true_pool,
-                    "spike_indices": list(l.spike_indices),
-                }
-                for l in self.record_labels
-            ],
-            "handovers": [
-                {
-                    "at_ms": h.at_ms,
-                    "from_cell": h.from_cell,
-                    "to_cell": h.to_cell,
-                    "from_tech": h.from_tech,
-                    "to_tech": h.to_tech,
-                    "downgrade": h.downgrade,
-                    "gap_ms": h.gap_ms,
-                }
-                for h in self.handovers
-            ],
-        }
 
 
 def plant_pool(target: Pool, cfg: AnalysisConfig, base_kbps: float) -> SampleSeries:
@@ -324,7 +293,7 @@ def generate(cfg: ScenarioConfig) -> Tuple[List[MeasurementRecord], GroundTruth]
                         to_cell=cell_id,
                         from_tech=prev_cell[1].value,
                         to_tech=tech.value,
-                        downgrade=_is_downgrade(prev_cell[1], tech),
+                        downgrade=is_downgrade(prev_cell[1], tech),
                         gap_ms=spacing + cfg.boundary_gap_ms,
                     )
                 )

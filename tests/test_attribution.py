@@ -7,7 +7,6 @@ from conftest import make_record
 from mobitrace.attribution import (
     Factor,
     attribute,
-    filter_natural,
     upper_bounds,
 )
 from mobitrace.congestion import CongestionAssessment, Pool
@@ -113,35 +112,3 @@ class TestAttribute:
         # raising throughput can only move natural -> artificial
         assert not (v_lo.artificial and not v_hi.artificial)
 
-
-class TestFilterNatural:
-    def test_keeps_only_natural(self):
-        pairs = []
-        for i in range(3):
-            record = make_record(download_kbps=6800.0, plan_id="p1")
-            pairs.append((record, attribute(record, FULL_CATALOG, None, False, CFG)))
-        for i in range(2):
-            record = make_record(download_kbps=500.0)
-            pairs.append((record, attribute(record, FULL_CATALOG,
-                                            assessment_with_pool(Pool.HIGH), False, CFG)))
-        natural = filter_natural(pairs)
-        assert len(natural) == 2
-        assert all(r.download_kbps == 500.0 for r in natural)
-
-    def test_all_artificial_gives_empty(self):
-        record = make_record(download_kbps=7200.0, plan_id="p1")
-        pairs = [(record, attribute(record, FULL_CATALOG, None, False, CFG))] * 3
-        assert filter_natural(pairs) == []
-
-    def test_partition_and_order(self):
-        pairs = []
-        for i in range(10):
-            limited = i % 3 == 0
-            record = make_record(download_kbps=7200.0 if limited else 100.0, plan_id="p1")
-            pairs.append((record, attribute(record, FULL_CATALOG, None, False, CFG)))
-        natural = filter_natural(pairs)
-        artificial = [r for r, v in pairs if v.artificial]
-        assert len(natural) + len(artificial) == 10
-        # UNDETERMINED stays on the natural side
-        assert all(v.factor is Factor.UNDETERMINED for r, v in pairs if not v.artificial)
-        assert natural == [r for r, v in pairs if not v.artificial]

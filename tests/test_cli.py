@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from conftest import make_record
 from mobitrace.cli import main
 from mobitrace.ingest import write_records
@@ -135,3 +137,23 @@ class TestReportCommand:
         assert len(rows) == 1
         assert rows[0]["subscription_group"] == "4G"
         assert rows[0]["on_lower"] == rows[0]["total"]  # synth default tech is HSPA
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("analyze", {"handover_max_gap_ms": -5}, "handover_max_gap_ms"),
+    ("analyze", {"slow_start_activation_fraction": 3}, "slow_start_activation_fraction"),
+    ("report", {"histogram_bin_kbps": 0}, "histogram_bin_kbps"),
+    ("report", {"signal_bin_dbm": 0}, "signal_bin_dbm"),
+])
+def test_invalid_config_value_exits_2(tmp_path, capsys, command, config, message):
+    _, synth_out = run_synth(tmp_path)
+    an = tmp_path / "an"
+    assert main(["analyze", "--in", str(synth_out / "trace.jsonl"), "--out", str(an)]) == 0
+    inputs = {"analyze": synth_out / "trace.jsonl", "report": an}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main([command, "--in", str(inputs[command]), "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -5,7 +5,6 @@ from mobitrace.coverage import (
     HandoverEvent,
     camping_stats,
     detect_handovers,
-    downgrade_events,
     handover_impact,
 )
 from mobitrace.ingest import build_sessions
@@ -23,11 +22,11 @@ def session_from(cells, gap_ms=30_000, techs=None, start=1_000_000):
 
 
 def event(from_tech=RadioTechnology.UMTS, to_tech=RadioTechnology.UMTS,
-          from_kbps=1000.0, to_kbps=1000.0, from_dbm=None, to_dbm=None, downgrade=False):
+          from_kbps=1000.0, to_kbps=1000.0, from_dbm=None, to_dbm=None):
     return HandoverEvent(
         user_id="u1", at_ms=1, from_cell="A", to_cell="B",
         from_tech=from_tech, to_tech=to_tech, from_kbps=from_kbps, to_kbps=to_kbps,
-        downgrade=downgrade, gap_ms=30_000, from_dbm=from_dbm, to_dbm=to_dbm,
+        downgrade=False, gap_ms=30_000, from_dbm=from_dbm, to_dbm=to_dbm,
     )
 
 
@@ -64,18 +63,10 @@ class TestDetectHandovers:
 
 
 class TestDowngradeEvents:
-    def test_3g_to_2g_included(self):
-        e = event(RadioTechnology.UMTS, RadioTechnology.EDGE, downgrade=True)
-        assert downgrade_events([e]) == [e]
-
-    def test_upgrade_excluded(self):
-        e = event(RadioTechnology.EDGE, RadioTechnology.UMTS, downgrade=False)
-        assert downgrade_events([e]) == []
-
     def test_lte_to_umts_included(self):
         session = session_from(["A", "B"], techs=[RadioTechnology.LTE, RadioTechnology.UMTS])
         events = detect_handovers(session, CFG)
-        assert downgrade_events(events) == events
+        assert events and all(e.downgrade for e in events)
 
     def test_flag_antisymmetric(self):
         pairs = [(RadioTechnology.LTE, RadioTechnology.EDGE),

@@ -58,6 +58,33 @@ class TestReadRecords:
         assert report.accepted == 1
         assert any("unknown field" in w for _, w in report.warnings)
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("signal_dbm", float("nan"), "signal_dbm must be finite"),
+        ("latitude", float("inf"), "latitude must be finite"),
+        ("user_id", 7, "user_id must be a string"),
+        ("record_id", None, "record_id must be a string"),
+        ("network_operator", ["OpA"], "network_operator must be a string"),
+        ("manufacturer", 1, "manufacturer must be a string"),
+        ("os_version", 6.0, "os_version must be a string"),
+        ("cell_id", 3, "cell_id must be a string"),
+        ("timestamp", True, "timestamp must be a positive integer"),
+        ("timestamp", 1.4518656e12, "timestamp must be a positive integer"),
+        ("transport_port", 80.5, "transport_port must be an integer"),
+        ("download_kbps", float("inf"), "non-finite or negative throughput"),
+        ("upload_kbps", float("nan"), "non-finite or negative throughput"),
+        ("latency_ms", float("nan"), "non-finite or negative latency"),
+        ("samples", {"interval_ms": 500, "values": [900.0, float("nan")]}, "non-finite or negative sample value"),
+    ])
+    def test_bad_value_rejected_with_reason(self, tmp_path, field, value, reason):
+        path = tmp_path / "r.jsonl"
+        obj = json.loads(valid_line(samples=make_series([900.0, 1100.0]), download_kbps=1000.0,
+                                    signal_dbm=-70.0, cell_id="c1"))
+        obj[field] = value
+        write_lines(path, [valid_line(), json.dumps(obj)])
+        records, report = read_records(path)
+        assert (report.accepted, report.rejected) == (1, 1)
+        assert report.warnings == [(2, reason)]
+
     def test_unreadable_file_raises(self, tmp_path):
         with pytest.raises(OSError):
             read_records(tmp_path / "missing.jsonl")

@@ -86,12 +86,28 @@ class TestAnalysisConfig:
         assert cfg.mape_medium_max == 25.0
 
     def test_bad_thresholds(self):
-        with pytest.raises(ValueError):
-            AnalysisConfig(mape_low_max=30.0, mape_medium_max=25.0)
-        with pytest.raises(ValueError):
-            AnalysisConfig(attribution_alpha=0.0)
-        with pytest.raises(ValueError):
-            AnalysisConfig(window_size=1)
+        for bad in (
+            dict(mape_low_max=30.0, mape_medium_max=25.0),
+            dict(attribution_alpha=0.0),
+            dict(window_size=1),
+            dict(histogram_bin_kbps=0),
+            dict(signal_bin_dbm=0.0),
+            dict(signal_bin_dbm=-5.0),
+            dict(handover_max_gap_ms=-5),
+            dict(slow_start_activation_fraction=3),
+            dict(slow_start_activation_fraction=0.0),
+            dict(slow_start_min_excluded=-1),
+            dict(rad_stability_max=-0.1),
+            dict(window_size=10.0),
+            dict(window_size=True),
+            dict(utc_offset_minutes=330.5),
+            dict(busy_hour_start="7"),
+            dict(spike_factor=True),
+            dict(histogram_bin_kbps=float("nan")),
+            dict(histogram_bin_kbps=float("inf")),
+        ):
+            with pytest.raises(ValueError):
+                AnalysisConfig(**bad)
 
     def test_local_hour_uses_offset(self):
         cfg = AnalysisConfig(utc_offset_minutes=330)

@@ -6,7 +6,6 @@ from mobitrace.congestion import Pool
 from mobitrace.model import AnalysisConfig, RadioTechnology
 from mobitrace.reports import (
     hourly_profile,
-    merge_histograms,
     month_label,
     operator_summary,
     pearson_r,
@@ -47,14 +46,6 @@ class TestHistogram:
         h = throughput_histogram(records, CFG)
         assert sum(c for _, c in h.bins) == h.total == 200
 
-    def test_merge_equals_single_pass(self):
-        rng = np.random.default_rng(4)
-        records = [make_record(download_kbps=float(v)) for v in rng.uniform(0, 8000, 100)]
-        merged = merge_histograms(
-            throughput_histogram(records[:37], CFG), throughput_histogram(records[37:], CFG)
-        )
-        assert merged == throughput_histogram(records, CFG)
-
     def test_permutation_invariant(self):
         records = [make_record(download_kbps=float(v)) for v in (5, 900, 1700, 300, 2600)]
         assert throughput_histogram(records, CFG) == throughput_histogram(records[::-1], CFG)
@@ -69,8 +60,8 @@ class TestHourlyProfile:
                 records.append(make_record(cell_id="c1", timestamp=at_local_hour(hour),
                                            download_kbps=kbps))
         (profile,) = hourly_profile(records, "cell", CFG)
-        assert profile.busy_mean == pytest.approx(2000.0)
-        assert profile.offpeak_mean == pytest.approx(5000.0)
+        assert profile.busy_mean_kbps == pytest.approx(2000.0)
+        assert profile.offpeak_mean_kbps == pytest.approx(5000.0)
         assert profile.dip_fraction == pytest.approx(0.6)
 
     def test_flat_trace_no_dip(self):
@@ -81,9 +72,9 @@ class TestHourlyProfile:
     def test_partial_data_has_absent_dip(self):
         records = [make_record(cell_id="c1", timestamp=at_local_hour(3))]
         (profile,) = hourly_profile(records, "cell", CFG)
-        assert sum(1 for m in profile.hour_means if m is None) == 23
-        assert profile.offpeak_mean is not None
-        assert profile.busy_mean is None
+        assert sum(1 for m in profile.hour_means_kbps if m is None) == 23
+        assert profile.offpeak_mean_kbps is not None
+        assert profile.busy_mean_kbps is None
         assert profile.dip_fraction is None
 
     def test_operator_key(self):
