@@ -231,7 +231,8 @@ class AnalysisConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            # bool is an int subclass; neither kind of field takes it
+            # f.type is the annotation's text; comparing type() rather than
+            # using isinstance() keeps bool, an int subclass, out of both kinds
             if f.type == "int" and type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer")
             if f.type == "float" and (type(value) not in (int, float) or not math.isfinite(value)):

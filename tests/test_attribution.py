@@ -111,4 +111,3 @@ class TestAttribute:
         v_hi = attribute(make_record(download_kbps=hi, plan_id="p1"), FULL_CATALOG, None, False, CFG)
         # raising throughput can only move natural -> artificial
         assert not (v_lo.artificial and not v_hi.artificial)
-
