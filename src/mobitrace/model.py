@@ -9,11 +9,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass
+from datetime import datetime, timezone
 from enum import Enum
 from typing import Optional, Tuple
 
 SIGNAL_DBM_MIN = -140.0
 SIGNAL_DBM_MAX = -20.0
+
+# Real UTC offsets run from UTC-12:00 to UTC+14:00.
+UTC_OFFSET_MIN_MINUTES = -720
+UTC_OFFSET_MAX_MINUTES = 840
+# Timestamps end a day before the last date datetime can hold, so that a
+# timestamp shifted by any allowed UTC offset is still a valid datetime.
+TIMESTAMP_END_MS = int(datetime(9999, 12, 31, tzinfo=timezone.utc).timestamp()) * 1000
 
 
 class RadioTechnology(Enum):
@@ -93,6 +101,29 @@ def to_json(obj):
     return obj
 
 
+def check_field_types(obj) -> None:
+    """Raise ValueError for a field of the dataclass obj whose value does
+    not match its int, float, str or Optional[str] annotation; floats must
+    be finite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        # f.type is the annotation's text; comparing type() rather than
+        # using isinstance() keeps bool, an int subclass, out of both kinds
+        if f.type == "int" and type(value) is not int:
+            raise ValueError(f"{f.name} must be an integer")
+        if f.type == "float" and (type(value) not in (int, float) or not math.isfinite(value)):
+            raise ValueError(f"{f.name} must be a finite number")
+        if f.type in ("str", "Optional[str]") and not isinstance(value, str):
+            if value is not None or f.type == "str":
+                raise ValueError(f"{f.name} must be a string")
+
+
+def check_utc_offset(minutes: int) -> None:
+    if not UTC_OFFSET_MIN_MINUTES <= minutes <= UTC_OFFSET_MAX_MINUTES:
+        raise ValueError(f"utc_offset_minutes must be within "
+                         f"{UTC_OFFSET_MIN_MINUTES}..{UTC_OFFSET_MAX_MINUTES}")
+
+
 @dataclass(frozen=True)
 class SampleSeries:
     """Intra-measurement throughput samples taken at a fixed interval."""
@@ -163,6 +194,8 @@ class MeasurementRecord:
         # type(...) is int rejects bool, which is an int subclass
         if type(self.timestamp) is not int or self.timestamp <= 0:
             raise ValueError("timestamp must be a positive integer")
+        if self.timestamp >= TIMESTAMP_END_MS:
+            raise ValueError("timestamp must be before 9999-12-31 UTC")
         if self.transport_port is not None and type(self.transport_port) is not int:
             raise ValueError("transport_port must be an integer")
         if not (0 <= self.download_kbps < math.inf and 0 <= self.upload_kbps < math.inf):
@@ -229,14 +262,8 @@ class AnalysisConfig:
     utc_offset_minutes: int = 330  # +5:30 local time
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # f.type is the annotation's text; comparing type() rather than
-            # using isinstance() keeps bool, an int subclass, out of both kinds
-            if f.type == "int" and type(value) is not int:
-                raise ValueError(f"{f.name} must be an integer")
-            if f.type == "float" and (type(value) not in (int, float) or not math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number")
+        check_field_types(self)
+        check_utc_offset(self.utc_offset_minutes)
         if self.window_size < 2:
             raise ValueError("window_size must be at least 2")
         if not (0 < self.mape_low_max < self.mape_medium_max):

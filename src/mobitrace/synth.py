@@ -18,7 +18,8 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .congestion import Pool
-from .model import AnalysisConfig, MeasurementRecord, RadioTechnology, SampleSeries, is_downgrade
+from .model import (AnalysisConfig, MeasurementRecord, RadioTechnology, SampleSeries,
+                    check_field_types, check_utc_offset, is_downgrade)
 
 # 2016-01-04T00:00:00 UTC; traces start at local midnight relative to the
 # configured offset.
@@ -95,6 +96,8 @@ class ScenarioConfig:
     utc_offset_minutes: int = 330
 
     def __post_init__(self):
+        check_field_types(self)
+        check_utc_offset(self.utc_offset_minutes)
         if self.base_capacity_kbps <= 0:
             raise ValueError("base capacity must be positive")
         if not 0.0 <= self.diurnal_dip < 1.0:
@@ -109,13 +112,13 @@ class ScenarioConfig:
             raise ValueError("samples_per_record must be at least 2")
         if self.sample_interval_ms <= 0:
             raise ValueError("sample_interval_ms must be positive")
-        if type(self.utc_offset_minutes) is not int:
-            raise ValueError("utc_offset_minutes must be an integer")
         if self.scenario is Scenario.COMMUTE:
             if len(self.cells) < 2:
                 raise ValueError("commute scenario needs at least 2 cells")
-            if any(cap <= 0 for _, _, cap in self.cells):
-                raise ValueError("cell capacities must be positive")
+            if any(not 0 < cap < math.inf for _, _, cap in self.cells):
+                raise ValueError("cell capacities must be positive and finite")
+            if any(not isinstance(cell_id, str) for cell_id, _, _ in self.cells):
+                raise ValueError("cell ids must be strings")
         if self.planted_pool_mix is not None:
             if any(f < 0 for f in self.planted_pool_mix.values()):
                 raise ValueError("pool mix fractions must be nonnegative")

@@ -144,16 +144,23 @@ class TestReportCommand:
     ("analyze", {"slow_start_activation_fraction": 3}, "slow_start_activation_fraction"),
     ("report", {"histogram_bin_kbps": 0}, "histogram_bin_kbps"),
     ("report", {"signal_bin_dbm": 0}, "signal_bin_dbm"),
+    ("report", {"utc_offset_minutes": 100_000_000_000}, "utc_offset_minutes"),
+    ("analyze", {"utc_offset_minutes": -721}, "utc_offset_minutes"),
+    ("synth", {"seed": 1, "records_per_hour": 2.5}, "records_per_hour"),
+    ("synth", {"seed": "x"}, "seed"),
+    ("synth", {"seed": 1, "utc_offset_minutes": 841}, "utc_offset_minutes"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, config, message):
     _, synth_out = run_synth(tmp_path)
     an = tmp_path / "an"
     assert main(["analyze", "--in", str(synth_out / "trace.jsonl"), "--out", str(an)]) == 0
-    inputs = {"analyze": synth_out / "trace.jsonl", "report": an}
+    inputs = {"synth": ["--scenario", "stationary24h"],
+              "analyze": ["--in", str(synth_out / "trace.jsonl")],
+              "report": ["--in", str(an)]}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     capsys.readouterr()
-    assert main([command, "--in", str(inputs[command]), "--out", str(tmp_path / "out"),
+    assert main([command, *inputs[command], "--out", str(tmp_path / "out"),
                  "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

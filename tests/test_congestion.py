@@ -1,10 +1,14 @@
 
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_series
+from mobitrace import congestion
 from mobitrace.congestion import (
     Pool,
     WindowStats,
@@ -25,6 +29,74 @@ series_strategy = st.lists(
     min_size=2,
     max_size=60,
 ).map(make_series)
+
+
+# Reference spike filter: a full rescan after every replacement, at most
+# 1000 replacements. filter_spikes must return exactly what it returns
+# wherever it settles within that cap.
+_MAX_FILTER_PASSES = 1000
+
+
+def _neighborhood_mean(values, i: int, half_width: int):
+    """Mean of the up-to-2*half_width neighbors of i (truncated at edges),
+    excluding i itself."""
+    lo = max(0, i - half_width)
+    hi = min(len(values), i + half_width + 1)
+    neighbors = [values[j] for j in range(lo, hi) if j != i]
+    if not neighbors:
+        return None
+    return math.fsum(neighbors) / len(neighbors)
+
+
+def _worst_outlier(values, cfg):
+    """Index and replacement value of the sample deviating most from its
+    neighborhood mean, or None when every sample is within bounds."""
+    worst = None
+    worst_ratio = cfg.spike_factor
+    for i, v in enumerate(values):
+        m = _neighborhood_mean(values, i, cfg.smoothing_half_width)
+        if m is None or m <= 0:
+            continue
+        ratio = v / m if v > m else (math.inf if v == 0 else m / v)
+        if ratio > worst_ratio:
+            worst_ratio = ratio
+            worst = (i, m)
+    return worst
+
+
+def reference_filter_spikes(series, cfg):
+    """(values, replaced, settled): settled is False when the cap stopped
+    the loop."""
+    values = list(series.values)
+    settled = False
+    for _ in range(_MAX_FILTER_PASSES):
+        hit = _worst_outlier(values, cfg)
+        if hit is None:
+            settled = True
+            break
+        values[hit[0]] = hit[1]
+    replaced = sum(1 for a, b in zip(series.values, values) if a != b)
+    return tuple(values), replaced, settled
+
+
+def spiky_values(rng, n, spike_rate, zero_rate, base):
+    """n samples around base: spikes of 3-50x up or down at spike_rate,
+    zeros at zero_rate, and a third of the rest repeated from a few fixed
+    levels, so that equal ratios occur."""
+    levels = (0.0, base, base, 2.0 * base, base / 4)
+    values = []
+    for _ in range(n):
+        u = rng.random()
+        if u < zero_rate:
+            values.append(0.0)
+        elif u < zero_rate + spike_rate:
+            factor = rng.uniform(3.0, 50.0)
+            values.append(base * factor if rng.random() < 0.5 else base / factor)
+        elif rng.random() < 0.3:
+            values.append(rng.choice(levels))
+        else:
+            values.append(base * rng.uniform(0.8, 1.2))
+    return values
 
 
 class TestFilterSpikes:
@@ -54,6 +126,59 @@ class TestFilterSpikes:
         twice, again = filter_spikes(once, CFG)
         assert twice.values == once.values
         assert again == 0
+
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(min_value=2, max_value=600),
+        st.floats(min_value=0.0, max_value=0.8),
+        st.floats(min_value=0.0, max_value=0.3),
+        st.sampled_from([1.0, 1000.0, 12_000.0]),
+        st.integers(min_value=1, max_value=5),
+        st.floats(min_value=1.5, max_value=4.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_rescan_reference(self, rng, n, spike_rate, zero_rate, base, half_width, factor):
+        cfg = AnalysisConfig(smoothing_half_width=half_width, spike_factor=factor)
+        series = make_series(spiky_values(rng, n, spike_rate, zero_rate, base))
+        values, replaced, settled = reference_filter_spikes(series, cfg)
+        filtered, count = filter_spikes(series, cfg)
+        if settled or n <= 250:
+            assert filtered.values == values
+            assert count == replaced
+        else:
+            # the reference stopped at its fixed cap; the heap filter's cap
+            # grows with n, so it goes on until no spike is left
+            assert _worst_outlier(filtered.values, cfg) is None
+
+    def test_long_series_left_without_spikes(self):
+        # 5% spikes in 20000 samples need 1118 replacements, more than the
+        # fixed cap of 1000 that once left spikes in place
+        rng = random.Random(3)
+        values = [1000.0 * rng.uniform(0.9, 1.1) * (rng.uniform(3.0, 5.0) if rng.random() < 0.05 else 1.0)
+                  for _ in range(20_000)]
+        filtered, _ = filter_spikes(make_series(values), CFG)
+        assert _worst_outlier(filtered.values, CFG) is None
+
+    def test_mean_calls_linear_in_replacements(self, monkeypatch):
+        # a rescan after each replacement costs about n calls per replacement
+        calls = 0
+        real = congestion._neighborhood_mean
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(congestion, "_neighborhood_mean", counting)
+        rng = random.Random(4)
+        n, h = 1600, CFG.smoothing_half_width
+        # isolated clean spikes, so each replaced sample is replaced once
+        values = [1000.0 * rng.uniform(0.9, 1.1) for _ in range(n)]
+        for i in range(0, n, 20):
+            values[i] *= rng.uniform(3.0, 5.0)
+        _, replaced = filter_spikes(make_series(values), CFG)
+        assert replaced == n // 20
+        assert calls <= n + (2 * h + 2) * replaced
 
 
 class TestWindowStats:

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_record, make_series
 from mobitrace.ingest import build_sessions, read_catalog, read_records, record_to_obj, write_records
-from mobitrace.model import RadioTechnology
+from mobitrace.model import TIMESTAMP_END_MS, RadioTechnology
 
 
 def write_lines(path, lines):
@@ -74,6 +74,8 @@ class TestReadRecords:
         ("upload_kbps", float("nan"), "non-finite or negative throughput"),
         ("latency_ms", float("nan"), "non-finite or negative latency"),
         ("samples", {"interval_ms": 500, "values": [900.0, float("nan")]}, "non-finite or negative sample value"),
+        ("timestamp", 10**20, "timestamp must be before 9999-12-31 UTC"),
+        ("timestamp", TIMESTAMP_END_MS, "timestamp must be before 9999-12-31 UTC"),
     ])
     def test_bad_value_rejected_with_reason(self, tmp_path, field, value, reason):
         path = tmp_path / "r.jsonl"

@@ -101,6 +101,8 @@ class TestAnalysisConfig:
             dict(window_size=10.0),
             dict(window_size=True),
             dict(utc_offset_minutes=330.5),
+            dict(utc_offset_minutes=-721),
+            dict(utc_offset_minutes=841),
             dict(busy_hour_start="7"),
             dict(spike_factor=True),
             dict(histogram_bin_kbps=float("nan")),

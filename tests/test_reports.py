@@ -3,7 +3,13 @@ import pytest
 
 from conftest import make_record
 from mobitrace.congestion import Pool
-from mobitrace.model import AnalysisConfig, RadioTechnology
+from mobitrace.model import (
+    TIMESTAMP_END_MS,
+    UTC_OFFSET_MAX_MINUTES,
+    UTC_OFFSET_MIN_MINUTES,
+    AnalysisConfig,
+    RadioTechnology,
+)
 from mobitrace.reports import (
     hourly_profile,
     month_label,
@@ -228,6 +234,13 @@ class TestLabels:
         ts = 1_451_602_800_000
         assert quarter_label(ts, CFG) == "2016-Q1"
         assert quarter_label(ts, AnalysisConfig(utc_offset_minutes=0)) == "2015-Q4"
+
+    def test_labels_at_timestamp_and_offset_limits(self):
+        # every timestamp ingest accepts is a local date at every allowed offset
+        latest = AnalysisConfig(utc_offset_minutes=UTC_OFFSET_MAX_MINUTES)
+        earliest = AnalysisConfig(utc_offset_minutes=UTC_OFFSET_MIN_MINUTES)
+        assert quarter_label(TIMESTAMP_END_MS - 1, latest) == "9999-Q4"
+        assert month_label(1, earliest) == "1969-12"
 
 
 class TestPermutationInvariance:

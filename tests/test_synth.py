@@ -40,6 +40,15 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(seed=1, scenario=Scenario.COMMUTE, cells=COMMUTE_CELLS[:1])
 
+    @pytest.mark.parametrize("cell, message", [
+        (("c9", RadioTechnology.LTE, float("nan")), "cell capacities"),
+        (("c9", RadioTechnology.LTE, float("inf")), "cell capacities"),
+        ((9, RadioTechnology.LTE, 1000.0), "cell ids"),
+    ])
+    def test_bad_commute_cell_rejected(self, cell, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(seed=1, scenario=Scenario.COMMUTE, cells=COMMUTE_CELLS + (cell,))
+
     def test_pool_mix_must_sum_to_one(self):
         with pytest.raises(ValueError):
             ScenarioConfig(seed=1, scenario=Scenario.STATIONARY_24H,
