@@ -22,7 +22,8 @@ from .attribution import Factor, LimitingFactorVerdict, attribute
 from .congestion import Pool, classify
 from .coverage import HandoverEvent, camping_stats, detect_handovers, handover_impact
 from .ingest import build_sessions, read_catalog, read_records, record_from_obj, record_to_obj, write_records
-from .model import AnalysisConfig, CapabilityCatalog, RadioTechnology, TechnologyGroup, to_json
+from .model import (AnalysisConfig, CapabilityCatalog, RadioTechnology, TechnologyGroup,
+                    check_field_types, to_json)
 from .reports import (
     HistogramBin,
     OperatorSummary,
@@ -148,8 +149,10 @@ def cmd_synth(args) -> None:
 
 
 def _event_from_obj(obj: dict) -> HandoverEvent:
-    return HandoverEvent(**{**obj, "from_tech": RadioTechnology(obj["from_tech"]),
-                            "to_tech": RadioTechnology(obj["to_tech"])})
+    event = HandoverEvent(**{**obj, "from_tech": RadioTechnology(obj["from_tech"]),
+                             "to_tech": RadioTechnology(obj["to_tech"])})
+    check_field_types(event)
+    return event
 
 
 def cmd_analyze(args) -> None:
@@ -215,33 +218,48 @@ def cmd_analyze(args) -> None:
 # report
 
 
+def _read_rows(path: Path, parse) -> list:
+    """parse(obj) for the JSON value on each line of path. A line that does
+    not parse raises UsageError naming the file and the line."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                rows.append(parse(json.loads(line)))
+                continue
+            except json.JSONDecodeError:
+                reason = "invalid JSON"
+            except KeyError as exc:
+                reason = f"missing field {exc}"
+            except (ValueError, TypeError) as exc:
+                reason = str(exc)
+            raise UsageError(f"{path.name} line {line_no}: {reason}")
+    return rows
+
+
+def _analyzed_row(obj):
+    record, _ = record_from_obj(obj["record"])
+    v = obj["verdict"]
+    verdict = LimitingFactorVerdict(
+        factor=Factor(v["factor"]),
+        artificial=v["artificial"],
+        binding_upper_bound_kbps=v.get("binding_upper_bound_kbps"),
+        congestion_pool=Pool(v["congestion_pool"]) if v.get("congestion_pool") else None,
+    )
+    a = obj.get("assessment")
+    return record, verdict, Pool(a["pool"]) if a else None
+
+
 def _read_analyzed(in_dir: Path):
-    records, verdicts, pools = [], [], []
-    with open(in_dir / "analyzed.jsonl", "r", encoding="utf-8") as fh:
-        for line in fh:
-            obj = json.loads(line)
-            record, _ = record_from_obj(obj["record"])
-            records.append(record)
-            v = obj["verdict"]
-            verdicts.append(
-                LimitingFactorVerdict(
-                    factor=Factor(v["factor"]),
-                    artificial=v["artificial"],
-                    binding_upper_bound_kbps=v.get("binding_upper_bound_kbps"),
-                    congestion_pool=Pool(v["congestion_pool"]) if v.get("congestion_pool") else None,
-                )
-            )
-            a = obj.get("assessment")
-            pools.append(Pool(a["pool"]) if a else None)
-    return records, verdicts, pools
+    rows = _read_rows(in_dir / "analyzed.jsonl", _analyzed_row)
+    return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
 
 
 def _read_events(in_dir: Path):
     path = in_dir / "handovers.jsonl"
     if not path.exists():
         return []
-    with open(path, "r", encoding="utf-8") as fh:
-        return [_event_from_obj(json.loads(line)) for line in fh]
+    return _read_rows(path, _event_from_obj)
 
 
 # Each report maps (records, pools, events, cfg, args) to its JSON object,

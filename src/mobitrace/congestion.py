@@ -72,28 +72,27 @@ def _spike_ratio(values, i: int, half_width: int) -> Optional[float]:
     return v / m if v > m else (math.inf if v == 0 else m / v)
 
 
-def filter_spikes(series: SampleSeries, cfg: AnalysisConfig) -> Tuple[SampleSeries, int]:
-    """Replace reordering spikes with their neighborhood mean.
-
-    A sample is a spike when it lies outside [m/factor, factor*m] of the
-    self-excluded neighborhood mean m. Spikes are corrected one at a time,
-    most extreme first (ties: lowest index), recomputing neighborhoods after
-    each replacement, so a single spike never drags its clean neighbors over
-    the threshold. The output has no remaining spikes, which makes the
-    filter idempotent. Returns the filtered series and the count of samples
-    replaced.
-
-    Cost: O(n*h + k*h*log n) for n samples, half width h and k
-    replacements. Every spike sits in a max-heap keyed (-ratio, index);
-    replacing sample i changes the ratios of i-h..i+h only, so just those
-    are recomputed and pushed again. An entry whose ratio has changed since
-    its push is stale and skipped when popped (lazy invalidation).
-    """
-    values = list(series.values)
+def _despike(original, cfg: AnalysisConfig) -> Tuple[List[float], int]:
+    """The spike filter on a sequence of at least 2 floats: returns the
+    filtered values and the count of samples replaced."""
+    values = list(original)
     n = len(values)
     h = cfg.smoothing_half_width
-    ratios = [_spike_ratio(values, i, h) for i in range(n)]
-    heap = [(-r, i) for i, r in enumerate(ratios) if r is not None and r > cfg.spike_factor]
+    factor = cfg.spike_factor
+    fsum = math.fsum
+    # First pass: every sample's ratio inline, as _spike_ratio computes it;
+    # fsum is correctly rounded, so the neighbor order does not matter.
+    ratios = [None] * n
+    heap = []
+    for i, v in enumerate(values):
+        neighbors = values[i - h if i > h else 0 : i] + values[i + 1 : i + h + 1]
+        m = fsum(neighbors) / len(neighbors)
+        if m > 0:
+            r = ratios[i] = v / m if v > m else (math.inf if v == 0 else m / v)
+            if r > factor:
+                heap.append((-r, i))
+    if not heap:
+        return values, 0
     heapq.heapify(heap)
     replacements = 0
     cap = max(_MIN_REPLACEMENTS, _REPLACEMENTS_PER_SAMPLE * n)
@@ -105,57 +104,32 @@ def filter_spikes(series: SampleSeries, cfg: AnalysisConfig) -> Tuple[SampleSeri
         replacements += 1
         for j in range(max(0, i - h), min(n, i + h + 1)):
             r = ratios[j] = _spike_ratio(values, j, h)
-            if r is not None and r > cfg.spike_factor:
+            if r is not None and r > factor:
                 heapq.heappush(heap, (-r, j))
-    replaced = sum(1 for a, b in zip(series.values, values) if a != b)
+    return values, sum(1 for a, b in zip(original, values) if a != b)
+
+
+def filter_spikes(series: SampleSeries, cfg: AnalysisConfig) -> Tuple[SampleSeries, int]:
+    """Replace reordering spikes with their neighborhood mean.
+
+    A sample is a spike when it lies outside [m/factor, factor*m] of the
+    self-excluded neighborhood mean m. Spikes are corrected one at a time,
+    most extreme first (ties: lowest index), recomputing neighborhoods after
+    each replacement, so a single spike never drags its clean neighbors over
+    the threshold. Where the filter settles, the output has no remaining
+    spikes, which makes it idempotent. Near spike_factor 1 a series need not
+    settle: the filter then stops at its cap of max(1000, 4*n) replacements
+    and returns with spikes left. Returns the filtered series and the count
+    of samples replaced.
+
+    Cost: O(n*h + k*h*log n) for n samples, half width h and k
+    replacements. Every spike sits in a max-heap keyed (-ratio, index);
+    replacing sample i changes the ratios of i-h..i+h only, so just those
+    are recomputed and pushed again. An entry whose ratio has changed since
+    its push is stale and skipped when popped (lazy invalidation).
+    """
+    values, replaced = _despike(series.values, cfg)
     return SampleSeries(interval_ms=series.interval_ms, values=tuple(values)), replaced
-
-
-def window_stats(series: SampleSeries, cfg: AnalysisConfig) -> List[WindowStats]:
-    """Mean and RAD per non-overlapping window; trailing remainder dropped."""
-    w = cfg.window_size
-    if len(series.values) < w:
-        raise ValueError("insufficient samples")
-    stats = []
-    for k in range(len(series.values) // w):
-        chunk = series.values[k * w : (k + 1) * w]
-        mean = math.fsum(chunk) / w
-        if mean == 0:
-            rad = 0.0
-        else:
-            rad = (math.fsum(abs(x - mean) for x in chunk) / w) / mean
-        stats.append(WindowStats(window_index=k, mean_kbps=mean, rad=rad))
-    return stats
-
-
-def select_upper_bound(windows: List[WindowStats], cfg: AnalysisConfig) -> Tuple[float, int]:
-    """Pick the stable high-mean window used as the congestion-free rate.
-
-    Among eligible (non-slow-start) windows with rad <= rad_stability_max,
-    take the highest mean (ties: lowest rad, then lowest index). If none
-    is stable enough, fall back to maximizing mean/(1+rad).
-    """
-    eligible = [w for w in windows if not w.excluded_slow_start]
-    if not eligible:
-        raise ValueError("no eligible window")
-    stable = [w for w in eligible if w.rad <= cfg.rad_stability_max]
-    if stable:
-        best = min(stable, key=lambda w: (-w.mean_kbps, w.rad, w.window_index))
-    else:
-        best = min(eligible, key=lambda w: (-w.mean_kbps / (1.0 + w.rad), w.window_index))
-    return best.mean_kbps, best.window_index
-
-
-def window_mape(upper_bound_kbps: float, samples) -> float:
-    """Mean absolute percentage deviation from the upper bound, in percent.
-
-    The upper bound is the denominator (the expected value); a zero bound
-    only occurs for all-zero series and yields 0.
-    """
-    if upper_bound_kbps == 0:
-        return 0.0
-    n = len(samples)
-    return (100.0 / n) * math.fsum(abs(upper_bound_kbps - x) / upper_bound_kbps for x in samples)
 
 
 def pool_of(overall_mape_pct: float, cfg: AnalysisConfig) -> Pool:
@@ -166,51 +140,64 @@ def pool_of(overall_mape_pct: float, cfg: AnalysisConfig) -> Pool:
     return Pool.HIGH
 
 
-def _mark_slow_start(windows: List[WindowStats], cfg: AnalysisConfig) -> List[WindowStats]:
-    """Exclude the leading TCP slow-start ramp.
-
-    The first slow_start_min_excluded windows are always excluded;
-    exclusion then continues through consecutive leading windows whose
-    mean is below activation_fraction of the maximum window mean.
-    """
-    max_mean = max(w.mean_kbps for w in windows)
-    threshold = cfg.slow_start_activation_fraction * max_mean
-    marked = []
-    excluding = True
-    for w in windows:
-        if excluding:
-            if w.window_index < cfg.slow_start_min_excluded or w.mean_kbps < threshold:
-                marked.append(
-                    WindowStats(w.window_index, w.mean_kbps, w.rad, excluded_slow_start=True)
-                )
-                continue
-            excluding = False
-        marked.append(w)
-    return marked
-
-
 def classify(series: SampleSeries, cfg: AnalysisConfig) -> CongestionAssessment:
-    """Run the full congestion pipeline on one sample series."""
-    if len(series.values) < 2 * cfg.window_size:
-        raise ValueError("insufficient samples")
-    filtered, spikes_replaced = filter_spikes(series, cfg)
-    windows = _mark_slow_start(window_stats(filtered, cfg), cfg)
-    upper_bound, ub_index = select_upper_bound(windows, cfg)
+    """Run the full congestion pipeline on one sample series.
 
+    The spike-filtered samples fall into non-overlapping windows of
+    window_size; a trailing remainder is dropped. Each window gets its mean
+    and RAD (mean absolute deviation over the mean; 0 for a zero mean).
+
+    Slow start: the first slow_start_min_excluded windows are always
+    excluded; exclusion then continues through consecutive leading windows
+    whose mean is below activation_fraction of the maximum window mean.
+
+    Upper bound, the congestion-free rate: among the remaining windows with
+    rad <= rad_stability_max, the highest mean (ties: lowest rad, then
+    lowest index); if none is stable enough, the highest mean/(1+rad).
+
+    MAPE: each remaining window's mean absolute percentage deviation from
+    the upper bound (0 for a zero bound, which only an all-zero series
+    has); their mean picks the pool.
+    """
     w = cfg.window_size
-    finished = []
+    if len(series.values) < 2 * w:
+        raise ValueError("insufficient samples")
+    values, spikes_replaced = _despike(series.values, cfg)
+    fsum = math.fsum
+    chunks = [values[k : k + w] for k in range(0, len(values) - w + 1, w)]
+    means = []
+    rads = []
+    for chunk in chunks:
+        mean = fsum(chunk) / w
+        means.append(mean)
+        rads.append(0.0 if mean == 0 else (fsum([abs(x - mean) for x in chunk]) / w) / mean)
+
+    threshold = cfg.slow_start_activation_fraction * max(means)
+    excluded = min(cfg.slow_start_min_excluded, len(chunks))
+    while excluded < len(chunks) and means[excluded] < threshold:
+        excluded += 1
+    eligible = range(excluded, len(chunks))
+    if not eligible:
+        raise ValueError("no eligible window")
+    stable = [(-means[k], rads[k], k) for k in eligible if rads[k] <= cfg.rad_stability_max]
+    if stable:
+        ub_index = min(stable)[2]
+    else:
+        ub_index = min((-means[k] / (1.0 + rads[k]), k) for k in eligible)[1]
+    upper_bound = means[ub_index]
+
+    windows = [WindowStats(k, means[k], rads[k], excluded_slow_start=True) for k in range(excluded)]
     mapes = []
-    for stats in windows:
-        if stats.excluded_slow_start:
-            finished.append(stats)
-            continue
-        chunk = filtered.values[stats.window_index * w : (stats.window_index + 1) * w]
-        mape = window_mape(upper_bound, chunk)
+    for k in eligible:
+        if upper_bound == 0:
+            mape = 0.0
+        else:
+            mape = (100.0 / w) * fsum([abs(upper_bound - x) / upper_bound for x in chunks[k]])
         mapes.append(mape)
-        finished.append(WindowStats(stats.window_index, stats.mean_kbps, stats.rad, mape_pct=mape))
-    overall = math.fsum(mapes) / len(mapes)
+        windows.append(WindowStats(k, means[k], rads[k], mape_pct=mape))
+    overall = fsum(mapes) / len(mapes)
     return CongestionAssessment(
-        windows=tuple(finished),
+        windows=tuple(windows),
         upper_bound_kbps=upper_bound,
         upper_bound_window=ub_index,
         overall_mape_pct=overall,

@@ -107,6 +107,8 @@ def record_from_obj(obj: dict) -> Tuple[MeasurementRecord, List[str]]:
         elif name == "samples" and value is not None:
             if not isinstance(value, dict) or "interval_ms" not in value or "values" not in value:
                 raise ValueError("samples must carry interval_ms and values")
+            if not isinstance(value["values"], list):
+                raise ValueError("sample values must be a list")
             value = SampleSeries(interval_ms=value["interval_ms"], values=tuple(value["values"]))
         kwargs[name] = value
     record = MeasurementRecord(**kwargs)
@@ -116,9 +118,14 @@ def record_from_obj(obj: dict) -> Tuple[MeasurementRecord, List[str]]:
 
 
 def read_records(path) -> Tuple[List[MeasurementRecord], IngestReport]:
-    """Parse a JSON Lines record file. Raises OSError if unreadable."""
+    """Parse a JSON Lines record file. Raises OSError if unreadable.
+
+    A record whose record_id an earlier accepted record has is kept, with
+    a warning that names the line of the first.
+    """
     records = []
     report = IngestReport()
+    first_line = {}  # record_id -> line of the first accepted record
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -139,6 +146,10 @@ def read_records(path) -> Tuple[List[MeasurementRecord], IngestReport]:
             report.accepted += 1
             for w in warns:
                 report.warnings.append((line_no, w))
+            first = first_line.setdefault(record.record_id, line_no)
+            if first != line_no:
+                report.warnings.append(
+                    (line_no, f"duplicate record_id '{record.record_id}' (first on line {first})"))
             records.append(record)
     return records, report
 

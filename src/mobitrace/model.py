@@ -8,9 +8,11 @@ milliseconds. Busy-hour bucketing applies a configurable UTC offset
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Tuple
 
 SIGNAL_DBM_MIN = -140.0
@@ -78,6 +80,12 @@ def is_downgrade(from_tech: RadioTechnology, to_tech: RadioTechnology) -> bool:
 _PLAIN = frozenset({str, int, float, bool, type(None)})
 
 
+@lru_cache(maxsize=None)
+def _field_names(cls) -> Optional[Tuple[str, ...]]:
+    """The field names of a dataclass type, or None for any other type."""
+    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+
+
 def to_json(obj):
     """JSON-ready copy of a dataclass, NamedTuple, Enum, tuple, list or dict.
 
@@ -95,27 +103,43 @@ def to_json(obj):
         return values if names is None else dict(zip(names, values))
     if isinstance(obj, dict):
         return {str(k): v if type(v) in _PLAIN else to_json(v) for k, v in obj.items()}
-    if is_dataclass(obj):
-        return {f.name: v if type(v) in _PLAIN else to_json(v)
-                for f in fields(obj) for v in (getattr(obj, f.name),)}
+    names = _field_names(type(obj))
+    if names is not None:
+        return {name: v if type(v) in _PLAIN else to_json(v)
+                for name in names for v in (getattr(obj, name),)}
     return obj
 
 
 def check_field_types(obj) -> None:
     """Raise ValueError for a field of the dataclass obj whose value does
-    not match its int, float, str or Optional[str] annotation; floats must
-    be finite."""
+    not match its int, float or str annotation, or Optional[] of one of
+    them; floats must be finite."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        # f.type is the annotation's text; comparing type() rather than
-        # using isinstance() keeps bool, an int subclass, out of both kinds
-        if f.type == "int" and type(value) is not int:
+        # f.type is the annotation's text
+        kind = f.type
+        if kind.startswith("Optional["):
+            if value is None:
+                continue
+            kind = kind[len("Optional["):-1]
+        # comparing type() rather than using isinstance() keeps bool, an
+        # int subclass, out of both numeric kinds
+        if kind == "int" and type(value) is not int:
             raise ValueError(f"{f.name} must be an integer")
-        if f.type == "float" and (type(value) not in (int, float) or not math.isfinite(value)):
+        if kind == "float" and (type(value) not in (int, float) or not math.isfinite(value)):
             raise ValueError(f"{f.name} must be a finite number")
-        if f.type in ("str", "Optional[str]") and not isinstance(value, str):
-            if value is not None or f.type == "str":
-                raise ValueError(f"{f.name} must be a string")
+        if kind == "str" and not isinstance(value, str):
+            raise ValueError(f"{f.name} must be a string")
+
+
+def _is_real_type(kind) -> bool:
+    """int or float or a subclass of either, except bool."""
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
+_REAL_TYPES = frozenset({int, float})
+# Bounds on numbers, ints included: an int beyond them has no float value.
+_FLOAT_MAX = sys.float_info.max
 
 
 def check_utc_offset(minutes: int) -> None:
@@ -132,7 +156,18 @@ class SampleSeries:
     values: Tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        # type(...) is int rejects bool, which is an int subclass
+        if type(self.interval_ms) is not int:
+            raise ValueError("interval_ms must be an integer")
+        # one type() per value, in C; the per-type test runs once per
+        # distinct type, and not at all for plain int and float
+        kinds = set(map(type, self.values))
+        if not kinds <= _REAL_TYPES and not all(map(_is_real_type, kinds)):
+            raise ValueError("sample values must be numbers")
+        try:
+            object.__setattr__(self, "values", tuple(map(float, self.values)))
+        except OverflowError:
+            raise ValueError("non-finite or negative sample value") from None
         if self.interval_ms <= 0:
             raise ValueError("sample interval must be positive")
         if len(self.values) < 2:
@@ -149,6 +184,7 @@ class SampleSeries:
 _TEXT_FIELDS = ("record_id", "user_id", "manufacturer", "model", "os_name", "os_version",
                 "network_operator", "subscriber_operator")
 _OPTIONAL_TEXT_FIELDS = ("cell_id", "ip_address", "region_tag", "plan_id")
+_REAL_FIELDS = ("download_kbps", "upload_kbps")
 _OPTIONAL_REAL_FIELDS = ("latitude", "longitude", "signal_dbm")
 
 
@@ -187,9 +223,16 @@ class MeasurementRecord:
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise ValueError(f"{name} must be a string")
+        for name in _REAL_FIELDS:
+            if not _is_real_type(type(getattr(self, name))):
+                raise ValueError(f"{name} must be a number")
         for name in _OPTIONAL_REAL_FIELDS:
             value = getattr(self, name)
-            if value is not None and not -math.inf < value < math.inf:
+            if value is None:
+                continue
+            if not _is_real_type(type(value)):
+                raise ValueError(f"{name} must be a number")
+            if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
                 raise ValueError(f"{name} must be finite")
         # type(...) is int rejects bool, which is an int subclass
         if type(self.timestamp) is not int or self.timestamp <= 0:
@@ -198,10 +241,13 @@ class MeasurementRecord:
             raise ValueError("timestamp must be before 9999-12-31 UTC")
         if self.transport_port is not None and type(self.transport_port) is not int:
             raise ValueError("transport_port must be an integer")
-        if not (0 <= self.download_kbps < math.inf and 0 <= self.upload_kbps < math.inf):
+        if not (0 <= self.download_kbps <= _FLOAT_MAX and 0 <= self.upload_kbps <= _FLOAT_MAX):
             raise ValueError("non-finite or negative throughput")
-        if self.latency_ms is not None and not 0 <= self.latency_ms < math.inf:
-            raise ValueError("non-finite or negative latency")
+        if self.latency_ms is not None:
+            if not _is_real_type(type(self.latency_ms)):
+                raise ValueError("latency_ms must be a number")
+            if not 0 <= self.latency_ms <= _FLOAT_MAX:
+                raise ValueError("non-finite or negative latency")
         if self.samples is not None:
             m = self.samples.mean()
             if m == 0:

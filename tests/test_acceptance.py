@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mobitrace.attribution import Factor, attribute
-from mobitrace.congestion import Pool, classify, filter_spikes, window_mape, window_stats
+from mobitrace.congestion import Pool, classify, filter_spikes
 from mobitrace.coverage import camping_stats, detect_handovers, handover_impact
 from mobitrace.ingest import build_sessions
 from mobitrace.model import (
@@ -60,22 +60,26 @@ def test_c01_pool_boundary_table_exact():
 def test_c02_statistics_match_brute_force():
     rng = random.Random(2)
     rel = 1e-9
+    # no window is always slow start, so every series has an eligible window
+    cfg = AnalysisConfig(slow_start_min_excluded=0)
     for _ in range(1000):
         n = rng.randrange(20, 61)
         values = [rng.uniform(1.0, 10_000.0) for _ in range(n)]
         series = make_series(values)
 
-        stats = window_stats(series, CFG)
+        assessment = classify(series, cfg)
         arr = np.array(values)
-        ub = max(s.mean_kbps for s in stats)
-        for s in stats:
-            chunk = arr[s.window_index * 10 : (s.window_index + 1) * 10]
+        filtered = np.array(filter_spikes(series, cfg)[0].values)
+        ub = assessment.upper_bound_kbps
+        for s in assessment.windows:
+            chunk = filtered[s.window_index * 10 : (s.window_index + 1) * 10]
             mean = chunk.mean()
             rad = np.abs(chunk - mean).mean() / mean
             mape = (100.0 * np.abs(ub - chunk) / ub).mean()
             assert s.mean_kbps == pytest.approx(mean, rel=rel)
             assert s.rad == pytest.approx(rad, rel=rel)
-            assert window_mape(ub, chunk.tolist()) == pytest.approx(mape, rel=rel)
+            if not s.excluded_slow_start:
+                assert s.mape_pct == pytest.approx(mape, rel=rel)
 
         for q in (0.25, 0.5, 0.75):
             assert quantile(values, q) == pytest.approx(

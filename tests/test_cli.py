@@ -128,6 +128,35 @@ class TestReportCommand:
         profiles = json.loads((rep / "hourly.json").read_text())
         assert [p["key"] for p in profiles] == ["SynthTel"]
 
+    def assert_bad_row_exits_2(self, tmp_path, capsys, an, name, bad_lines):
+        path = an / name
+        lines = path.read_text().splitlines()
+        for bad, reason in bad_lines:
+            path.write_text("\n".join(lines + [bad]) + "\n")
+            capsys.readouterr()
+            assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep")]) == 2
+            assert capsys.readouterr().err == f"error: {name} line {len(lines) + 1}: {reason}\n"
+
+    def test_bad_analyzed_row_exits_2(self, tmp_path, capsys):
+        an = self.analyzed_dir(tmp_path)
+        row = json.loads((an / "analyzed.jsonl").read_text().splitlines()[0])
+        row["record"]["timestamp"] = "x"
+        self.assert_bad_row_exits_2(tmp_path, capsys, an, "analyzed.jsonl", [
+            ("{not json", "invalid JSON"),
+            (json.dumps(row), "timestamp must be a positive integer"),
+            (json.dumps({"verdict": {}}), "missing field 'record'"),
+        ])
+
+    def test_bad_handovers_row_exits_2(self, tmp_path, capsys):
+        an = self.analyzed_dir(tmp_path)
+        event = {"user_id": "u", "at_ms": "x", "from_cell": "a", "to_cell": "b", "from_tech": "LTE",
+                 "to_tech": "UMTS", "from_kbps": 1.0, "to_kbps": 1.0, "downgrade": True, "gap_ms": 1}
+        self.assert_bad_row_exits_2(tmp_path, capsys, an, "handovers.jsonl", [
+            ("{not json", "invalid JSON"),
+            (json.dumps(event), "at_ms must be an integer"),
+            (json.dumps({**event, "at_ms": 1, "to_tech": "6G"}), "'6G' is not a valid RadioTechnology"),
+        ])
+
     def test_camping_rows_per_session(self, tmp_path):
         an = self.analyzed_dir(tmp_path)
         rep = tmp_path / "rep"

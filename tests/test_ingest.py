@@ -76,6 +76,21 @@ class TestReadRecords:
         ("samples", {"interval_ms": 500, "values": [900.0, float("nan")]}, "non-finite or negative sample value"),
         ("timestamp", 10**20, "timestamp must be before 9999-12-31 UTC"),
         ("timestamp", TIMESTAMP_END_MS, "timestamp must be before 9999-12-31 UTC"),
+        ("download_kbps", "x", "download_kbps must be a number"),
+        ("upload_kbps", None, "upload_kbps must be a number"),
+        ("latitude", "12", "latitude must be a number"),
+        ("latitude", True, "latitude must be a number"),
+        ("latency_ms", "5", "latency_ms must be a number"),
+        ("samples", {"interval_ms": 500, "values": ["900", "950"]}, "sample values must be numbers"),
+        ("samples", {"interval_ms": 500, "values": [True, True]}, "sample values must be numbers"),
+        ("samples", {"interval_ms": 500, "values": "ab"}, "sample values must be a list"),
+        ("samples", {"interval_ms": 1.5, "values": [900.0, 1100.0]}, "interval_ms must be an integer"),
+        ("samples", {"interval_ms": True, "values": [900.0, 1100.0]}, "interval_ms must be an integer"),
+        ("samples", {"interval_ms": "500", "values": [900.0, 1100.0]}, "interval_ms must be an integer"),
+        ("samples", {"interval_ms": 500, "values": [10**400, 900]}, "non-finite or negative sample value"),
+        ("download_kbps", 10**400, "non-finite or negative throughput"),
+        ("latency_ms", 10**400, "non-finite or negative latency"),
+        ("longitude", -10**400, "longitude must be finite"),
     ])
     def test_bad_value_rejected_with_reason(self, tmp_path, field, value, reason):
         path = tmp_path / "r.jsonl"
@@ -86,6 +101,16 @@ class TestReadRecords:
         records, report = read_records(path)
         assert (report.accepted, report.rejected) == (1, 1)
         assert report.warnings == [(2, reason)]
+
+    def test_duplicate_record_id_kept_with_warning(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        # a rejected line does not count as the first of its id
+        write_lines(path, [json.dumps({"record_id": "a"}), valid_line(record_id="a"),
+                           valid_line(record_id="b"), valid_line(record_id="a")])
+        records, report = read_records(path)
+        assert [r.record_id for r in records] == ["a", "b", "a"]
+        assert report.warnings == [(1, "missing required field 'user_id'"),
+                                   (4, "duplicate record_id 'a' (first on line 2)")]
 
     def test_unreadable_file_raises(self, tmp_path):
         with pytest.raises(OSError):
