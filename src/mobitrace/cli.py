@@ -218,23 +218,21 @@ def cmd_analyze(args) -> None:
 # report
 
 
-def _read_rows(path: Path, parse) -> list:
-    """parse(obj) for the JSON value on each line of path. A line that does
-    not parse raises UsageError naming the file and the line."""
-    rows = []
+def _read_rows(path: Path, parse):
+    """Yield parse(obj) for the JSON value on each line of path. A line that
+    does not parse raises UsageError naming the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
+            where = f"{path.name} line {line_no}"
             try:
-                rows.append(parse(json.loads(line)))
-                continue
+                row = parse(json.loads(line))
             except json.JSONDecodeError:
-                reason = "invalid JSON"
+                raise UsageError(f"{where}: invalid JSON") from None
             except KeyError as exc:
-                reason = f"missing field {exc}"
+                raise UsageError(f"{where}: missing field {exc}") from None
             except (ValueError, TypeError) as exc:
-                reason = str(exc)
-            raise UsageError(f"{path.name} line {line_no}: {reason}")
-    return rows
+                raise UsageError(f"{where}: {exc}") from None
+            yield row
 
 
 def _analyzed_row(obj):
@@ -251,15 +249,19 @@ def _analyzed_row(obj):
 
 
 def _read_analyzed(in_dir: Path):
-    rows = _read_rows(in_dir / "analyzed.jsonl", _analyzed_row)
-    return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+    records, verdicts, pools = [], [], []
+    for record, verdict, pool in _read_rows(in_dir / "analyzed.jsonl", _analyzed_row):
+        records.append(record)
+        verdicts.append(verdict)
+        pools.append(pool)
+    return records, verdicts, pools
 
 
 def _read_events(in_dir: Path):
     path = in_dir / "handovers.jsonl"
     if not path.exists():
         return []
-    return _read_rows(path, _event_from_obj)
+    return list(_read_rows(path, _event_from_obj))
 
 
 # Each report maps (records, pools, events, cfg, args) to its JSON object,

@@ -110,6 +110,11 @@ def to_json(obj):
     return obj
 
 
+# Bounds on finite numbers, ints included: an int beyond them has no float
+# value, and math.isfinite() raises OverflowError on it.
+_FLOAT_MAX = sys.float_info.max
+
+
 def check_field_types(obj) -> None:
     """Raise ValueError for a field of the dataclass obj whose value does
     not match its int, float or str annotation, or Optional[] of one of
@@ -126,7 +131,8 @@ def check_field_types(obj) -> None:
         # int subclass, out of both numeric kinds
         if kind == "int" and type(value) is not int:
             raise ValueError(f"{f.name} must be an integer")
-        if kind == "float" and (type(value) not in (int, float) or not math.isfinite(value)):
+        if kind == "float" and (type(value) not in (int, float)
+                                or not -_FLOAT_MAX <= value <= _FLOAT_MAX):
             raise ValueError(f"{f.name} must be a finite number")
         if kind == "str" and not isinstance(value, str):
             raise ValueError(f"{f.name} must be a string")
@@ -138,8 +144,6 @@ def _is_real_type(kind) -> bool:
 
 
 _REAL_TYPES = frozenset({int, float})
-# Bounds on numbers, ints included: an int beyond them has no float value.
-_FLOAT_MAX = sys.float_info.max
 
 
 def check_utc_offset(minutes: int) -> None:

@@ -178,6 +178,7 @@ class TestReportCommand:
     ("synth", {"seed": 1, "records_per_hour": 2.5}, "records_per_hour"),
     ("synth", {"seed": "x"}, "seed"),
     ("synth", {"seed": 1, "utc_offset_minutes": 841}, "utc_offset_minutes"),
+    ("analyze", {"spike_factor": 10**400}, "spike_factor"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, config, message):
     _, synth_out = run_synth(tmp_path)
