@@ -25,8 +25,6 @@ class Factor(Enum):
     UNDETERMINED = "UNDETERMINED"
 
 
-ARTIFICIAL_FACTORS = frozenset({Factor.DEVICE, Factor.TECHNOLOGY, Factor.PLAN})
-
 # Tiebreak for equal caps: plan caps are operator-enforced, device caps are
 # hardware, technology caps are the loosest standard.
 _BINDING_PRIORITY = {Factor.PLAN: 0, Factor.DEVICE: 1, Factor.TECHNOLOGY: 2}

@@ -84,9 +84,10 @@ def _write_manifest(out_dir: Path, command: str, config_obj: dict, inputs, outpu
     _write_json(manifest, out_dir / "manifest.json")
 
 
-def _load_config(args, build):
-    """Return build(values, args), where values is the --config JSON object
-    ({} without --config) and build applies the flags over it. A bad value
+def _load_config(args, cls, build=None):
+    """Return build(**values), by default cls(**values), for the config
+    dataclass cls. values is the --config JSON object ({} without --config)
+    with each flag whose dest is a field of cls set over it. A bad value
     raises UsageError; an unreadable file raises OSError."""
     values = {}
     try:
@@ -95,30 +96,23 @@ def _load_config(args, build):
                 values = json.load(fh)
             if not isinstance(values, dict):
                 raise ValueError("config must be a JSON object")
-        return build(values, args)
+        names = [f.name for f in fields(cls)]
+        unknown = set(values) - set(names)
+        if unknown:
+            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        for name in names:
+            if getattr(args, name, None) is not None:
+                values[name] = getattr(args, name)
+        return (build or cls)(**values)
     except (ValueError, TypeError) as exc:
         raise UsageError(exc) from exc
-
-
-def _analysis_config(values: dict, args) -> AnalysisConfig:
-    unknown = set(values) - {f.name for f in fields(AnalysisConfig)}
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    if args.utc_offset_minutes is not None:
-        values["utc_offset_minutes"] = args.utc_offset_minutes
-    return AnalysisConfig(**values)
 
 
 # ---------------------------------------------------------------------------
 # synth
 
 
-def _scenario_config(values: dict, args) -> ScenarioConfig:
-    for flag in ("scenario", "seed", "base_capacity_kbps", "diurnal_dip", "records_per_hour",
-                 "noise_cv", "spike_rate", "utc_offset_minutes", "boundary_gap_ms"):
-        value = getattr(args, flag)
-        if value is not None:
-            values[flag] = value
+def _scenario_config(**values) -> ScenarioConfig:
     if "seed" not in values:
         raise ValueError("a seed is required")
     if "scenario" not in values:
@@ -135,10 +129,13 @@ def _scenario_config(values: dict, args) -> ScenarioConfig:
 
 def cmd_synth(args) -> None:
     started = time.monotonic()
-    cfg = _load_config(args, _scenario_config)
+    cfg = _load_config(args, ScenarioConfig, _scenario_config)
+    try:
+        records, truth = generate(cfg)
+    except ValueError as exc:  # a record out of the bounds ingest checks
+        raise UsageError(f"scenario makes an invalid record: {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records, truth = generate(cfg)
     write_records(records, out_dir / "trace.jsonl")
     _write_json(to_json(truth), out_dir / "ground_truth.json")
     _write_manifest(out_dir, "synth", to_json(cfg), [], ["trace.jsonl", "ground_truth.json"], started)
@@ -157,7 +154,7 @@ def _event_from_obj(obj: dict) -> HandoverEvent:
 
 def cmd_analyze(args) -> None:
     started = time.monotonic()
-    cfg = _load_config(args, _analysis_config)
+    cfg = _load_config(args, AnalysisConfig)
     inputs = [args.infile]
     records, ingest_report = read_records(args.infile)
     if args.catalog:
@@ -338,7 +335,7 @@ def cmd_report(args) -> None:
     names = REPORT_NAMES if args.report == "all" else (args.report,)
     if any(n not in REPORTS for n in names):
         raise UsageError(f"unknown report '{args.report}'; valid: all, {', '.join(REPORT_NAMES)}")
-    cfg = _load_config(args, _analysis_config)
+    cfg = _load_config(args, AnalysisConfig)
     in_dir = Path(args.indir)
     records, verdicts, pools = _read_analyzed(in_dir)
     events = _read_events(in_dir)

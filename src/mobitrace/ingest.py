@@ -8,52 +8,15 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import List, Optional, Tuple
 
-from .model import CapabilityCatalog, MeasurementRecord, RadioTechnology, SampleSeries
+from .model import CapabilityCatalog, MeasurementRecord, RadioTechnology, SampleSeries, to_json
 
-RECORD_FIELDS = (
-    "record_id",
-    "user_id",
-    "timestamp",
-    "download_kbps",
-    "upload_kbps",
-    "manufacturer",
-    "model",
-    "os_name",
-    "os_version",
-    "network_operator",
-    "subscriber_operator",
-    "technology",
-    "latitude",
-    "longitude",
-    "latency_ms",
-    "signal_dbm",
-    "cell_id",
-    "ip_address",
-    "transport_port",
-    "samples",
-    "region_tag",
-    "plan_id",
-)
-
-_REQUIRED = (
-    "record_id",
-    "user_id",
-    "timestamp",
-    "download_kbps",
-    "upload_kbps",
-    "manufacturer",
-    "model",
-    "os_name",
-    "os_version",
-    "network_operator",
-    "subscriber_operator",
-    "technology",
-)
-
-CATALOG_HEADER = ["kind", "manufacturer", "model", "technology", "operator", "plan_id", "cap_kbps"]
+RECORD_FIELDS = frozenset(f.name for f in fields(MeasurementRecord))
+# in declaration order, so a record missing several names the first
+_REQUIRED = tuple(f.name for f in fields(MeasurementRecord)
+                  if f.default is MISSING and f.default_factory is MISSING)
 
 
 @dataclass
@@ -73,17 +36,8 @@ class Session:
 
 
 def record_to_obj(record: MeasurementRecord) -> dict:
-    obj = {}
-    for name in RECORD_FIELDS:
-        value = getattr(record, name)
-        if value is None:
-            continue
-        if name == "technology":
-            value = value.value
-        elif name == "samples":
-            value = {"interval_ms": value.interval_ms, "values": list(value.values)}
-        obj[name] = value
-    return obj
+    """The record as a JSON object, without its None fields."""
+    return {name: value for name, value in to_json(record).items() if value is not None}
 
 
 def record_from_obj(obj: dict) -> Tuple[MeasurementRecord, List[str]]:
@@ -121,19 +75,20 @@ def read_records(path) -> Tuple[List[MeasurementRecord], IngestReport]:
     """Parse a JSON Lines record file. Raises OSError if unreadable.
 
     A record whose record_id an earlier accepted record has is kept, with
-    a warning that names the line of the first.
+    a warning that names the line of the first. Bytes that are not UTF-8
+    are read as lone surrogates, which the record's text check rejects.
     """
     records = []
     report = IngestReport()
     first_line = {}  # record_id -> line of the first accepted record
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):  # also too long an int, too deep a nesting
                 report.rejected += 1
                 report.warnings.append((line_no, "invalid JSON"))
                 continue

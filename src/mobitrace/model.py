@@ -15,8 +15,11 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional, Tuple
 
-SIGNAL_DBM_MIN = -140.0
+SIGNAL_DBM_MIN = -140.0  # physical range; ingest warns outside it
 SIGNAL_DBM_MAX = -20.0
+# Ingest rejects values beyond these, which keeps the reports' arithmetic finite.
+SIGNAL_DBM_LIMIT = 1000.0
+MAX_THROUGHPUT_KBPS = 10_000_000  # 10 Gbit/s
 
 # Real UTC offsets run from UTC-12:00 to UTC+14:00.
 UTC_OFFSET_MIN_MINUTES = -720
@@ -114,28 +117,17 @@ def to_json(obj):
 # value, and math.isfinite() raises OverflowError on it.
 _FLOAT_MAX = sys.float_info.max
 
+# annotation text -> (kind, optional)
+_KINDS = {"int": (int, False), "float": (float, False), "str": (str, False),
+          "Optional[int]": (int, True), "Optional[float]": (float, True), "Optional[str]": (str, True)}
 
-def check_field_types(obj) -> None:
-    """Raise ValueError for a field of the dataclass obj whose value does
-    not match its int, float or str annotation, or Optional[] of one of
-    them; floats must be finite."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        # f.type is the annotation's text
-        kind = f.type
-        if kind.startswith("Optional["):
-            if value is None:
-                continue
-            kind = kind[len("Optional["):-1]
-        # comparing type() rather than using isinstance() keeps bool, an
-        # int subclass, out of both numeric kinds
-        if kind == "int" and type(value) is not int:
-            raise ValueError(f"{f.name} must be an integer")
-        if kind == "float" and (type(value) not in (int, float)
-                                or not -_FLOAT_MAX <= value <= _FLOAT_MAX):
-            raise ValueError(f"{f.name} must be a finite number")
-        if kind == "str" and not isinstance(value, str):
-            raise ValueError(f"{f.name} must be a string")
+
+@lru_cache(maxsize=None)
+def _field_kinds(cls) -> Tuple[Tuple[str, type, bool], ...]:
+    """(name, kind, optional) for each field of the dataclass type cls
+    annotated int, float or str, or Optional[] of one of them."""
+    # f.type is the annotation's text
+    return tuple((f.name, *_KINDS[f.type]) for f in fields(cls) if f.type in _KINDS)
 
 
 def _is_real_type(kind) -> bool:
@@ -144,6 +136,32 @@ def _is_real_type(kind) -> bool:
 
 
 _REAL_TYPES = frozenset({int, float})
+
+
+def check_field_types(obj) -> None:
+    """Raise ValueError for a field of the dataclass obj whose value does
+    not match its int, float or str annotation, or Optional[] of one of
+    them. Floats must be finite and text must be encodable as UTF-8."""
+    for name, kind, optional in _field_kinds(type(obj)):
+        value = getattr(obj, name)
+        if value is None and optional:
+            continue
+        if kind is str:
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string")
+            if not value.isascii():
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError:  # a lone surrogate, which no UTF-8 file can hold
+                    raise ValueError(f"{name} must be UTF-8 text") from None
+        elif kind is float:
+            if type(value) not in _REAL_TYPES and not _is_real_type(type(value)):
+                raise ValueError(f"{name} must be a number")
+            if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                raise ValueError(f"{name} must be finite")
+        # type() rather than isinstance() keeps out bool, an int subclass
+        elif type(value) is not int:
+            raise ValueError(f"{name} must be an integer")
 
 
 def check_utc_offset(minutes: int) -> None:
@@ -160,9 +178,7 @@ class SampleSeries:
     values: Tuple[float, ...]
 
     def __post_init__(self):
-        # type(...) is int rejects bool, which is an int subclass
-        if type(self.interval_ms) is not int:
-            raise ValueError("interval_ms must be an integer")
+        check_field_types(self)
         # one type() per value, in C; the per-type test runs once per
         # distinct type, and not at all for plain int and float
         kinds = set(map(type, self.values))
@@ -176,20 +192,14 @@ class SampleSeries:
             raise ValueError("sample interval must be positive")
         if len(self.values) < 2:
             raise ValueError("sample series needs at least 2 values")
-        if not all(0.0 <= v < math.inf for v in self.values):
+        top = float(MAX_THROUGHPUT_KBPS)  # float against float is the fast compare
+        if not all(0.0 <= v <= top for v in self.values):
+            if all(0.0 <= v < math.inf for v in self.values):
+                raise ValueError(f"sample values must be at most {MAX_THROUGHPUT_KBPS} kbps")
             raise ValueError("non-finite or negative sample value")
 
     def mean(self) -> float:
         return math.fsum(self.values) / len(self.values)
-
-
-# MeasurementRecord fields checked by type at construction, so that a bad
-# trace line is rejected at ingest rather than crashing a later stage.
-_TEXT_FIELDS = ("record_id", "user_id", "manufacturer", "model", "os_name", "os_version",
-                "network_operator", "subscriber_operator")
-_OPTIONAL_TEXT_FIELDS = ("cell_id", "ip_address", "region_tag", "plan_id")
-_REAL_FIELDS = ("download_kbps", "upload_kbps")
-_OPTIONAL_REAL_FIELDS = ("latitude", "longitude", "signal_dbm")
 
 
 @dataclass(frozen=True)
@@ -220,38 +230,21 @@ class MeasurementRecord:
     plan_id: Optional[str] = None
 
     def __post_init__(self):
-        for name in _TEXT_FIELDS:
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string")
-        for name in _OPTIONAL_TEXT_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise ValueError(f"{name} must be a string")
-        for name in _REAL_FIELDS:
-            if not _is_real_type(type(getattr(self, name))):
-                raise ValueError(f"{name} must be a number")
-        for name in _OPTIONAL_REAL_FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not _is_real_type(type(value)):
-                raise ValueError(f"{name} must be a number")
-            if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-                raise ValueError(f"{name} must be finite")
-        # type(...) is int rejects bool, which is an int subclass
-        if type(self.timestamp) is not int or self.timestamp <= 0:
-            raise ValueError("timestamp must be a positive integer")
+        check_field_types(self)
+        if self.timestamp <= 0:
+            raise ValueError("timestamp must be positive")
         if self.timestamp >= TIMESTAMP_END_MS:
             raise ValueError("timestamp must be before 9999-12-31 UTC")
-        if self.transport_port is not None and type(self.transport_port) is not int:
-            raise ValueError("transport_port must be an integer")
-        if not (0 <= self.download_kbps <= _FLOAT_MAX and 0 <= self.upload_kbps <= _FLOAT_MAX):
-            raise ValueError("non-finite or negative throughput")
-        if self.latency_ms is not None:
-            if not _is_real_type(type(self.latency_ms)):
-                raise ValueError("latency_ms must be a number")
-            if not 0 <= self.latency_ms <= _FLOAT_MAX:
-                raise ValueError("non-finite or negative latency")
+        if self.download_kbps < 0 or self.upload_kbps < 0:
+            raise ValueError("negative throughput")
+        if self.download_kbps > MAX_THROUGHPUT_KBPS:
+            raise ValueError(f"download_kbps must be at most {MAX_THROUGHPUT_KBPS} kbps")
+        if self.upload_kbps > MAX_THROUGHPUT_KBPS:
+            raise ValueError(f"upload_kbps must be at most {MAX_THROUGHPUT_KBPS} kbps")
+        if self.latency_ms is not None and self.latency_ms < 0:
+            raise ValueError("negative latency")
+        if self.signal_dbm is not None and not -SIGNAL_DBM_LIMIT <= self.signal_dbm <= SIGNAL_DBM_LIMIT:
+            raise ValueError(f"signal_dbm must be within -{SIGNAL_DBM_LIMIT:g}..{SIGNAL_DBM_LIMIT:g} dBm")
         if self.samples is not None:
             m = self.samples.mean()
             if m == 0:
@@ -332,8 +325,11 @@ class AnalysisConfig:
             raise ValueError("slow_start_min_excluded must not be negative")
         if self.handover_max_gap_ms < 0:
             raise ValueError("handover_max_gap_ms must not be negative")
-        if self.histogram_bin_kbps <= 0 or self.signal_bin_dbm <= 0:
-            raise ValueError("histogram_bin_kbps and signal_bin_dbm must be positive")
+        # at most 100 001 bins up to MAX_THROUGHPUT_KBPS
+        if self.histogram_bin_kbps < MAX_THROUGHPUT_KBPS / 100_000:
+            raise ValueError(f"histogram_bin_kbps must be at least {MAX_THROUGHPUT_KBPS // 100_000}")
+        if self.signal_bin_dbm <= 0:
+            raise ValueError("signal_bin_dbm must be positive")
         if not (0 <= self.busy_hour_start <= 23 and 0 <= self.busy_hour_end <= 23):
             raise ValueError("busy hours must be within 0-23")
 

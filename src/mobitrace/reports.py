@@ -255,11 +255,14 @@ class PoolTrend:
     urban_medium_high: Tuple[UrbanShare, ...]
 
 
-def pool_trend(assessed, cfg: AnalysisConfig, urban_tag: str = "urban") -> PoolTrend:
+URBAN_TAG = "urban"
+
+
+def pool_trend(assessed, cfg: AnalysisConfig) -> PoolTrend:
     """Monthly pool fractions over (record, Pool) pairs.
 
     Also reports the combined MEDIUM+HIGH fraction per month for records
-    whose region_tag equals urban_tag.
+    whose region_tag is URBAN_TAG.
     """
     by_month: Dict[str, Dict[Pool, int]] = {}
     urban: Dict[str, List[int]] = {}  # month -> [medium_high, total]
@@ -267,7 +270,7 @@ def pool_trend(assessed, cfg: AnalysisConfig, urban_tag: str = "urban") -> PoolT
         month = month_label(record.timestamp, cfg)
         counts = by_month.setdefault(month, {p: 0 for p in Pool})
         counts[pool] += 1
-        if record.region_tag == urban_tag:
+        if record.region_tag == URBAN_TAG:
             acc = urban.setdefault(month, [0, 0])
             acc[0] += pool in (Pool.MEDIUM, Pool.HIGH)
             acc[1] += 1

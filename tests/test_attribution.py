@@ -10,7 +10,7 @@ from mobitrace.attribution import (
     upper_bounds,
 )
 from mobitrace.congestion import CongestionAssessment, Pool
-from mobitrace.model import AnalysisConfig, CapabilityCatalog, RadioTechnology
+from mobitrace.model import MAX_THROUGHPUT_KBPS, AnalysisConfig, CapabilityCatalog, RadioTechnology
 
 CFG = AnalysisConfig()
 
@@ -98,7 +98,7 @@ class TestAttribute:
         assert attribute(no_plan, catalog, None, False, CFG).factor is Factor.DEVICE
 
     def test_never_artificial_without_caps(self):
-        record = make_record(download_kbps=1e9)
+        record = make_record(download_kbps=MAX_THROUGHPUT_KBPS)
         verdict = attribute(record, CapabilityCatalog.empty(), None, False, CFG)
         assert not verdict.artificial
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_record
 from mobitrace.cli import main
-from mobitrace.ingest import write_records
+from mobitrace.ingest import record_to_obj, write_records
 
 
 def sha(path):
@@ -143,7 +143,7 @@ class TestReportCommand:
         row["record"]["timestamp"] = "x"
         self.assert_bad_row_exits_2(tmp_path, capsys, an, "analyzed.jsonl", [
             ("{not json", "invalid JSON"),
-            (json.dumps(row), "timestamp must be a positive integer"),
+            (json.dumps(row), "timestamp must be an integer"),
             (json.dumps({"verdict": {}}), "missing field 'record'"),
         ])
 
@@ -179,6 +179,9 @@ class TestReportCommand:
     ("synth", {"seed": "x"}, "seed"),
     ("synth", {"seed": 1, "utc_offset_minutes": 841}, "utc_offset_minutes"),
     ("analyze", {"spike_factor": 10**400}, "spike_factor"),
+    ("report", {"histogram_bin_kbps": 99.5}, "histogram_bin_kbps must be at least 100"),
+    ("synth", {"seed": 1, "base_capacity_kbps": 2e7}, "scenario makes an invalid record: "),
+    ("synth", {"seed": 1, "signal_low_dbm": -2000.0}, "signal_dbm must be within -1000..1000 dBm"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, config, message):
     _, synth_out = run_synth(tmp_path)
@@ -194,3 +197,25 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, command, config, message
                  "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("report, field, values, reason", [
+    ("operators", "download_kbps", [1e308, 1e308], "download_kbps must be at most 10000000 kbps"),
+    ("signal", "signal_dbm", [1e200, -1e200], "signal_dbm must be within -1000..1000 dBm"),
+    ("operators", "network_operator", ["Op\ud800", "Op\ud800"], "network_operator must be UTF-8 text"),
+    ("all", "samples", [{"interval_ms": 500, "values": [1e308, 1e308]}] * 2,
+     "sample values must be at most 10000000 kbps"),
+])
+def test_unreportable_value_rejected_at_ingest(tmp_path, report, field, values, reason):
+    objs = [record_to_obj(make_record(signal_dbm=-70.0 - i, timestamp=1_451_865_600_000 + i))
+            for i in range(2 + len(values))]
+    for obj, value in zip(objs[2:], values):
+        obj[field] = value
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    an = tmp_path / "an"
+    assert main(["analyze", "--in", str(trace), "--out", str(an)]) == 0
+    ingest = json.loads((an / "ingest_report.json").read_text())["records"]
+    assert (ingest["accepted"], ingest["rejected"]) == (2, 2)
+    assert ingest["warnings"] == [[3, reason], [4, reason]]
+    assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep"), "--report", report]) == 0

@@ -17,15 +17,15 @@ from mobitrace.congestion import (
     filter_spikes,
     pool_of,
 )
-from mobitrace.model import AnalysisConfig
+from mobitrace.model import MAX_THROUGHPUT_KBPS, AnalysisConfig
 from mobitrace.synth import plant_pool
 
 CFG = AnalysisConfig()
 
 
-def sample_lists(min_size):
+def sample_lists(min_size, max_value=1e6):
     return st.lists(
-        st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0.0, max_value=max_value, allow_nan=False, allow_infinity=False),
         min_size=min_size,
         max_size=60,
     )
@@ -485,7 +485,8 @@ class TestClassify:
         assert a == b
 
     @given(
-        sample_lists(20).filter(lambda vs: max(vs) > 0).map(make_series),
+        # scaled by up to 1e3, samples stay within the accepted range
+        sample_lists(20, MAX_THROUGHPUT_KBPS / 1e3).filter(lambda vs: max(vs) > 0).map(make_series),
         st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
     )
     @settings(max_examples=100, deadline=None)

@@ -67,12 +67,12 @@ class TestReadRecords:
         ("manufacturer", 1, "manufacturer must be a string"),
         ("os_version", 6.0, "os_version must be a string"),
         ("cell_id", 3, "cell_id must be a string"),
-        ("timestamp", True, "timestamp must be a positive integer"),
-        ("timestamp", 1.4518656e12, "timestamp must be a positive integer"),
+        ("timestamp", True, "timestamp must be an integer"),
+        ("timestamp", 1.4518656e12, "timestamp must be an integer"),
         ("transport_port", 80.5, "transport_port must be an integer"),
-        ("download_kbps", float("inf"), "non-finite or negative throughput"),
-        ("upload_kbps", float("nan"), "non-finite or negative throughput"),
-        ("latency_ms", float("nan"), "non-finite or negative latency"),
+        ("download_kbps", float("inf"), "download_kbps must be finite"),
+        ("upload_kbps", float("nan"), "upload_kbps must be finite"),
+        ("latency_ms", float("nan"), "latency_ms must be finite"),
         ("samples", {"interval_ms": 500, "values": [900.0, float("nan")]}, "non-finite or negative sample value"),
         ("timestamp", 10**20, "timestamp must be before 9999-12-31 UTC"),
         ("timestamp", TIMESTAMP_END_MS, "timestamp must be before 9999-12-31 UTC"),
@@ -88,9 +88,16 @@ class TestReadRecords:
         ("samples", {"interval_ms": True, "values": [900.0, 1100.0]}, "interval_ms must be an integer"),
         ("samples", {"interval_ms": "500", "values": [900.0, 1100.0]}, "interval_ms must be an integer"),
         ("samples", {"interval_ms": 500, "values": [10**400, 900]}, "non-finite or negative sample value"),
-        ("download_kbps", 10**400, "non-finite or negative throughput"),
-        ("latency_ms", 10**400, "non-finite or negative latency"),
+        ("download_kbps", 10**400, "download_kbps must be finite"),
+        ("latency_ms", 10**400, "latency_ms must be finite"),
         ("longitude", -10**400, "longitude must be finite"),
+        ("samples", {"interval_ms": 500, "values": [1e308, 1e308]}, "sample values must be at most 10000000 kbps"),
+        ("download_kbps", 1e308, "download_kbps must be at most 10000000 kbps"),
+        ("upload_kbps", 10_000_001, "upload_kbps must be at most 10000000 kbps"),
+        ("signal_dbm", 1e200, "signal_dbm must be within -1000..1000 dBm"),
+        ("signal_dbm", -1000.5, "signal_dbm must be within -1000..1000 dBm"),
+        ("network_operator", "Op\ud800", "network_operator must be UTF-8 text"),
+        ("cell_id", "\udcff", "cell_id must be UTF-8 text"),
     ])
     def test_bad_value_rejected_with_reason(self, tmp_path, field, value, reason):
         path = tmp_path / "r.jsonl"
@@ -111,6 +118,22 @@ class TestReadRecords:
         assert [r.record_id for r in records] == ["a", "b", "a"]
         assert report.warnings == [(1, "missing required field 'user_id'"),
                                    (4, "duplicate record_id 'a' (first on line 2)")]
+
+    def test_unparsable_json_rejected(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_lines(path, [valid_line(), valid_line()[:-1] + ', "transport_port": ' + "1" * 5000 + "}",
+                           "[" * 100_000, '{"a": ' * 100_000])
+        records, report = read_records(path)
+        assert (report.accepted, report.rejected) == (1, 3)
+        assert report.warnings == [(2, "invalid JSON"), (3, "invalid JSON"), (4, "invalid JSON")]
+
+    def test_bytes_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        operator = valid_line(network_operator="Op\xff").encode("ascii").replace(b"\\u00ff", b"\xff")
+        path.write_bytes(valid_line().encode() + b"\n" + operator + b"\n\xff\n")
+        records, report = read_records(path)
+        assert (report.accepted, report.rejected) == (1, 2)
+        assert report.warnings == [(2, "network_operator must be UTF-8 text"), (3, "invalid JSON")]
 
     def test_unreadable_file_raises(self, tmp_path):
         with pytest.raises(OSError):

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import make_record, make_series
 from mobitrace.model import (
+    MAX_THROUGHPUT_KBPS,
     AnalysisConfig,
     CapabilityCatalog,
     RadioTechnology,
@@ -58,6 +59,28 @@ class TestMeasurementRecord:
         with pytest.raises(ValueError):
             make_record(download_kbps=2500.0, samples=series)
 
+    def test_throughput_bound(self):
+        make_record(download_kbps=MAX_THROUGHPUT_KBPS, upload_kbps=MAX_THROUGHPUT_KBPS)
+        make_record(download_kbps=MAX_THROUGHPUT_KBPS,
+                    samples=make_series([MAX_THROUGHPUT_KBPS, MAX_THROUGHPUT_KBPS]))
+        for field in ("download_kbps", "upload_kbps"):
+            with pytest.raises(ValueError, match=f"^{field} must be at most 10000000 kbps$"):
+                make_record(**{field: MAX_THROUGHPUT_KBPS * (1 + 1e-15)})
+        with pytest.raises(ValueError, match="^sample values must be at most 10000000 kbps$"):
+            make_series([1.0, MAX_THROUGHPUT_KBPS + 1])
+
+    def test_signal_bound(self):
+        for dbm in (-1000, 1000.0):
+            assert not make_record(signal_dbm=dbm).signal_in_range()
+        for dbm in (-1000.001, 1e200, 10**400 // 10**300):
+            with pytest.raises(ValueError, match="^signal_dbm must be within -1000..1000 dBm$"):
+                make_record(signal_dbm=dbm)
+
+    def test_text_must_encode_as_utf8(self):
+        make_record(manufacturer="Ünïcødé \U0001F4F6")
+        with pytest.raises(ValueError, match="^manufacturer must be UTF-8 text$"):
+            make_record(manufacturer="a\udc80")
+
     def test_signal_range_warns_not_raises(self):
         record = make_record(signal_dbm=-200.0)
         assert not record.signal_in_range()
@@ -107,6 +130,7 @@ class TestAnalysisConfig:
             dict(spike_factor=True),
             dict(histogram_bin_kbps=float("nan")),
             dict(histogram_bin_kbps=float("inf")),
+            dict(histogram_bin_kbps=MAX_THROUGHPUT_KBPS / 100_000 - 1),
         ):
             with pytest.raises(ValueError):
                 AnalysisConfig(**bad)
