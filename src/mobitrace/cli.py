@@ -21,7 +21,8 @@ from . import __version__
 from .attribution import Factor, LimitingFactorVerdict, attribute
 from .congestion import Pool, classify
 from .coverage import HandoverEvent, camping_stats, detect_handovers, handover_impact
-from .ingest import build_sessions, read_catalog, read_records, record_from_obj, record_to_obj, write_records
+from .ingest import (build_sessions, read_catalog, read_records, record_from_obj, record_to_obj, write_json,
+                     write_records)
 from .model import (AnalysisConfig, CapabilityCatalog, RadioTechnology, TechnologyGroup,
                     check_field_types, to_json)
 from .reports import (
@@ -57,9 +58,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(obj, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json([obj], path, indent=2)
 
 
 def _write_csv(header, rows, path: Path) -> None:
@@ -152,6 +151,17 @@ def _event_from_obj(obj: dict) -> HandoverEvent:
     return event
 
 
+def _assessment_summary(a):
+    """What an analyzed row keeps of an assessment: its summary, without the
+    per-window stats, which no report reads and classify derives again from
+    the row's samples."""
+    if a is None:
+        return None
+    return {"upper_bound_kbps": a.upper_bound_kbps, "upper_bound_window": a.upper_bound_window,
+            "overall_mape_pct": a.overall_mape_pct, "pool": a.pool.value,
+            "spikes_replaced": a.spikes_replaced}
+
+
 def cmd_analyze(args) -> None:
     started = time.monotonic()
     cfg = _load_config(args, AnalysisConfig)
@@ -181,9 +191,7 @@ def cmd_analyze(args) -> None:
                 return True
         return False
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "analyzed.jsonl", "w", encoding="utf-8") as fh:
+    def rows():
         for record in records:
             assessment = None
             if record.samples is not None and len(record.samples.values) >= 2 * cfg.window_size:
@@ -192,17 +200,16 @@ def cmd_analyze(args) -> None:
                 except ValueError:
                     assessment = None
             verdict = attribute(record, catalog, assessment, handover_nearby(record), cfg)
-            line = {
+            yield {
                 "record": record_to_obj(record),
                 "verdict": {"record_id": record.record_id, **to_json(verdict)},
-                "assessment": to_json(assessment),
+                "assessment": _assessment_summary(assessment),
             }
-            fh.write(json.dumps(line, sort_keys=True))
-            fh.write("\n")
-    with open(out_dir / "handovers.jsonl", "w", encoding="utf-8") as fh:
-        for event in all_events:
-            fh.write(json.dumps(to_json(event), sort_keys=True))
-            fh.write("\n")
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(rows(), out_dir / "analyzed.jsonl")
+    write_json(map(to_json, all_events), out_dir / "handovers.jsonl")
     ingest_obj = {"records": to_json(ingest_report)}
     if catalog_report is not None:
         ingest_obj["catalog"] = to_json(catalog_report)

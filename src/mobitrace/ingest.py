@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import List, Optional, Tuple
 
@@ -109,23 +110,48 @@ def read_records(path) -> Tuple[List[MeasurementRecord], IngestReport]:
     return records, report
 
 
-def write_records(records, path) -> None:
+def write_json(objs, path, indent=None) -> None:
+    """Write each JSON-ready object of objs, keys sorted, then a newline:
+    one object per line, or indented by indent. The JSON is strict (RFC
+    8259): a NaN or an infinity raises ValueError instead of being written
+    as text that no JSON parser accepts."""
+    encoder = json.JSONEncoder(sort_keys=True, indent=indent, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_obj(record), sort_keys=True))
+        for obj in objs:
+            if indent is None:  # the C encoder, which makes the line whole
+                fh.write(encoder.encode(obj))
+            else:  # written as it is made, so the text is never held whole
+                fh.writelines(encoder.iterencode(obj))
             fh.write("\n")
+
+
+def write_records(records, path) -> None:
+    write_json(map(record_to_obj, records), path)
+
+
+def _is_utf8(row: dict) -> bool:
+    """False when a cell of a csv.DictReader row, extra cells included,
+    holds a byte that was not UTF-8 (read as a lone surrogate)."""
+    cells = [v for v in row.values() if isinstance(v, str)]
+    try:
+        "".join(cells + row.get(None, [])).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def read_catalog(path) -> Tuple[CapabilityCatalog, IngestReport]:
     """Parse a capability catalog CSV (kinds: device, tech, plan).
 
-    Duplicate keys take the last value with a warning; rows with
-    non-positive caps or device caps above the technology standard are
-    rejected. Tech rows are resolved first so device validation does not
-    depend on row order.
+    Duplicate keys take the last value with a warning; rows with text
+    that is not UTF-8, caps that are not finite and positive, or device
+    caps above the technology standard are rejected. Tech rows are
+    resolved first so device validation does not depend on row order.
+    Bytes that are not UTF-8 are read as lone surrogates, as in
+    read_records.
     """
     report = IngestReport()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         rows = list(csv.DictReader(fh))
 
     def parse_cap(row, line_no) -> Optional[float]:
@@ -135,9 +161,9 @@ def read_catalog(path) -> Tuple[CapabilityCatalog, IngestReport]:
             report.rejected += 1
             report.warnings.append((line_no, "bad cap_kbps"))
             return None
-        if cap <= 0:
+        if not 0 < cap < math.inf:  # also false for NaN
             report.rejected += 1
-            report.warnings.append((line_no, "cap must be positive"))
+            report.warnings.append((line_no, "cap must be finite and positive"))
             return None
         return cap
 
@@ -152,6 +178,10 @@ def read_catalog(path) -> Tuple[CapabilityCatalog, IngestReport]:
     tech_caps = {}
     deferred = []  # (line_no, row) for device/plan kinds
     for line_no, row in enumerate(rows, start=2):
+        if not _is_utf8(row):  # before any reason quotes its text
+            report.rejected += 1
+            report.warnings.append((line_no, "row must be UTF-8 text"))
+            continue
         kind = (row.get("kind") or "").strip()
         if kind == "tech":
             cap = parse_cap(row, line_no)

@@ -19,6 +19,7 @@ SIGNAL_DBM_MIN = -140.0  # physical range; ingest warns outside it
 SIGNAL_DBM_MAX = -20.0
 # Ingest rejects values beyond these, which keeps the reports' arithmetic finite.
 SIGNAL_DBM_LIMIT = 1000.0
+SIGNAL_BIN_MIN_DBM = 0.1
 MAX_THROUGHPUT_KBPS = 10_000_000  # 10 Gbit/s
 
 # Real UTC offsets run from UTC-12:00 to UTC+14:00.
@@ -270,8 +271,8 @@ class CapabilityCatalog:
 
     def __post_init__(self):
         for caps in (self.device_caps, self.tech_caps, self.plan_caps):
-            if any(v <= 0 for v in caps.values()):
-                raise ValueError("capability caps must be positive")
+            if not all(0 < v < math.inf for v in caps.values()):
+                raise ValueError("capability caps must be finite and positive")
         for (_, _, tech), cap in self.device_caps.items():
             tech_cap = self.tech_caps.get(tech)
             if tech_cap is not None and cap > tech_cap:
@@ -328,8 +329,9 @@ class AnalysisConfig:
         # at most 100 001 bins up to MAX_THROUGHPUT_KBPS
         if self.histogram_bin_kbps < MAX_THROUGHPUT_KBPS / 100_000:
             raise ValueError(f"histogram_bin_kbps must be at least {MAX_THROUGHPUT_KBPS // 100_000}")
-        if self.signal_bin_dbm <= 0:
-            raise ValueError("signal_bin_dbm must be positive")
+        # at most 20 001 bins over -SIGNAL_DBM_LIMIT..SIGNAL_DBM_LIMIT
+        if self.signal_bin_dbm < SIGNAL_BIN_MIN_DBM:
+            raise ValueError(f"signal_bin_dbm must be at least {SIGNAL_BIN_MIN_DBM:g}")
         if not (0 <= self.busy_hour_start <= 23 and 0 <= self.busy_hour_end <= 23):
             raise ValueError("busy hours must be within 0-23")
 

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import make_record
 from mobitrace.cli import main
+from mobitrace.congestion import classify
 from mobitrace.ingest import record_to_obj, write_records
+from mobitrace.model import AnalysisConfig, SampleSeries
 
 
 def sha(path):
@@ -78,6 +80,39 @@ class TestAnalyzeCommand:
         main(["analyze", "--in", str(synth_out / "trace.jsonl"), "--out", str(an)])
         for line in (an / "analyzed.jsonl").read_text().splitlines():
             assert not json.loads(line)["verdict"]["artificial"]
+
+    def test_assessment_is_the_summary_classify_returns(self, tmp_path):
+        _, synth_out = run_synth(tmp_path)
+        an = tmp_path / "an"
+        assert main(["analyze", "--in", str(synth_out / "trace.jsonl"), "--out", str(an)]) == 0
+        rows = [json.loads(line) for line in (an / "analyzed.jsonl").read_text().splitlines()]
+        assessed = [row for row in rows if row["assessment"] is not None]
+        assert assessed
+        for row in assessed:
+            samples = row["record"]["samples"]
+            a = classify(SampleSeries(samples["interval_ms"], tuple(samples["values"])), AnalysisConfig())
+            assert row["assessment"] == {
+                "upper_bound_kbps": a.upper_bound_kbps, "upper_bound_window": a.upper_bound_window,
+                "overall_mape_pct": a.overall_mape_pct, "pool": a.pool.value,
+                "spikes_replaced": a.spikes_replaced,
+            }
+
+    def test_bad_catalog_rows_rejected_with_reason(self, tmp_path):
+        _, synth_out = run_synth(tmp_path)
+        catalog = tmp_path / "caps.csv"
+        catalog.write_bytes(b"kind,manufacturer,model,technology,operator,plan_id,cap_kbps\n"
+                            b"tech,,,HSPA,,,inf\n"
+                            b"device,Acme\xff,One,HSPA,,,3200\n"
+                            b"plan,,,,SynthTel,basic,nan\n")
+        an = tmp_path / "an"
+        assert main(["analyze", "--in", str(synth_out / "trace.jsonl"), "--out", str(an),
+                     "--catalog", str(catalog)]) == 0
+        report = json.loads((an / "ingest_report.json").read_text())["catalog"]
+        assert report == {"accepted": 0, "rejected": 3, "warnings": [
+            [2, "cap must be finite and positive"], [3, "row must be UTF-8 text"],
+            [4, "cap must be finite and positive"]]}
+        for line in (an / "analyzed.jsonl").read_text().splitlines():
+            assert json.loads(line)["verdict"]["binding_upper_bound_kbps"] is None
 
     def test_unreadable_input_exits_1(self, tmp_path):
         assert main(["analyze", "--in", str(tmp_path / "nope.jsonl"),
@@ -182,6 +217,7 @@ class TestReportCommand:
     ("report", {"histogram_bin_kbps": 99.5}, "histogram_bin_kbps must be at least 100"),
     ("synth", {"seed": 1, "base_capacity_kbps": 2e7}, "scenario makes an invalid record: "),
     ("synth", {"seed": 1, "signal_low_dbm": -2000.0}, "signal_dbm must be within -1000..1000 dBm"),
+    ("report", {"signal_bin_dbm": 5e-324}, "signal_bin_dbm must be at least 0.1"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, config, message):
     _, synth_out = run_synth(tmp_path)
@@ -196,7 +232,7 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, command, config, message
     assert main([command, *inputs[command], "--out", str(tmp_path / "out"),
                  "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("report, field, values, reason", [

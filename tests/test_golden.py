@@ -57,7 +57,7 @@ COMMUTE = [
 
 GOLDEN = {
     "commute/analyzed/analyzed.jsonl":
-        "af38f6d5acc511cfcc18cc197f681129b7b963583a02aa3d769b986c3c021cc0",
+        "30bf08e30a5b763eb24299a41d95fdf9f396629a6637675fc003b6008c6091a3",
     "commute/analyzed/handovers.jsonl":
         "2c4615bfe32637f8a06638402674b56cc9b22c39bee54d002dbf7981970d7457",
     "commute/analyzed/ingest_report.json":
@@ -131,7 +131,7 @@ GOLDEN = {
     "commute/synth/trace.jsonl":
         "9aaf77511e04afd8ee8cdc8a8fb39a8f8b367577beee9d941b1d9595ba0cce01",
     "stationary/analyzed/analyzed.jsonl":
-        "b4838d44771d4892f7dcf9d26625a956355a32109cccb54ef0b7b192a4b65e24",
+        "aba90e51e366cdfc7a99c13d8ef088e1c2d1553cd730df1b303d0b366d140c70",
     "stationary/analyzed/handovers.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "stationary/analyzed/ingest_report.json":
@@ -211,6 +211,23 @@ def test_commute_run_exercises_downgrades_and_the_artificial_filter(tmp_path):
     everything = json.loads((commute / "reports_all" / "histogram.json").read_text())
     assert natural["total"] == len(verdicts) - artificial
     assert everything["total"] == len(verdicts)
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_every_output_is_strict_json(tmp_path):
+    """Every JSON output of both runs, manifests included, parses with NaN
+    and the infinities refused (RFC 8259 has none of them)."""
+    run_digests(tmp_path)
+    paths = [p for p in sorted(tmp_path.rglob("*"))
+             if p.suffix in (".json", ".jsonl") and p.parent != tmp_path / "commute"]
+    assert len(paths) == 41
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+            json.loads(doc, parse_constant=_refuse)
 
 
 if __name__ == "__main__":

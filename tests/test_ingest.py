@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import make_record, make_series
-from mobitrace.ingest import build_sessions, read_catalog, read_records, record_to_obj, write_records
+from mobitrace.ingest import build_sessions, read_catalog, read_records, record_to_obj, write_json, write_records
 from mobitrace.model import TIMESTAMP_END_MS, RadioTechnology
 
 
@@ -152,6 +152,12 @@ class TestReadRecords:
         assert report.rejected == 0
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_write_json_refuses_non_finite(tmp_path, value):
+    with pytest.raises(ValueError):
+        write_json([{"a": 1.0}, {"b": [value]}], tmp_path / "out.jsonl")
+
+
 class TestReadCatalog:
     HEADER = "kind,manufacturer,model,technology,operator,plan_id,cap_kbps"
 
@@ -196,6 +202,26 @@ class TestReadCatalog:
         path.write_text(self.HEADER + "\nplan,,,,OpA,p1,0\n")
         _, report = read_catalog(path)
         assert report.rejected == 1
+
+    @pytest.mark.parametrize("cap", ["inf", "nan", "1e999", "-inf"])
+    def test_non_finite_cap_rejected(self, tmp_path, cap):
+        path = tmp_path / "c.csv"
+        path.write_text(self.HEADER + f"\ntech,,,HSPA,,,{cap}\ndevice,X,Y,LTE,,,{cap}\nplan,,,,OpA,p1,{cap}\n")
+        catalog, report = read_catalog(path)
+        assert catalog.tech_caps == {} and catalog.device_caps == {} and catalog.plan_caps == {}
+        assert report.warnings == [(line, "cap must be finite and positive") for line in (2, 3, 4)]
+
+    def test_bytes_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(self.HEADER.encode() + b"\ntech,,,HSPA,,,21000\n"
+                         b"device,X\xff,Y,HSPA,,,3200\n"  # a manufacturer
+                         b"tech,,,\xff,,,1000\n"  # a technology, quoted by its reason otherwise
+                         b"plan,,,,OpA,p1,100,\xff\n")  # a cell beyond the header
+        catalog, report = read_catalog(path)
+        assert catalog.tech_caps == {RadioTechnology.HSPA: 21000.0}
+        assert catalog.device_caps == {} and catalog.plan_caps == {}
+        assert (report.accepted, report.rejected) == (1, 3)
+        assert report.warnings == [(line, "row must be UTF-8 text") for line in (3, 4, 5)]
 
 
 class TestBuildSessions:

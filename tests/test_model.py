@@ -1,3 +1,4 @@
+import math
 import pytest
 
 from conftest import make_record, make_series
@@ -100,6 +101,11 @@ class TestCapabilityCatalog:
         with pytest.raises(ValueError):
             CapabilityCatalog(device_caps={}, tech_caps={RadioTechnology.LTE: 0.0}, plan_caps={})
 
+    @pytest.mark.parametrize("cap", [math.inf, math.nan])
+    def test_non_finite_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="finite and positive"):
+            CapabilityCatalog(device_caps={}, tech_caps={}, plan_caps={("OpA", "p1"): cap})
+
 
 class TestAnalysisConfig:
     def test_defaults_valid(self):
@@ -116,6 +122,7 @@ class TestAnalysisConfig:
             dict(histogram_bin_kbps=0),
             dict(signal_bin_dbm=0.0),
             dict(signal_bin_dbm=-5.0),
+            dict(signal_bin_dbm=5e-324),
             dict(handover_max_gap_ms=-5),
             dict(slow_start_activation_fraction=3),
             dict(slow_start_activation_fraction=0.0),
