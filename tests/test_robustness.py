@@ -8,7 +8,11 @@ enough to classify, one line without samples) and runs analyze, then every
 report, in-process.
 """
 
+import contextlib
+import csv
+import io
 import json
+import shutil
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -19,8 +23,10 @@ from hypothesis import strategies as st
 
 from conftest import make_record, make_series
 from mobitrace.cli import main
+from mobitrace.coverage import HandoverEvent
 from mobitrace.ingest import record_to_obj
-from mobitrace.model import MeasurementRecord, RadioTechnology
+from mobitrace.model import AnalysisConfig, MeasurementRecord, RadioTechnology
+from mobitrace.synth import ScenarioConfig
 
 
 def _trace():
@@ -94,3 +100,128 @@ def test_any_value_accepted_or_rejected_with_reason(field, data):
             assert reasons and all(isinstance(r, str) and r for r in reasons)
         assert main(["report", "--in", str(root / "an"), "--out", str(root / "rep"),
                      "--report", "all"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Every other input kind: --config files, catalog cells and the rows that
+# report reads back. Each case runs the CLI in-process and asserts that no
+# exception leaves main, that the exit code is 0, 2 or 3 with exactly one
+# "error:" line when it is not 0, and that every output is strict JSON.
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def _exits_cleanly(argv, out: Path) -> int:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    for path in sorted(out.rglob("*.json*")) if out.exists() else ():
+        text = path.read_text(encoding="utf-8")
+        for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+            json.loads(doc, parse_constant=_refuse)
+    return code
+
+
+def _write_trace(path: Path) -> Path:
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in TRACE), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def analyzed(tmp_path_factory):
+    """A directory holding the trace and analyze's outputs for it."""
+    root = tmp_path_factory.mktemp("analyzed")
+    assert main(["analyze", "--in", str(_write_trace(root / "trace.jsonl")), "--out", str(root)]) == 0
+    return root
+
+
+# one stationary hour per cell keeps synth small; a commute has two cells
+SCENARIO = {"seed": 1, "scenario": "stationary24h", "records_per_hour": 1, "samples_per_record": 24,
+            "cells": [["c1", "LTE", 5000.0], ["c2", "HSPA", 2000.0]]}
+# these two set how much synth writes, so an integer there stays small
+_SIZE_FIELDS = ("records_per_hour", "samples_per_record")
+_small = _values.filter(lambda v: type(v) is not int or v <= 48)
+CONFIG_FIELDS = ([("synth", f.name) for f in fields(ScenarioConfig)]
+                 + [(command, f.name) for command in ("analyze", "report") for f in fields(AnalysisConfig)])
+
+
+@pytest.mark.parametrize("command, field", CONFIG_FIELDS)
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_any_config_value_exits_cleanly(analyzed, command, field, data):
+    value = data.draw(_small if field in _SIZE_FIELDS else _values, label="value")
+    config = {**SCENARIO, field: value} if command == "synth" else {field: value}
+    source = {"synth": [], "analyze": ["--in", str(analyzed / "trace.jsonl")], "report": ["--in", str(analyzed)]}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        _exits_cleanly([command, *source[command], "--config", str(root / "config.json"),
+                        "--out", str(root / "out")], root / "out")
+
+
+CATALOG = [["kind", "manufacturer", "model", "technology", "operator", "plan_id", "cap_kbps"],
+           ["tech", "", "", "LTE", "", "", "100000"],
+           ["device", "Acme", "One", "HSPA", "", "", "3200"],
+           ["plan", "", "", "", "OpA", "basic", "50000"]]
+_cell = _text | st.binary(max_size=6) | st.sampled_from(["inf", "nan", "1e999", "-1", "0", "5e-324", "LTE", ""])
+
+
+def _catalog_bytes(row: int, column: int, cell) -> bytes:
+    """CATALOG with one cell replaced: text goes through the csv writer,
+    bytes go in as they are."""
+    buf = io.StringIO()
+    marker = "\x00cell\x00"
+    rows = [list(r) for r in CATALOG]
+    rows[row][column] = cell if isinstance(cell, str) else marker
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    data = buf.getvalue().encode("utf-8", errors="surrogatepass")
+    return data if isinstance(cell, str) else data.replace(marker.encode(), cell)
+
+
+@pytest.mark.parametrize("column", range(len(CATALOG[0])))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_any_catalog_cell_exits_cleanly(analyzed, column, data):
+    row = data.draw(st.integers(1, len(CATALOG) - 1), label="row")
+    cell = data.draw(_cell, label="cell")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "caps.csv").write_bytes(_catalog_bytes(row, column, cell))
+        an = root / "an"
+        code = _exits_cleanly(["analyze", "--in", str(analyzed / "trace.jsonl"), "--out", str(an),
+                               "--catalog", str(root / "caps.csv")], an)
+        if code == 0:
+            _exits_cleanly(["report", "--in", str(an), "--out", str(root / "rep")], root / "rep")
+
+
+VERDICT_FIELDS = ("record_id", "factor", "artificial", "binding_upper_bound_kbps", "congestion_pool")
+ASSESSMENT_FIELDS = ("upper_bound_kbps", "upper_bound_window", "overall_mape_pct", "pool", "spikes_replaced")
+ROW_FIELDS = ([("analyzed.jsonl", "verdict", f) for f in VERDICT_FIELDS]
+              + [("analyzed.jsonl", "assessment", f) for f in ASSESSMENT_FIELDS]
+              + [("analyzed.jsonl", None, part) for part in ("verdict", "assessment")]
+              + [("handovers.jsonl", None, f.name) for f in fields(HandoverEvent)])
+
+
+@pytest.mark.parametrize("name, part, field", ROW_FIELDS)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_any_row_value_exits_cleanly(analyzed, name, part, field, data):
+    rows = [json.loads(line) for line in (analyzed / name).read_text().splitlines()]
+    candidates = [i for i, row in enumerate(rows) if part is None or row[part] is not None]
+    i = data.draw(st.sampled_from(candidates), label="row")
+    value = data.draw(_values, label="value")
+    if part is None:
+        rows[i][field] = value
+    else:
+        rows[i][part][field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        shutil.copytree(analyzed, root / "an")
+        (root / "an" / name).write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        _exits_cleanly(["report", "--in", str(root / "an"), "--out", str(root / "rep")], root / "rep")
