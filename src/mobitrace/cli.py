@@ -18,13 +18,12 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .attribution import Factor, LimitingFactorVerdict, attribute
+from .attribution import LimitingFactorVerdict, attribute
 from .congestion import Pool, classify
 from .coverage import HandoverEvent, camping_stats, detect_handovers, handover_impact
 from .ingest import (build_sessions, read_catalog, read_records, record_from_obj, record_to_obj, write_json,
                      write_records)
-from .model import (AnalysisConfig, CapabilityCatalog, RadioTechnology, TechnologyGroup,
-                    check_field_types, to_json)
+from .model import AnalysisConfig, CapabilityCatalog, TechnologyGroup, from_json, to_json
 from .reports import (
     HistogramBin,
     OperatorSummary,
@@ -83,11 +82,10 @@ def _write_manifest(out_dir: Path, command: str, config_obj: dict, inputs, outpu
     _write_json(manifest, out_dir / "manifest.json")
 
 
-def _load_config(args, cls, build=None):
-    """Return build(**values), by default cls(**values), for the config
-    dataclass cls. values is the --config JSON object ({} without --config)
-    with each flag whose dest is a field of cls set over it. A bad value
-    raises UsageError; an unreadable file raises OSError."""
+def _load_config(args, cls):
+    """The config dataclass cls from the --config JSON object ({} without --config), with each
+    flag whose dest is a field of cls set over it. A bad value raises UsageError; an unreadable
+    file raises OSError."""
     values = {}
     try:
         if args.config:
@@ -95,14 +93,8 @@ def _load_config(args, cls, build=None):
                 values = json.load(fh)
             if not isinstance(values, dict):
                 raise ValueError("config must be a JSON object")
-        names = [f.name for f in fields(cls)]
-        unknown = set(values) - set(names)
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        for name in names:
-            if getattr(args, name, None) is not None:
-                values[name] = getattr(args, name)
-        return (build or cls)(**values)
+        flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+        return from_json(cls, {**values, **{name: v for name, v in flags.items() if v is not None}})
     except (ValueError, TypeError) as exc:
         raise UsageError(exc) from exc
 
@@ -111,24 +103,9 @@ def _load_config(args, cls, build=None):
 # synth
 
 
-def _scenario_config(**values) -> ScenarioConfig:
-    if "seed" not in values:
-        raise ValueError("a seed is required")
-    if "scenario" not in values:
-        raise ValueError("a scenario is required")
-    values["scenario"] = Scenario(values["scenario"])
-    if "technology" in values:
-        values["technology"] = RadioTechnology(values["technology"])
-    if "cells" in values:
-        values["cells"] = tuple(
-            (cell_id, RadioTechnology(tech), float(cap)) for cell_id, tech, cap in values["cells"]
-        )
-    return ScenarioConfig(**values)
-
-
 def cmd_synth(args) -> None:
     started = time.monotonic()
-    cfg = _load_config(args, ScenarioConfig, _scenario_config)
+    cfg = _load_config(args, ScenarioConfig)
     try:
         records, truth = generate(cfg)
     except ValueError as exc:  # a record out of the bounds ingest checks
@@ -142,13 +119,6 @@ def cmd_synth(args) -> None:
 
 # ---------------------------------------------------------------------------
 # analyze
-
-
-def _event_from_obj(obj: dict) -> HandoverEvent:
-    event = HandoverEvent(**{**obj, "from_tech": RadioTechnology(obj["from_tech"]),
-                             "to_tech": RadioTechnology(obj["to_tech"])})
-    check_field_types(event)
-    return event
 
 
 def _assessment_summary(a):
@@ -241,15 +211,10 @@ def _read_rows(path: Path, parse):
 
 def _analyzed_row(obj):
     record, _ = record_from_obj(obj["record"])
-    v = obj["verdict"]
-    verdict = LimitingFactorVerdict(
-        factor=Factor(v["factor"]),
-        artificial=v["artificial"],
-        binding_upper_bound_kbps=v.get("binding_upper_bound_kbps"),
-        congestion_pool=Pool(v["congestion_pool"]) if v.get("congestion_pool") else None,
-    )
+    verdict = {**obj["verdict"]}
+    verdict.pop("record_id", None)  # the record's, which the row holds already
     a = obj.get("assessment")
-    return record, verdict, Pool(a["pool"]) if a else None
+    return record, from_json(LimitingFactorVerdict, verdict), Pool(a["pool"]) if a else None
 
 
 def _read_analyzed(in_dir: Path):
@@ -265,7 +230,7 @@ def _read_events(in_dir: Path):
     path = in_dir / "handovers.jsonl"
     if not path.exists():
         return []
-    return list(_read_rows(path, _event_from_obj))
+    return list(_read_rows(path, lambda obj: from_json(HandoverEvent, obj)))
 
 
 # Each report maps (records, pools, events, cfg, args) to its JSON object,

@@ -9,15 +9,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
-from .model import CapabilityCatalog, MeasurementRecord, RadioTechnology, SampleSeries, to_json
+from .model import CapabilityCatalog, MeasurementRecord, RadioTechnology, from_json, to_json
 
 RECORD_FIELDS = frozenset(f.name for f in fields(MeasurementRecord))
-# in declaration order, so a record missing several names the first
-_REQUIRED = tuple(f.name for f in fields(MeasurementRecord)
-                  if f.default is MISSING and f.default_factory is MISSING)
 
 
 @dataclass
@@ -43,30 +40,15 @@ def record_to_obj(record: MeasurementRecord) -> dict:
 
 def record_from_obj(obj: dict) -> Tuple[MeasurementRecord, List[str]]:
     """Build a record from a parsed JSON object; returns (record, warnings)."""
-    warnings = []
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
-    for name in _REQUIRED:
-        if name not in obj:
-            raise ValueError(f"missing required field '{name}'")
-    kwargs = {}
-    for name, value in obj.items():
-        if name not in RECORD_FIELDS:
-            warnings.append(f"unknown field '{name}' ignored")
-            continue
-        if name == "technology":
-            try:
-                value = RadioTechnology(value)
-            except ValueError:
-                raise ValueError(f"unknown technology '{value}'")
-        elif name == "samples" and value is not None:
-            if not isinstance(value, dict) or "interval_ms" not in value or "values" not in value:
-                raise ValueError("samples must carry interval_ms and values")
-            if not isinstance(value["values"], list):
-                raise ValueError("sample values must be a list")
-            value = SampleSeries(interval_ms=value["interval_ms"], values=tuple(value["values"]))
-        kwargs[name] = value
-    record = MeasurementRecord(**kwargs)
+    warnings = []
+    if not obj.keys() <= RECORD_FIELDS:
+        warnings = [f"unknown field '{name}' ignored" for name in obj if name not in RECORD_FIELDS]
+        obj = {name: value for name, value in obj.items() if name in RECORD_FIELDS}
+    if isinstance(samples := obj.get("samples"), dict) and not isinstance(samples.get("values", []), list):
+        raise ValueError("sample values must be a list")
+    record = from_json(MeasurementRecord, obj)
     if not record.signal_in_range():
         warnings.append(f"signal_dbm {record.signal_dbm} outside physical range")
     return record, warnings

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from functools import lru_cache
-from typing import Optional, Tuple
+from collections import namedtuple
+from functools import lru_cache, partial
+from typing import Callable, Optional, Tuple, get_args, get_origin, get_type_hints
 
 SIGNAL_DBM_MIN = -140.0  # physical range; ingest warns outside it
 SIGNAL_DBM_MAX = -20.0
@@ -82,12 +83,58 @@ def is_downgrade(from_tech: RadioTechnology, to_tech: RadioTechnology) -> bool:
 
 
 _PLAIN = frozenset({str, int, float, bool, type(None)})
+# the field kinds that check_field_types checks and from_json takes as they are
+_CHECKED = (str, int, float)
+_Plan = namedtuple("_Plan", "names required kinds converts")
+
+
+def _optional(tp):
+    """(X, True) for Optional[X], else (tp, False)."""
+    args = get_args(tp)
+    return (args[0], True) if type(None) in args else (tp, False)
+
+
+def _converter(tp, name: str) -> Optional[Callable]:
+    """convert(value) from JSON to the type tp of the field name; None if a value is taken as it is."""
+    tp, optional = _optional(tp)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        def convert(value):
+            try:
+                return tp(value)
+            except ValueError:
+                raise ValueError(f"unknown {name} '{value}'") from None
+    elif is_dataclass(tp):
+        convert = partial(from_json, tp)
+    elif get_origin(tp) is tuple:  # Tuple[X, ...], or exactly Tuple[X, Y]
+        items = [_converter(a, name) for a in get_args(tp) if a is not Ellipsis]
+        size = None if Ellipsis in get_args(tp) else len(items)
+        def convert(value):
+            if type(value) is not list or size not in (None, len(value)):
+                raise ValueError(f"{name} must be a list" + (f" of {size} values" if size else ""))
+            if not any(items):
+                return tuple(value)
+            return tuple(c(v) if c else v for c, v in zip(items * (size or len(value)), value))
+    else:
+        return None
+    return (lambda value: None if value is None else convert(value)) if optional else convert
 
 
 @lru_cache(maxsize=None)
-def _field_names(cls) -> Optional[Tuple[str, ...]]:
-    """The field names of a dataclass type, or None for any other type."""
-    return tuple(f.name for f in fields(cls)) if is_dataclass(cls) else None
+def _plan(cls) -> Optional[_Plan]:
+    """What to_json, from_json and check_field_types know of a dataclass type, None for any other;
+    resolved once, as the annotations are text (from __future__ import annotations). names and
+    required (the fields without a default) map names to None in declaration order; kinds holds
+    (name, kind, optional) per field of a _CHECKED kind; converts (name, convert) per field to convert."""
+    if not is_dataclass(cls):
+        return None
+    hints = get_type_hints(cls)
+    return _Plan(
+        names={f.name: None for f in fields(cls)},
+        required={f.name: None for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING},
+        kinds=tuple((f.name, kind, optional) for f in fields(cls)
+                    for kind, optional in [_optional(hints[f.name])] if kind in _CHECKED),
+        converts=tuple((f.name, c) for f in fields(cls) if (c := _converter(hints[f.name], f.name))),
+    )
 
 
 def to_json(obj):
@@ -107,28 +154,29 @@ def to_json(obj):
         return values if names is None else dict(zip(names, values))
     if isinstance(obj, dict):
         return {str(k): v if type(v) in _PLAIN else to_json(v) for k, v in obj.items()}
-    names = _field_names(type(obj))
-    if names is not None:
+    plan = _plan(type(obj))
+    if plan is not None:
         return {name: v if type(v) in _PLAIN else to_json(v)
-                for name in names for v in (getattr(obj, name),)}
+                for name in plan.names for v in (getattr(obj, name),)}
     return obj
+
+
+def from_json(cls, obj):
+    """to_json's inverse: the dataclass cls from obj, a parsed JSON object. Enum, dataclass, Tuple and
+    Optional fields convert by annotation; a fault in obj or in cls.__post_init__ raises ValueError."""
+    if type(obj) is not dict:
+        raise ValueError(f"{cls.__name__} must be a JSON object")
+    names, required, _, converts = _plan(cls)
+    if not obj.keys() <= names.keys():
+        raise ValueError(f"unknown field '{next(n for n in obj if n not in names)}'")
+    if not required.keys() <= obj.keys():
+        raise ValueError(f"missing required field '{next(n for n in required if n not in obj)}'")
+    return cls(**{**obj, **{name: convert(obj[name]) for name, convert in converts if name in obj}})
 
 
 # Bounds on finite numbers, ints included: an int beyond them has no float
 # value, and math.isfinite() raises OverflowError on it.
 _FLOAT_MAX = sys.float_info.max
-
-# annotation text -> (kind, optional)
-_KINDS = {"int": (int, False), "float": (float, False), "str": (str, False),
-          "Optional[int]": (int, True), "Optional[float]": (float, True), "Optional[str]": (str, True)}
-
-
-@lru_cache(maxsize=None)
-def _field_kinds(cls) -> Tuple[Tuple[str, type, bool], ...]:
-    """(name, kind, optional) for each field of the dataclass type cls
-    annotated int, float or str, or Optional[] of one of them."""
-    # f.type is the annotation's text
-    return tuple((f.name, *_KINDS[f.type]) for f in fields(cls) if f.type in _KINDS)
 
 
 def _is_real_type(kind) -> bool:
@@ -141,9 +189,9 @@ _REAL_TYPES = frozenset({int, float})
 
 def check_field_types(obj) -> None:
     """Raise ValueError for a field of the dataclass obj whose value does
-    not match its int, float or str annotation, or Optional[] of one of
-    them. Floats must be finite and text must be encodable as UTF-8."""
-    for name, kind, optional in _field_kinds(type(obj)):
+    not match its int, float or str annotation, or Optional[] of one
+    of them. Floats must be finite and text must be encodable as UTF-8."""
+    for name, kind, optional in _plan(type(obj)).kinds:
         value = getattr(obj, name)
         if value is None and optional:
             continue
@@ -163,6 +211,11 @@ def check_field_types(obj) -> None:
         # type() rather than isinstance() keeps out bool, an int subclass
         elif type(value) is not int:
             raise ValueError(f"{name} must be an integer")
+
+
+def is_finite_number(value) -> bool:
+    """True for an int or a float, not a bool, within the float range."""
+    return (type(value) in _REAL_TYPES or _is_real_type(type(value))) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
 def check_utc_offset(minutes: int) -> None:

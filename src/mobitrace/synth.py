@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .congestion import Pool
 from .model import (AnalysisConfig, MeasurementRecord, RadioTechnology, SampleSeries,
-                    check_field_types, check_utc_offset, is_downgrade)
+                    check_field_types, check_utc_offset, is_downgrade, is_finite_number)
 
 # 2016-01-04T00:00:00 UTC; traces start at local midnight relative to the
 # configured offset.
@@ -112,13 +112,13 @@ class ScenarioConfig:
             raise ValueError("samples_per_record must be at least 2")
         if self.sample_interval_ms <= 0:
             raise ValueError("sample_interval_ms must be positive")
-        if self.scenario is Scenario.COMMUTE:
-            if len(self.cells) < 2:
-                raise ValueError("commute scenario needs at least 2 cells")
-            if any(not 0 < cap < math.inf for _, _, cap in self.cells):
-                raise ValueError("cell capacities must be positive and finite")
-            if any(not isinstance(cell_id, str) for cell_id, _, _ in self.cells):
-                raise ValueError("cell ids must be strings")
+        if self.scenario is Scenario.COMMUTE and len(self.cells) < 2:
+            raise ValueError("commute scenario needs at least 2 cells")
+        if not all(is_finite_number(cap) and cap > 0 for _, _, cap in self.cells):
+            raise ValueError("cell capacities must be positive and finite")
+        if any(not isinstance(cell_id, str) for cell_id, _, _ in self.cells):
+            raise ValueError("cell ids must be strings")
+        object.__setattr__(self, "cells", tuple((c, tech, float(cap)) for c, tech, cap in self.cells))
         if self.planted_pool_mix is not None:
             if any(f < 0 for f in self.planted_pool_mix.values()):
                 raise ValueError("pool mix fractions must be nonnegative")

@@ -189,7 +189,7 @@ class TestReportCommand:
         self.assert_bad_row_exits_2(tmp_path, capsys, an, "handovers.jsonl", [
             ("{not json", "invalid JSON"),
             (json.dumps(event), "at_ms must be an integer"),
-            (json.dumps({**event, "at_ms": 1, "to_tech": "6G"}), "'6G' is not a valid RadioTechnology"),
+            (json.dumps({**event, "at_ms": 1, "to_tech": "6G"}), "unknown to_tech '6G'"),
         ])
 
     def test_camping_rows_per_session(self, tmp_path):

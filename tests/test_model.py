@@ -6,11 +6,14 @@ from mobitrace.model import (
     MAX_THROUGHPUT_KBPS,
     AnalysisConfig,
     CapabilityCatalog,
+    MeasurementRecord,
     RadioTechnology,
     SampleSeries,
     TechnologyGroup,
+    from_json,
     group_of,
 )
+from mobitrace.synth import ScenarioConfig
 
 
 class TestGroupOf:
@@ -154,3 +157,32 @@ class TestAnalysisConfig:
         assert cfg.is_busy_hour(17)
         assert not cfg.is_busy_hour(6)
         assert not cfg.is_busy_hour(18)
+
+
+class TestFromJson:
+    @pytest.mark.parametrize("cls, obj, reason", [
+        (ScenarioConfig, {"scenario": "commute"}, "missing required field 'seed'"),
+        (ScenarioConfig, {}, "missing required field 'seed'"),
+        (ScenarioConfig, {"seed": 1, "scenario": "x"}, "unknown scenario 'x'"),
+        (ScenarioConfig, {"seed": 1, "scenario": "commute", "cells": [["a", "6G", 1.0]]}, "unknown cells '6G'"),
+        (ScenarioConfig, {"seed": 1, "scenario": "commute", "cells": "ab"}, "cells must be a list"),
+        (ScenarioConfig, {"seed": 1, "scenario": "commute", "cells": [["a", "LTE"]]},
+         "cells must be a list of 3 values"),
+        (AnalysisConfig, {"window_size": 5, "bogus": 1, "other": 2}, "unknown field 'bogus'"),
+        (AnalysisConfig, [], "AnalysisConfig must be a JSON object"),
+        (SampleSeries, {"interval_ms": 500, "values": {}}, "values must be a list"),
+    ])
+    def test_fault_reasons(self, cls, obj, reason):
+        with pytest.raises(ValueError) as exc:
+            from_json(cls, obj)
+        assert str(exc.value) == reason
+
+    def test_nested_and_optional_fields(self):
+        obj = {"record_id": "r", "user_id": "u", "timestamp": 1, "download_kbps": 1000, "upload_kbps": 0.5,
+               "manufacturer": "m", "model": "o", "os_name": "a", "os_version": "6", "network_operator": "A",
+               "subscriber_operator": "A", "technology": "LTE", "signal_dbm": None,
+               "samples": {"interval_ms": 500, "values": [900, 1100]}}
+        record = from_json(MeasurementRecord, obj)
+        assert record.technology is RadioTechnology.LTE and record.signal_dbm is None
+        assert record.samples == SampleSeries(500, (900.0, 1100.0))
+        assert record.download_kbps == 1000 and type(record.download_kbps) is int

@@ -22,11 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record, make_series
+from mobitrace.attribution import Factor, LimitingFactorVerdict
 from mobitrace.cli import main
+from mobitrace.congestion import Pool
 from mobitrace.coverage import HandoverEvent
 from mobitrace.ingest import record_to_obj
-from mobitrace.model import AnalysisConfig, MeasurementRecord, RadioTechnology
-from mobitrace.synth import ScenarioConfig
+from mobitrace.model import (MAX_THROUGHPUT_KBPS, SIGNAL_DBM_LIMIT, TIMESTAMP_END_MS, AnalysisConfig,
+                             MeasurementRecord, RadioTechnology, SampleSeries, from_json, to_json)
+from mobitrace.synth import Scenario, ScenarioConfig
 
 
 def _trace():
@@ -225,3 +228,61 @@ def test_any_row_value_exits_cleanly(analyzed, name, part, field, data):
         shutil.copytree(analyzed, root / "an")
         (root / "an" / name).write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
         _exits_cleanly(["report", "--in", str(root / "an"), "--out", str(root / "rep")], root / "rep")
+
+
+# ---------------------------------------------------------------------------
+# from_json inverts to_json on every type that a JSON input decodes into.
+
+_plain_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_kbps = st.floats(0, MAX_THROUGHPUT_KBPS)
+_dbm = st.none() | st.floats(-SIGNAL_DBM_LIMIT, SIGNAL_DBM_LIMIT)
+
+
+@st.composite
+def _records(draw):
+    values = draw(st.none() | st.lists(_kbps, min_size=2, max_size=6))
+    samples = None if values is None else SampleSeries(draw(st.integers(1, 10**6)), tuple(values))
+    optional = st.none() | _plain_text
+    return MeasurementRecord(
+        **{name: draw(_plain_text) for name in ("record_id", "user_id", "manufacturer", "model", "os_name",
+                                                "os_version", "network_operator", "subscriber_operator")},
+        timestamp=draw(st.integers(1, TIMESTAMP_END_MS - 1)),
+        download_kbps=draw(_kbps) if samples is None else samples.mean(),
+        upload_kbps=draw(_kbps | st.integers(0, MAX_THROUGHPUT_KBPS)),
+        technology=draw(st.sampled_from(RadioTechnology)),
+        latitude=draw(st.none() | st.floats(-90, 90)),
+        latency_ms=draw(st.none() | st.floats(0, 1e6)),
+        signal_dbm=draw(_dbm),
+        cell_id=draw(optional), ip_address=draw(optional), region_tag=draw(optional), plan_id=draw(optional),
+        transport_port=draw(st.none() | st.integers(0, 65535)),
+        samples=samples,
+    )
+
+
+_EXAMPLES = {
+    MeasurementRecord: _records(),
+    HandoverEvent: st.builds(HandoverEvent, user_id=_plain_text, at_ms=st.integers(), from_cell=_plain_text,
+                             to_cell=_plain_text, from_tech=st.sampled_from(RadioTechnology),
+                             to_tech=st.sampled_from(RadioTechnology), from_kbps=_kbps, to_kbps=_kbps,
+                             downgrade=st.booleans(), gap_ms=st.integers(0, 10**9), from_dbm=_dbm, to_dbm=_dbm),
+    LimitingFactorVerdict: st.builds(LimitingFactorVerdict, factor=st.sampled_from(Factor),
+                                     artificial=st.booleans(), binding_upper_bound_kbps=st.none() | _kbps,
+                                     congestion_pool=st.none() | st.sampled_from(Pool)),
+    AnalysisConfig: st.builds(AnalysisConfig, window_size=st.integers(2, 100), spike_factor=st.floats(1.5, 10),
+                              handover_max_gap_ms=st.integers(0, 10**9), histogram_bin_kbps=st.floats(100, 1e6),
+                              utc_offset_minutes=st.integers(-720, 840)),
+    ScenarioConfig: st.builds(
+        ScenarioConfig, seed=st.integers(), scenario=st.just(Scenario.COMMUTE),
+        cells=st.lists(st.tuples(_plain_text, st.sampled_from(RadioTechnology), st.floats(1, 1e6)),
+                       min_size=2, max_size=4).map(tuple),
+        planted_pool_mix=st.none() | st.just({"LOW": 0.25, "HIGH": 0.75}),
+        technology=st.sampled_from(RadioTechnology), user_id=_plain_text, plan_id=st.none() | _plain_text),
+}
+
+
+@pytest.mark.parametrize("cls", list(_EXAMPLES), ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_from_json_inverts_to_json(cls, data):
+    value = data.draw(_EXAMPLES[cls], label="value")
+    assert from_json(cls, json.loads(json.dumps(to_json(value)))) == value
