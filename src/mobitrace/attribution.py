@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Dict, Optional
 
 from .congestion import CongestionAssessment, Pool
-from .model import AnalysisConfig, CapabilityCatalog, MeasurementRecord
+from .model import AnalysisConfig, CapabilityCatalog, MeasurementRecord, check_field_types
 
 
 class Factor(Enum):
@@ -36,6 +36,9 @@ class LimitingFactorVerdict:
     artificial: bool
     binding_upper_bound_kbps: Optional[float] = None
     congestion_pool: Optional[Pool] = None
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 def upper_bounds(record: MeasurementRecord, catalog: CapabilityCatalog) -> Dict[Factor, float]:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .ingest import Session
-from .model import GROUP_RANK, AnalysisConfig, RadioTechnology, TechnologyGroup, group_of, is_downgrade
+from .model import (GROUP_RANK, AnalysisConfig, RadioTechnology, TechnologyGroup, check_field_types, check_signal,
+                    group_of, is_downgrade)
 
 
 @dataclass(frozen=True)
@@ -32,11 +33,16 @@ class HandoverEvent:
     from_dbm: Optional[float] = None
     to_dbm: Optional[float] = None
 
+    def __post_init__(self):
+        check_field_types(self)
+        check_signal("from_dbm", self.from_dbm)
+        check_signal("to_dbm", self.to_dbm)
+
 
 @dataclass(frozen=True)
 class HandoverImpact:
     count: int
-    mean_throughput_ratio: Optional[float]  # to/from, denominator > 0 only
+    mean_throughput_ratio: Optional[float]  # to/from, finite ratios only
     throughput_excluded: int
     mean_signal_ratio: Optional[float]  # linear milliwatt scale
     signal_excluded: int
@@ -84,19 +90,32 @@ def detect_handovers(session: Session, cfg: AnalysisConfig) -> List[HandoverEven
     return events
 
 
+def _mean(values) -> Optional[float]:
+    """The mean of finite values, None for none. A sum beyond the float
+    range is taken again over each value divided first."""
+    if not values:
+        return None
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        return math.fsum(v / len(values) for v in values)
+
+
 def handover_impact(events: List[HandoverEvent]) -> HandoverImpact:
     """Mean to/from throughput and signal-power ratios across events.
 
     Signal ratios are taken on the linear milliwatt scale because ratios
-    of dBm values are meaningless.
+    of dBm values are meaningless. A throughput ratio counts only when it
+    is finite: a zero or tiny from_kbps excludes the event.
     """
     tp_ratios = []
     tp_excluded = 0
     sig_ratios = []
     sig_excluded = 0
     for e in events:
-        if e.from_kbps > 0:
-            tp_ratios.append(e.to_kbps / e.from_kbps)
+        ratio = e.to_kbps / e.from_kbps if e.from_kbps > 0 else math.inf
+        if ratio < math.inf:
+            tp_ratios.append(ratio)
         else:
             tp_excluded += 1
         if e.from_dbm is not None and e.to_dbm is not None:
@@ -105,9 +124,9 @@ def handover_impact(events: List[HandoverEvent]) -> HandoverImpact:
             sig_excluded += 1
     return HandoverImpact(
         count=len(events),
-        mean_throughput_ratio=math.fsum(tp_ratios) / len(tp_ratios) if tp_ratios else None,
+        mean_throughput_ratio=_mean(tp_ratios),
         throughput_excluded=tp_excluded,
-        mean_signal_ratio=math.fsum(sig_ratios) / len(sig_ratios) if sig_ratios else None,
+        mean_signal_ratio=_mean(sig_ratios),
         signal_excluded=sig_excluded,
     )
 

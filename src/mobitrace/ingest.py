@@ -133,8 +133,14 @@ def read_catalog(path) -> Tuple[CapabilityCatalog, IngestReport]:
     read_records.
     """
     report = IngestReport()
+    rows = []  # (line_no, row), line_no the row's first line: a quoted cell may hold a newline
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        reader.fieldnames  # reads the header, so that line_num counts it
+        line_no = reader.line_num + 1
+        for row in reader:
+            rows.append((line_no, row))
+            line_no = reader.line_num + 1
 
     def parse_cap(row, line_no) -> Optional[float]:
         try:
@@ -159,7 +165,7 @@ def read_catalog(path) -> Tuple[CapabilityCatalog, IngestReport]:
 
     tech_caps = {}
     deferred = []  # (line_no, row) for device/plan kinds
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in rows:
         if not _is_utf8(row):  # before any reason quotes its text
             report.rejected += 1
             report.warnings.append((line_no, "row must be UTF-8 text"))

@@ -84,7 +84,7 @@ def is_downgrade(from_tech: RadioTechnology, to_tech: RadioTechnology) -> bool:
 
 _PLAIN = frozenset({str, int, float, bool, type(None)})
 # the field kinds that check_field_types checks and from_json takes as they are
-_CHECKED = (str, int, float)
+_CHECKED = (str, int, float, bool)
 _Plan = namedtuple("_Plan", "names required kinds converts")
 
 
@@ -102,7 +102,7 @@ def _converter(tp, name: str) -> Optional[Callable]:
             try:
                 return tp(value)
             except ValueError:
-                raise ValueError(f"unknown {name} '{value}'") from None
+                raise ValueError(f"unknown {name} {value!r}") from None
     elif is_dataclass(tp):
         convert = partial(from_json, tp)
     elif get_origin(tp) is tuple:  # Tuple[X, ...], or exactly Tuple[X, Y]
@@ -168,7 +168,7 @@ def from_json(cls, obj):
         raise ValueError(f"{cls.__name__} must be a JSON object")
     names, required, _, converts = _plan(cls)
     if not obj.keys() <= names.keys():
-        raise ValueError(f"unknown field '{next(n for n in obj if n not in names)}'")
+        raise ValueError(f"unknown field {next(n for n in obj if n not in names)!r}")
     if not required.keys() <= obj.keys():
         raise ValueError(f"missing required field '{next(n for n in required if n not in obj)}'")
     return cls(**{**obj, **{name: convert(obj[name]) for name, convert in converts if name in obj}})
@@ -189,8 +189,8 @@ _REAL_TYPES = frozenset({int, float})
 
 def check_field_types(obj) -> None:
     """Raise ValueError for a field of the dataclass obj whose value does
-    not match its int, float or str annotation, or Optional[] of one
-    of them. Floats must be finite and text must be encodable as UTF-8."""
+    not match its int, float, bool or str annotation, or Optional[] of
+    one of them. Floats must be finite and text must be encodable as UTF-8."""
     for name, kind, optional in _plan(type(obj)).kinds:
         value = getattr(obj, name)
         if value is None and optional:
@@ -208,6 +208,9 @@ def check_field_types(obj) -> None:
                 raise ValueError(f"{name} must be a number")
             if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
                 raise ValueError(f"{name} must be finite")
+        elif kind is bool:
+            if type(value) is not bool:
+                raise ValueError(f"{name} must be true or false")
         # type() rather than isinstance() keeps out bool, an int subclass
         elif type(value) is not int:
             raise ValueError(f"{name} must be an integer")
@@ -216,6 +219,12 @@ def check_field_types(obj) -> None:
 def is_finite_number(value) -> bool:
     """True for an int or a float, not a bool, within the float range."""
     return (type(value) in _REAL_TYPES or _is_real_type(type(value))) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def check_signal(name: str, dbm: Optional[float]) -> None:
+    """Raise ValueError unless dbm is None or within ±SIGNAL_DBM_LIMIT."""
+    if dbm is not None and not -SIGNAL_DBM_LIMIT <= dbm <= SIGNAL_DBM_LIMIT:
+        raise ValueError(f"{name} must be within -{SIGNAL_DBM_LIMIT:g}..{SIGNAL_DBM_LIMIT:g} dBm")
 
 
 def check_utc_offset(minutes: int) -> None:
@@ -297,8 +306,7 @@ class MeasurementRecord:
             raise ValueError(f"upload_kbps must be at most {MAX_THROUGHPUT_KBPS} kbps")
         if self.latency_ms is not None and self.latency_ms < 0:
             raise ValueError("negative latency")
-        if self.signal_dbm is not None and not -SIGNAL_DBM_LIMIT <= self.signal_dbm <= SIGNAL_DBM_LIMIT:
-            raise ValueError(f"signal_dbm must be within -{SIGNAL_DBM_LIMIT:g}..{SIGNAL_DBM_LIMIT:g} dBm")
+        check_signal("signal_dbm", self.signal_dbm)
         if self.samples is not None:
             m = self.samples.mean()
             if m == 0:

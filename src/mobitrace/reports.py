@@ -52,7 +52,8 @@ def pearson_r(xs, ys) -> Optional[float]:
     if sxx == 0 or syy == 0:
         return None
     sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return sxy / math.sqrt(sxx * syy)
+    # the product underflows to 0 for tiny variances; the roots do not
+    return sxy / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
 
 
 def _local_dt(timestamp_ms: int, cfg: AnalysisConfig) -> datetime:

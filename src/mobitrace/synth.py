@@ -120,11 +120,14 @@ class ScenarioConfig:
             raise ValueError("cell ids must be strings")
         object.__setattr__(self, "cells", tuple((c, tech, float(cap)) for c, tech, cap in self.cells))
         if self.planted_pool_mix is not None:
-            if any(f < 0 for f in self.planted_pool_mix.values()):
+            mix = self.planted_pool_mix
+            if not isinstance(mix, dict) or not all(map(is_finite_number, mix.values())):
+                raise ValueError("planted_pool_mix must be an object of finite numbers")
+            if any(f < 0 for f in mix.values()):
                 raise ValueError("pool mix fractions must be nonnegative")
-            if abs(sum(self.planted_pool_mix.values()) - 1.0) > 1e-9:
+            if abs(sum(mix.values()) - 1.0) > 1e-9:
                 raise ValueError("pool mix fractions must sum to 1")
-            if set(self.planted_pool_mix) - {p.value for p in Pool}:
+            if set(mix) - {p.value for p in Pool}:
                 raise ValueError("pool mix keys must be LOW/MEDIUM/HIGH")
 
     @property

@@ -174,12 +174,16 @@ class TestReportCommand:
 
     def test_bad_analyzed_row_exits_2(self, tmp_path, capsys):
         an = self.analyzed_dir(tmp_path)
-        row = json.loads((an / "analyzed.jsonl").read_text().splitlines()[0])
+        first = (an / "analyzed.jsonl").read_text().splitlines()[0]
+        row = json.loads(first)
         row["record"]["timestamp"] = "x"
+        verdict_row = json.loads(first)
+        verdict_row["verdict"]["artificial"] = "x"
         self.assert_bad_row_exits_2(tmp_path, capsys, an, "analyzed.jsonl", [
             ("{not json", "invalid JSON"),
             (json.dumps(row), "timestamp must be an integer"),
             (json.dumps({"verdict": {}}), "missing field 'record'"),
+            (json.dumps(verdict_row), "artificial must be true or false"),
         ])
 
     def test_bad_handovers_row_exits_2(self, tmp_path, capsys):
@@ -190,6 +194,7 @@ class TestReportCommand:
             ("{not json", "invalid JSON"),
             (json.dumps(event), "at_ms must be an integer"),
             (json.dumps({**event, "at_ms": 1, "to_tech": "6G"}), "unknown to_tech '6G'"),
+            (json.dumps({**event, "at_ms": 1, "from_dbm": -1e308}), "from_dbm must be within -1000..1000 dBm"),
         ])
 
     def test_camping_rows_per_session(self, tmp_path):
@@ -218,6 +223,10 @@ class TestReportCommand:
     ("synth", {"seed": 1, "base_capacity_kbps": 2e7}, "scenario makes an invalid record: "),
     ("synth", {"seed": 1, "signal_low_dbm": -2000.0}, "signal_dbm must be within -1000..1000 dBm"),
     ("report", {"signal_bin_dbm": 5e-324}, "signal_bin_dbm must be at least 0.1"),
+    ("synth", {"seed": 1, "planted_pool_mix": 5}, "planted_pool_mix must be an object of finite numbers"),
+    ("synth", {"seed": 1, "planted_pool_mix": []}, "planted_pool_mix must be an object of finite numbers"),
+    ("synth", {"seed": 1, "planted_pool_mix": {"LOW": 10**400}},
+     "planted_pool_mix must be an object of finite numbers"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, config, message):
     _, synth_out = run_synth(tmp_path)

@@ -108,6 +108,15 @@ class TestHandoverImpact:
         assert impact.mean_signal_ratio is None
         assert impact.signal_excluded == 1
 
+    def test_ratio_beyond_the_float_range_excluded(self):
+        impact = handover_impact([event(from_kbps=5e-324, to_kbps=1000.0), event(to_kbps=500.0)])
+        assert (impact.mean_throughput_ratio, impact.throughput_excluded) == (0.5, 1)
+
+    def test_sum_beyond_the_float_range_still_has_a_mean(self):
+        impact = handover_impact([event(from_kbps=1e-301, to_kbps=1e7)] * 4)
+        assert impact.mean_throughput_ratio == pytest.approx(1e308)
+        assert impact.throughput_excluded == 0
+
     def test_empty_input(self):
         impact = handover_impact([])
         assert impact.count == 0

@@ -209,6 +209,11 @@ class TestSignalCorrelation:
         ys = rng.uniform(10, 9000, 300)
         assert pearson_r(list(xs), list(ys)) == pytest.approx(np.corrcoef(xs, ys)[0, 1], rel=1e-9)
 
+    def test_tiny_variances_do_not_underflow(self):
+        records = [make_record(signal_dbm=0.0, download_kbps=0.0),
+                   make_record(signal_dbm=1e-100, download_kbps=1e-100)]
+        assert signal_correlation(records, CFG).pearson_r == 1.0
+
 
 class TestQuantileOracle:
     def test_brute_force_interpolation(self):
