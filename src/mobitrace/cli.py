@@ -83,9 +83,8 @@ def _write_manifest(out_dir: Path, command: str, config_obj: dict, inputs, outpu
 
 
 def _load_config(args, cls):
-    """The config dataclass cls from the --config JSON object ({} without --config), with each
-    flag whose dest is a field of cls set over it. A bad value raises UsageError; an unreadable
-    file raises OSError."""
+    """The config dataclass cls: the --config JSON object ({} without --config), with each flag whose
+    dest is a field of cls set over it. A bad value raises UsageError, an unreadable file OSError."""
     values = {}
     try:
         if args.config:

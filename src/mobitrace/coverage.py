@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .ingest import Session
-from .model import (GROUP_RANK, AnalysisConfig, RadioTechnology, TechnologyGroup, check_field_types, check_signal,
-                    group_of, is_downgrade)
+from .model import (GROUP_RANK, AnalysisConfig, RadioTechnology, TechnologyGroup, check_field_types,
+                    check_signal, group_of, is_downgrade)
 
 
 @dataclass(frozen=True)

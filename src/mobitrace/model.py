@@ -83,25 +83,24 @@ def is_downgrade(from_tech: RadioTechnology, to_tech: RadioTechnology) -> bool:
 
 
 _PLAIN = frozenset({str, int, float, bool, type(None)})
-# the field kinds that check_field_types checks and from_json takes as they are
-_CHECKED = (str, int, float, bool)
+_CHECKED = (str, int, float, bool)  # the kinds check_field_types checks; from_json takes them as they are
 _Plan = namedtuple("_Plan", "names required kinds converts")
 
 
 def _optional(tp):
     """(X, True) for Optional[X], else (tp, False)."""
-    args = get_args(tp)
-    return (args[0], True) if type(None) in args else (tp, False)
+    return (get_args(tp)[0], True) if type(None) in get_args(tp) else (tp, False)
 
 
 def _converter(tp, name: str) -> Optional[Callable]:
     """convert(value) from JSON to the type tp of the field name; None if a value is taken as it is."""
     tp, optional = _optional(tp)
     if isinstance(tp, type) and issubclass(tp, Enum):
+        members = {member.value: member for member in tp}
         def convert(value):
             try:
-                return tp(value)
-            except ValueError:
+                return members[value]
+            except (KeyError, TypeError):  # TypeError: a list or an object, which no member equals
                 raise ValueError(f"unknown {name} {value!r}") from None
     elif is_dataclass(tp):
         convert = partial(from_json, tp)
@@ -121,20 +120,17 @@ def _converter(tp, name: str) -> Optional[Callable]:
 
 @lru_cache(maxsize=None)
 def _plan(cls) -> Optional[_Plan]:
-    """What to_json, from_json and check_field_types know of a dataclass type, None for any other;
-    resolved once, as the annotations are text (from __future__ import annotations). names and
-    required (the fields without a default) map names to None in declaration order; kinds holds
-    (name, kind, optional) per field of a _CHECKED kind; converts (name, convert) per field to convert."""
+    """What to_json, from_json and check_field_types know of a dataclass type (None for any other),
+    from annotations resolved once. names and required (no default) map names to None in declaration
+    order; kinds holds (name, kind, optional) per _CHECKED field, converts (name, convert) per other."""
     if not is_dataclass(cls):
         return None
-    hints = get_type_hints(cls)
-    return _Plan(
-        names={f.name: None for f in fields(cls)},
-        required={f.name: None for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING},
-        kinds=tuple((f.name, kind, optional) for f in fields(cls)
-                    for kind, optional in [_optional(hints[f.name])] if kind in _CHECKED),
-        converts=tuple((f.name, c) for f in fields(cls) if (c := _converter(hints[f.name], f.name))),
-    )
+    fs, hints = fields(cls), get_type_hints(cls)
+    return _Plan(names={f.name: None for f in fs},
+                 required={f.name: None for f in fs if f.default is MISSING and f.default_factory is MISSING},
+                 kinds=tuple((f.name, kind, optional) for f in fs
+                             for kind, optional in [_optional(hints[f.name])] if kind in _CHECKED),
+                 converts=tuple((f.name, c) for f in fs if (c := _converter(hints[f.name], f.name))))
 
 
 def to_json(obj):
@@ -171,7 +167,11 @@ def from_json(cls, obj):
         raise ValueError(f"unknown field {next(n for n in obj if n not in names)!r}")
     if not required.keys() <= obj.keys():
         raise ValueError(f"missing required field '{next(n for n in required if n not in obj)}'")
-    return cls(**{**obj, **{name: convert(obj[name]) for name, convert in converts if name in obj}})
+    obj = dict(obj)
+    for name, convert in converts:
+        if name in obj:
+            obj[name] = convert(obj[name])
+    return cls(**obj)
 
 
 # Bounds on finite numbers, ints included: an int beyond them has no float
