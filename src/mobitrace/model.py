@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from collections import namedtuple
 from functools import lru_cache, partial
 from typing import Callable, Optional, Tuple, get_args, get_origin, get_type_hints
 
