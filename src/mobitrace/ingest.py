@@ -112,8 +112,8 @@ def write_records(records, path) -> None:
 
 
 def _is_utf8(row: dict) -> bool:
-    """False when a cell of a csv.DictReader row, extra cells included,
-    holds a byte that was not UTF-8 (read as a lone surrogate)."""
+    """False when a cell of a catalog row, extra cells included, holds a
+    byte that was not UTF-8 (read as a lone surrogate)."""
     cells = [v for v in row.values() if isinstance(v, str)]
     try:
         "".join(cells + row.get(None, [])).encode("utf-8")
@@ -133,13 +133,16 @@ def read_catalog(path) -> Tuple[CapabilityCatalog, IngestReport]:
     read_records.
     """
     report = IngestReport()
-    rows = []  # (line_no, row), line_no the row's first line: a quoted cell may hold a newline
+    # (line_no, row): line_no is the row's first line, as a quoted cell may hold a newline; a row
+    # maps the header's names to its cells, and None to the cells beyond the header
+    rows = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.DictReader(fh)
-        reader.fieldnames  # reads the header, so that line_num counts it
+        reader = csv.reader(fh)
+        header = next(reader, [])
         line_no = reader.line_num + 1
-        for row in reader:
-            rows.append((line_no, row))
+        for cells in reader:
+            if cells:  # else a blank line
+                rows.append((line_no, {**dict(zip(header, cells)), None: cells[len(header):]}))
             line_no = reader.line_num + 1
 
     def parse_cap(row, line_no) -> Optional[float]:

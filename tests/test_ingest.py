@@ -223,9 +223,10 @@ class TestReadCatalog:
         assert (report.accepted, report.rejected) == (1, 3)
         assert report.warnings == [(line, "row must be UTF-8 text") for line in (3, 4, 5)]
 
-    def test_line_numbers_are_physical_lines(self, tmp_path):
+    @pytest.mark.parametrize("before", ['device,"Ac\nme",One,HSPA,,,3200\n', "device,Acme,One,HSPA,,,3200\n\n"])
+    def test_line_numbers_are_physical_lines(self, tmp_path, before):
         path = tmp_path / "c.csv"
-        path.write_text(self.HEADER + '\ndevice,"Ac\nme",One,HSPA,,,3200\nplan,,,,OpA,p1,-1\n')
+        path.write_text(self.HEADER + "\n" + before + "plan,,,,OpA,p1,-1\n")
         _, report = read_catalog(path)
         assert report.warnings == [(4, "cap must be finite and positive")]
 
