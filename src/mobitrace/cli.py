@@ -94,7 +94,7 @@ def _load_config(args, cls):
                 raise ValueError("config must be a JSON object")
         flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
         return from_json(cls, {**values, **{name: v for name, v in flags.items() if v is not None}})
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise UsageError(exc) from exc
 
 
@@ -199,7 +199,7 @@ def _read_rows(path: Path, parse):
             where = f"{path.name} line {line_no}"
             try:
                 row = parse(json.loads(line))
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):  # also JSON nested too deep
                 raise UsageError(f"{where}: invalid JSON") from None
             except KeyError as exc:
                 raise UsageError(f"{where}: missing field {exc}") from None

@@ -133,6 +133,15 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--in", str(trace), "--out", str(tmp_path / "an"),
                      "--config", str(cfg)]) == 2
 
+    def test_config_nested_too_deep_exits_2(self, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        write_records([make_record()], trace)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000)
+        assert main(["analyze", "--in", str(trace), "--out", str(tmp_path / "an"),
+                     "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
 
 class TestReportCommand:
     def analyzed_dir(self, tmp_path):
@@ -184,6 +193,7 @@ class TestReportCommand:
             (json.dumps(row), "timestamp must be an integer"),
             (json.dumps({"verdict": {}}), "missing field 'record'"),
             (json.dumps(verdict_row), "artificial must be true or false"),
+            ("[" * 100_000, "invalid JSON"),
         ])
 
     def test_bad_handovers_row_exits_2(self, tmp_path, capsys):
