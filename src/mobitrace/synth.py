@@ -118,7 +118,7 @@ class ScenarioConfig:
             raise ValueError("cell capacities must be positive and finite")
         if any(not isinstance(cell_id, str) for cell_id, _, _ in self.cells):
             raise ValueError("cell ids must be strings")
-        object.__setattr__(self, "cells", tuple((c, tech, float(cap)) for c, tech, cap in self.cells))
+        object.__setattr__(self, "cells", tuple((cell, tech, float(cap)) for cell, tech, cap in self.cells))
         if self.planted_pool_mix is not None:
             mix = self.planted_pool_mix
             if not isinstance(mix, dict) or not all(map(is_finite_number, mix.values())):
