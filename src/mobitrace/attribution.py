@@ -30,7 +30,7 @@ class Factor(Enum):
 _BINDING_PRIORITY = {Factor.PLAN: 0, Factor.DEVICE: 1, Factor.TECHNOLOGY: 2}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LimitingFactorVerdict:
     factor: Factor
     artificial: bool

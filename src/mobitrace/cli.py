@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import bisect
-import hashlib
 import json
 import sys
 import time
@@ -49,9 +48,13 @@ class EmptyResult(Exception):
 
 
 def _sha256(path: Path) -> str:
+    """The file's sha256, read 64 KiB at a time. hashlib loads OpenSSL, so only a command that
+    hashes an input imports it."""
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 
@@ -305,7 +308,7 @@ def cmd_report(args) -> None:
     started = time.monotonic()
     names = REPORT_NAMES if args.report == "all" else (args.report,)
     if any(n not in REPORTS for n in names):
-        raise UsageError(f"unknown report '{args.report}'; valid: all, {', '.join(REPORT_NAMES)}")
+        raise UsageError(f"unknown report {args.report!r}; valid: all, {', '.join(REPORT_NAMES)}")
     cfg = _load_config(args, AnalysisConfig)
     in_dir = Path(args.indir)
     records, verdicts, pools = _read_analyzed(in_dir)

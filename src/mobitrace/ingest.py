@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
@@ -39,13 +41,17 @@ def record_to_obj(record: MeasurementRecord) -> dict:
 
 
 def record_from_obj(obj: dict) -> Tuple[MeasurementRecord, List[str]]:
-    """Build a record from a parsed JSON object; returns (record, warnings)."""
+    """Build a record from a parsed JSON object; returns (record, warnings).
+
+    Its text fields are interned, so records that repeat a user, cell or
+    operator share one string; record_id is unique and kept as it is."""
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     warnings = []
     if not obj.keys() <= RECORD_FIELDS:
         warnings = [f"unknown field '{name}' ignored" for name in obj if name not in RECORD_FIELDS]
-        obj = {name: value for name, value in obj.items() if name in RECORD_FIELDS}
+    obj = {name: sys.intern(value) if type(value) is str and name != "record_id" else value
+           for name, value in obj.items() if name in RECORD_FIELDS}
     if isinstance(samples := obj.get("samples"), dict) and not isinstance(samples.get("values", []), list):
         raise ValueError("sample values must be a list")
     record = from_json(MeasurementRecord, obj)
@@ -96,15 +102,27 @@ def write_json(objs, path, indent=None) -> None:
     """Write each JSON-ready object of objs, keys sorted, then a newline:
     one object per line, or indented by indent. The JSON is strict (RFC
     8259): a NaN or an infinity raises ValueError instead of being written
-    as text that no JSON parser accepts."""
+    as text that no JSON parser accepts.
+
+    The text goes to a temporary file beside path, which replaces path
+    only when every object is written; on a failure it is deleted, so
+    path is never left cut off."""
     encoder = json.JSONEncoder(sort_keys=True, indent=indent, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        for obj in objs:
-            if indent is None:  # the C encoder, which makes the line whole
-                fh.write(encoder.encode(obj))
-            else:  # written as it is made, so the text is never held whole
-                fh.writelines(encoder.iterencode(obj))
-            fh.write("\n")
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for obj in objs:
+                if indent is None:  # the C encoder, which makes the line whole
+                    fh.write(encoder.encode(obj))
+                else:  # written as it is made, so the text is never held whole
+                    fh.writelines(encoder.iterencode(obj))
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_records(records, path) -> None:

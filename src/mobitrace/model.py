@@ -233,7 +233,7 @@ def check_utc_offset(minutes: int) -> None:
                          f"{UTC_OFFSET_MIN_MINUTES}..{UTC_OFFSET_MAX_MINUTES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleSeries:
     """Intra-measurement throughput samples taken at a fixed interval."""
 
@@ -265,7 +265,7 @@ class SampleSeries:
         return math.fsum(self.values) / len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementRecord:
     """One crowd-sourced measurement with its full parameter set."""
 
