@@ -9,9 +9,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import List, Optional, Tuple
 
 from .model import CapabilityCatalog, MeasurementRecord, RadioTechnology, from_json, to_json
@@ -108,8 +108,8 @@ def write_json(objs, path, indent=None) -> None:
     only when every object is written; on a failure it is deleted, so
     path is never left cut off."""
     encoder = json.JSONEncoder(sort_keys=True, indent=indent, allow_nan=False)
-    path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.tmp")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             for obj in objs:
@@ -118,10 +118,9 @@ def write_json(objs, path, indent=None) -> None:
                 else:  # written as it is made, so the text is never held whole
                     fh.writelines(encoder.iterencode(obj))
                 fh.write("\n")
-        os.replace(tmp, path)
+        tmp.replace(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +145,29 @@ class TestAnalyzeCommand:
                      "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
 
+    def test_manifest_hashes_inputs_whole(self, tmp_path):
+        # the trace spans several 64 KiB reads and ends inside one; the catalog is empty
+        _, synth_out = run_synth(tmp_path, "s", "--records-per-hour", "20")
+        trace, catalog = synth_out / "trace.jsonl", tmp_path / "caps.csv"
+        catalog.write_bytes(b"")
+        assert trace.stat().st_size > 4 * 65536 and trace.stat().st_size % 65536
+        an = tmp_path / "an"
+        assert main(["analyze", "--in", str(trace), "--out", str(an), "--catalog", str(catalog)]) == 0
+        inputs = json.loads((an / "manifest.json").read_text())["inputs"]
+        assert inputs == {str(trace): sha(trace), str(catalog): hashlib.sha256(b"").hexdigest()}
+
+
+def test_only_a_stage_that_hashes_loads_openssl(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (f"import sys; sys.path.insert(0, {str(src)!r}); from mobitrace.cli import main\n"
+              f"main(['synth', '--scenario', 'stationary24h', '--seed', '7', '--records-per-hour', '2',"
+              f" '--out', {str(tmp_path / 's')!r}])\n"
+              "print('_hashlib' in sys.modules)\n"
+              f"main(['analyze', '--in', {str(tmp_path / 's' / 'trace.jsonl')!r}, '--out', {str(tmp_path / 'a')!r}])\n"
+              "print('_hashlib' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
+
 
 class TestReportCommand:
     def analyzed_dir(self, tmp_path):
@@ -163,6 +189,13 @@ class TestReportCommand:
                      "--report", "bogus"])
         assert code == 2
         assert "histogram" in capsys.readouterr().err
+
+    def test_unknown_report_name_is_quoted(self, tmp_path, capsys):
+        an = self.analyzed_dir(tmp_path)
+        capsys.readouterr()
+        assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep"), "--report", "a\nb"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown report 'a\\nb';") and err.count("\n") == 1
 
     def test_hourly_by_operator(self, tmp_path):
         an = self.analyzed_dir(tmp_path)
