@@ -14,29 +14,42 @@ import json
 import sys
 import time
 from dataclasses import fields
+from importlib import import_module
 from pathlib import Path
 
 from . import __version__
-from .attribution import LimitingFactorVerdict, attribute
-from .congestion import Pool, classify
-from .coverage import HandoverEvent, camping_stats, detect_handovers, handover_impact
 from .ingest import (build_sessions, read_catalog, read_records, record_from_obj, record_to_obj, write_json,
                      write_records)
-from .model import AnalysisConfig, CapabilityCatalog, TechnologyGroup, from_json, to_json
-from .reports import (
-    HistogramBin,
-    OperatorSummary,
-    PoolPoint,
-    SignalBin,
-    TrendPoint,
-    hourly_profile,
-    operator_summary,
-    pool_trend,
-    quarterly_trend,
-    signal_correlation,
-    throughput_histogram,
-)
-from .synth import Scenario, ScenarioConfig, generate
+from .model import AnalysisConfig, CapabilityCatalog, Scenario, TechnologyGroup, from_json, to_json
+
+# The names this module takes from each module that only some stages run. A stage binds them with
+# _bind when it starts, so each stage imports only what it runs.
+_STAGE_NAMES = {
+    "synth": ("ScenarioConfig", "generate"),
+    "congestion": ("Pool", "classify"),
+    "attribution": ("LimitingFactorVerdict", "attribute"),
+    "coverage": ("HandoverEvent", "camping_stats", "detect_handovers", "handover_impact"),
+    "reports": ("HistogramBin", "OperatorSummary", "PoolPoint", "SignalBin", "TrendPoint", "hourly_profile",
+                "operator_summary", "pool_trend", "quarterly_trend", "signal_correlation", "throughput_histogram"),
+}
+
+
+def _bind(*modules) -> None:
+    """Import the named modules and bind the names this module takes from each. A name already
+    bound is kept, so a wrapper set on this module (perfbench/tracer.py sets one) sees every call."""
+    for module in modules:
+        imported = import_module(f".{module}", __package__)
+        for name in _STAGE_NAMES[module]:
+            globals().setdefault(name, getattr(imported, name))
+
+
+def __getattr__(name):
+    """A stage's name asked of this module before the stage ran: bind it first (PEP 562)."""
+    module = next((m for m, names in _STAGE_NAMES.items() if name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(module)
+    return globals()[name]
 
 
 class UsageError(Exception):
@@ -107,6 +120,7 @@ def _load_config(args, cls):
 
 def cmd_synth(args) -> None:
     started = time.monotonic()
+    _bind("synth")
     cfg = _load_config(args, ScenarioConfig)
     try:
         records, truth = generate(cfg)
@@ -136,6 +150,7 @@ def _assessment_summary(a):
 
 def cmd_analyze(args) -> None:
     started = time.monotonic()
+    _bind("congestion", "attribution", "coverage")
     cfg = _load_config(args, AnalysisConfig)
     inputs = [args.infile]
     records, ingest_report = read_records(args.infile)
@@ -309,6 +324,7 @@ def cmd_report(args) -> None:
     names = REPORT_NAMES if args.report == "all" else (args.report,)
     if any(n not in REPORTS for n in names):
         raise UsageError(f"unknown report {args.report!r}; valid: all, {', '.join(REPORT_NAMES)}")
+    _bind("congestion", "attribution", "coverage", "reports")
     cfg = _load_config(args, AnalysisConfig)
     in_dir = Path(args.indir)
     records, verdicts, pools = _read_analyzed(in_dir)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .model import AnalysisConfig, SampleSeries
 
@@ -32,8 +31,7 @@ class Pool(Enum):
     HIGH = "HIGH"
 
 
-@dataclass(frozen=True)
-class WindowStats:
+class WindowStats(NamedTuple):
     window_index: int
     mean_kbps: float
     rad: float
@@ -41,8 +39,7 @@ class WindowStats:
     excluded_slow_start: bool = False
 
 
-@dataclass(frozen=True)
-class CongestionAssessment:
+class CongestionAssessment(NamedTuple):
     windows: Tuple[WindowStats, ...]
     upper_bound_kbps: float
     upper_bound_window: int

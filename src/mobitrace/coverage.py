@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .ingest import Session
 from .model import (GROUP_RANK, AnalysisConfig, RadioTechnology, TechnologyGroup, check_field_types,
@@ -39,8 +39,7 @@ class HandoverEvent:
         check_signal("to_dbm", self.to_dbm)
 
 
-@dataclass(frozen=True)
-class HandoverImpact:
+class HandoverImpact(NamedTuple):
     count: int
     mean_throughput_ratio: Optional[float]  # to/from, finite ratios only
     throughput_excluded: int
@@ -48,8 +47,7 @@ class HandoverImpact:
     signal_excluded: int
 
 
-@dataclass(frozen=True)
-class CampingStats:
+class CampingStats(NamedTuple):
     subscription_group: TechnologyGroup
     total: int
     on_subscribed: int

@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .model import CapabilityCatalog, MeasurementRecord, RadioTechnology, from_json, to_json
 
@@ -26,8 +26,7 @@ class IngestReport:
     warnings: List[Tuple[int, str]] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(NamedTuple):
     """Time-ordered records of one user on one subscription."""
 
     user_id: str

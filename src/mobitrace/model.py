@@ -49,6 +49,11 @@ class TechnologyGroup(Enum):
     WLAN = "WLAN"
 
 
+class Scenario(Enum):
+    STATIONARY_24H = "stationary24h"
+    COMMUTE = "commute"
+
+
 # Ordering over cellular generations; WLAN is deliberately unranked so it
 # never participates in downgrade/camping comparisons.
 GROUP_RANK = {

@@ -11,7 +11,6 @@ fields are also the CSV columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -79,8 +78,7 @@ class HistogramBin(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     bin_width_kbps: float
     bins: Tuple[HistogramBin, ...]  # consecutive from 0
     total: int
@@ -107,8 +105,7 @@ def throughput_histogram(records, cfg: AnalysisConfig) -> Histogram:
 # Hourly profile
 
 
-@dataclass(frozen=True)
-class HourlyProfile:
+class HourlyProfile(NamedTuple):
     key: str  # base-station id or operator name
     hour_means_kbps: Tuple[Optional[float], ...]  # 24 entries, local hours
     busy_mean_kbps: Optional[float]
@@ -157,16 +154,14 @@ class TrendPoint(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
-class TrendSeries:
+class TrendSeries(NamedTuple):
     technology_group: str
     region_tag: str
     network_type: str  # "wlan" or "cellular"
     points: Tuple[TrendPoint, ...]
 
 
-@dataclass(frozen=True)
-class TrendReport:
+class TrendReport(NamedTuple):
     series: Tuple[TrendSeries, ...]
     excluded_unknown: int
 
@@ -250,8 +245,7 @@ class UrbanShare(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
-class PoolTrend:
+class PoolTrend(NamedTuple):
     points: Tuple[PoolPoint, ...]
     urban_medium_high: Tuple[UrbanShare, ...]
 
@@ -302,8 +296,7 @@ class SignalBin(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
-class SignalCorrelation:
+class SignalCorrelation(NamedTuple):
     bins: Tuple[SignalBin, ...]
     pearson_r: Optional[float]
     excluded_missing_signal: int

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .congestion import Pool
-from .model import (AnalysisConfig, MeasurementRecord, RadioTechnology, SampleSeries,
+from .model import (AnalysisConfig, MeasurementRecord, RadioTechnology, SampleSeries, Scenario,
                     check_field_types, check_utc_offset, is_downgrade, is_finite_number)
 
 # 2016-01-04T00:00:00 UTC; traces start at local midnight relative to the
@@ -65,11 +64,6 @@ class CounterRng:
         return math.exp(-0.5 * sigma2 + math.sqrt(sigma2) * self.normal())
 
 
-class Scenario(Enum):
-    STATIONARY_24H = "stationary24h"
-    COMMUTE = "commute"
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int
@@ -108,6 +102,8 @@ class ScenarioConfig:
             raise ValueError("noise_cv must be nonnegative")
         if self.records_per_hour < 1:
             raise ValueError("records_per_hour must be at least 1")
+        if self.records_per_hour > 3_600_000:  # one record per ms; generate spaces them by whole ms
+            raise ValueError("records_per_hour must be at most 3600000")
         if self.samples_per_record < 2:
             raise ValueError("samples_per_record must be at least 2")
         if self.sample_interval_ms <= 0:
@@ -138,8 +134,7 @@ class ScenarioConfig:
         return _EPOCH_DAY_MS - self.utc_offset_minutes * 60_000
 
 
-@dataclass(frozen=True)
-class RecordLabel:
+class RecordLabel(NamedTuple):
     record_id: str
     local_hour: int
     true_mean_kbps: float
@@ -149,8 +144,7 @@ class RecordLabel:
     spike_indices: Tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class PlantedHandover:
+class PlantedHandover(NamedTuple):
     at_ms: int
     from_cell: str
     to_cell: str
@@ -160,8 +154,7 @@ class PlantedHandover:
     gap_ms: int
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     run_id: str
     scenario: str
     diurnal_dip: float

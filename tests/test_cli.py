@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_record
+from mobitrace import cli
 from mobitrace.cli import main
 from mobitrace.congestion import classify
 from mobitrace.ingest import record_to_obj, write_records
@@ -15,6 +16,9 @@ from mobitrace.model import AnalysisConfig, SampleSeries
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_synth(tmp_path, name="s", *extra):
@@ -55,6 +59,15 @@ class TestSynthCommand:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 9
         assert manifest["config"]["records_per_hour"] == 2
+
+    def test_records_per_hour_above_one_per_ms_exits_2(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "generate", calls.append)
+        code = main(["synth", "--scenario", "stationary24h", "--seed", "1",
+                     "--records-per-hour", "3600001", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: records_per_hour must be at most 3600000\n"
+        assert calls == [] and not (tmp_path / "x").exists()
 
 
 class TestAnalyzeCommand:
@@ -167,6 +180,62 @@ def test_only_a_stage_that_hashes_loads_openssl(tmp_path):
               "print('_hashlib' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("command, modules", [
+    ("--version", ()),
+    ("synth", ("congestion", "synth")),
+    ("analyze", ("attribution", "congestion", "coverage")),
+    ("report", ("attribution", "congestion", "coverage", "reports")),
+])
+def test_each_stage_imports_only_what_it_runs(tmp_path, command, modules):
+    _, synth_out = run_synth(tmp_path)
+    an = tmp_path / "an"
+    assert main(["analyze", "--in", str(synth_out / "trace.jsonl"), "--out", str(an)]) == 0
+    argv = {"--version": ["--version"],
+            "synth": ["synth", "--scenario", "stationary24h", "--seed", "7", "--records-per-hour", "2",
+                      "--out", str(tmp_path / "s2")],
+            "analyze": ["analyze", "--in", str(synth_out / "trace.jsonl"), "--out", str(tmp_path / "a2")],
+            "report": ["report", "--in", str(an), "--out", str(tmp_path / "r2")]}[command]
+    script = (f"import sys; sys.path.insert(0, {SRC!r}); from mobitrace.cli import main\n"
+              f"try:\n    code = main({argv!r})\n"
+              "except SystemExit as exc:  # how argparse ends --version\n    code = exc.code\n"
+              "print(code, *sorted(m for m in sys.modules if m.startswith('mobitrace.')))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
+    code, *loaded = out.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert loaded == sorted(f"mobitrace.{m}" for m in ("cli", "ingest", "model", *modules))
+
+
+# The names perfbench/tracer.py wraps on mobitrace.cli, and those whose calls are counted below.
+TRACED = ("read_records", "record_from_obj", "write_records", "build_sessions", "classify", "detect_handovers",
+          "handover_impact", "camping_stats", "attribute", "generate", "throughput_histogram", "hourly_profile",
+          "quarterly_trend", "operator_summary", "pool_trend", "signal_correlation")
+COUNTED = ("generate", "classify", "attribute", "detect_handovers", "camping_stats", "throughput_histogram")
+
+
+def test_wrappers_set_on_cli_see_every_call(tmp_path):
+    s, a, r = (str(tmp_path / name) for name in "sar")
+    script = (f"import sys; sys.path.insert(0, {SRC!r}); from collections import Counter; from mobitrace import cli\n"
+              f"print(all(callable(getattr(cli, name)) for name in {TRACED!r}))\n"
+              "calls = Counter()\n"
+              "def counting(name, fn):\n"
+              "    def wrapper(*args, **kwargs):\n"
+              "        calls[name] += 1\n"
+              "        return fn(*args, **kwargs)\n"
+              "    return wrapper\n"
+              f"for name in {COUNTED!r}:\n"
+              "    setattr(cli, name, counting(name, getattr(cli, name)))\n"
+              f"print(cli.main(['synth', '--scenario', 'stationary24h', '--seed', '7', '--records-per-hour', '2',"
+              f" '--out', {s!r}]))\n"
+              f"print(cli.main(['analyze', '--in', {s + '/trace.jsonl'!r}, '--out', {a!r}]))\n"
+              f"print(cli.main(['report', '--in', {a!r}, '--out', {r!r}]))\n"
+              f"print(*(calls[name] for name in {COUNTED!r}))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
+    callable_, *codes, counts = out.stdout.splitlines()
+    assert callable_ == "True" and codes == ["0", "0", "0"]
+    # 48 records in one session: each is classified and attributed
+    assert [int(c) for c in counts.split()] == [1, 48, 48, 1, 1, 1]
 
 
 class TestReportCommand:

@@ -49,6 +49,11 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=message):
             ScenarioConfig(seed=1, scenario=Scenario.COMMUTE, cells=COMMUTE_CELLS + (cell,))
 
+    def test_records_per_hour_at_most_one_per_ms(self):
+        ScenarioConfig(seed=1, scenario=Scenario.STATIONARY_24H, records_per_hour=3_600_000)
+        with pytest.raises(ValueError, match="records_per_hour must be at most 3600000"):
+            ScenarioConfig(seed=1, scenario=Scenario.STATIONARY_24H, records_per_hour=3_600_001)
+
     def test_pool_mix_must_sum_to_one(self):
         with pytest.raises(ValueError):
             ScenarioConfig(seed=1, scenario=Scenario.STATIONARY_24H,
