@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import Annotated, List, NamedTuple, Optional
 
 from .ingest import Session
-from .model import (GROUP_RANK, AnalysisConfig, RadioTechnology, TechnologyGroup, check_field_types,
-                    check_signal, group_of, is_downgrade)
+from .model import (GROUP_RANK, AnalysisConfig, Dbm, Kbps, RadioTechnology, Range, TechnologyGroup,
+                    check_field_types, group_of, is_downgrade)
 
 
 @dataclass(frozen=True)
@@ -26,17 +26,15 @@ class HandoverEvent:
     to_cell: str
     from_tech: RadioTechnology
     to_tech: RadioTechnology
-    from_kbps: float
-    to_kbps: float
+    from_kbps: Kbps
+    to_kbps: Kbps
     downgrade: bool
-    gap_ms: int
-    from_dbm: Optional[float] = None
-    to_dbm: Optional[float] = None
+    gap_ms: Annotated[int, Range(0)]
+    from_dbm: Optional[Dbm] = None
+    to_dbm: Optional[Dbm] = None
 
     def __post_init__(self):
         check_field_types(self)
-        check_signal("from_dbm", self.from_dbm)
-        check_signal("to_dbm", self.to_dbm)
 
 
 class HandoverImpact(NamedTuple):

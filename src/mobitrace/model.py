@@ -14,13 +14,12 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import lru_cache, partial
-from typing import Callable, Optional, Tuple, get_args, get_origin, get_type_hints
+from typing import Annotated, Callable, NamedTuple, Optional, Tuple, get_args, get_origin, get_type_hints
 
 SIGNAL_DBM_MIN = -140.0  # physical range; ingest warns outside it
 SIGNAL_DBM_MAX = -20.0
 # Ingest rejects values beyond these, which keeps the reports' arithmetic finite.
-SIGNAL_DBM_LIMIT = 1000.0
-SIGNAL_BIN_MIN_DBM = 0.1
+SIGNAL_DBM_LIMIT = 1000
 MAX_THROUGHPUT_KBPS = 10_000_000  # 10 Gbit/s
 
 # Real UTC offsets run from UTC-12:00 to UTC+14:00.
@@ -29,6 +28,24 @@ UTC_OFFSET_MAX_MINUTES = 840
 # Timestamps end a day before the last date datetime can hold, so that a
 # timestamp shifted by any allowed UTC offset is still a valid datetime.
 TIMESTAMP_END_MS = int(datetime(9999, 12, 31, tzinfo=timezone.utc).timestamp()) * 1000
+
+
+class Range(NamedTuple):
+    """The bounds of an int or float field, declared in its annotation as
+    Annotated[int, Range(2)] or Annotated[float, Range(above=0, at_most=1)].
+    check_field_types enforces them, and a fault names them in words, as
+    "window_size must be at least 2"."""
+
+    at_least: Optional[float] = None
+    at_most: Optional[float] = None
+    above: Optional[float] = None
+    below: Optional[float] = None
+
+
+Kbps = Annotated[float, Range(0, MAX_THROUGHPUT_KBPS)]
+Dbm = Annotated[float, Range(-SIGNAL_DBM_LIMIT, SIGNAL_DBM_LIMIT)]
+Hour = Annotated[int, Range(0, 23)]
+UtcOffset = Annotated[int, Range(UTC_OFFSET_MIN_MINUTES, UTC_OFFSET_MAX_MINUTES)]
 
 
 class RadioTechnology(Enum):
@@ -123,18 +140,39 @@ def _converter(tp, name: str) -> Optional[Callable]:
     return (lambda value: None if value is None else convert(value)) if optional else convert
 
 
+def _range(tp) -> Optional[Range]:
+    """The Range in the Annotated[] metadata of tp, or of X for tp Optional[X]; None without one."""
+    return next((m for m in getattr(_optional(tp)[0], "__metadata__", ()) if isinstance(m, Range)), None)
+
+
+def _bounds(name: str, kind, rng: Optional[Range]):
+    """(lo, hi, open_ends, text) of a field for check_field_types: a number passes when lo <= it <= hi
+    and it is no open end, else text is the fault. A float without a Range need only be finite; any
+    other field without one has no bounds (None)."""
+    if rng is None:
+        return (-_FLOAT_MAX, _FLOAT_MAX, (), None) if kind is float else None
+    edge = _FLOAT_MAX if kind is float else math.inf
+    lo = next((b for b in (rng.at_least, rng.above) if b is not None), -edge)
+    hi = next((b for b in (rng.at_most, rng.below) if b is not None), edge)
+    open_ends = tuple(b for b in (rng.above, rng.below) if b is not None)
+    words = " and ".join(f"{word.replace('_', ' ')} {getattr(rng, word)}"
+                         for word in ("at_least", "above", "at_most", "below") if getattr(rng, word) is not None)
+    return lo, hi, open_ends, f"{name} must be {words}"
+
+
 @lru_cache(maxsize=None)
 def _plan(cls) -> Optional[_Plan]:
     """What to_json, from_json and check_field_types know of a dataclass type (None for any other),
     from annotations resolved once. names and required (no default) map names to None in declaration
-    order; kinds holds (name, kind, optional) per _CHECKED field, converts (name, convert) per other."""
+    order; kinds holds (name, kind, optional, _bounds) per _CHECKED field, converts (name, convert)
+    per other."""
     if not is_dataclass(cls):
         return None
-    fs, hints = fields(cls), get_type_hints(cls)
+    fs, hints, extras = fields(cls), get_type_hints(cls), get_type_hints(cls, include_extras=True)
     return _Plan(names={f.name: None for f in fs},
                  required={f.name: None for f in fs if f.default is MISSING and f.default_factory is MISSING},
-                 kinds=tuple((f.name, kind, optional) for f in fs
-                             for kind, optional in [_optional(hints[f.name])] if kind in _CHECKED),
+                 kinds=tuple((f.name, kind, optional, _bounds(f.name, kind, _range(extras[f.name])))
+                             for f in fs for kind, optional in [_optional(hints[f.name])] if kind in _CHECKED),
                  converts=tuple((f.name, c) for f in fs if (c := _converter(hints[f.name], f.name))))
 
 
@@ -195,8 +233,9 @@ _REAL_TYPES = frozenset({int, float})
 def check_field_types(obj) -> None:
     """Raise ValueError for a field of the dataclass obj whose value does
     not match its int, float, bool or str annotation, or Optional[] of
-    one of them. Floats must be finite and text must be encodable as UTF-8."""
-    for name, kind, optional in _plan(type(obj)).kinds:
+    one of them, or lies outside the field's Range. Floats must be finite
+    and text must be encodable as UTF-8."""
+    for name, kind, optional, bounds in _plan(type(obj)).kinds:
         value = getattr(obj, name)
         if value is None and optional:
             continue
@@ -211,14 +250,19 @@ def check_field_types(obj) -> None:
         elif kind is float:
             if type(value) not in _REAL_TYPES and not _is_real_type(type(value)):
                 raise ValueError(f"{name} must be a number")
-            if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-                raise ValueError(f"{name} must be finite")
+            lo, hi, open_ends, text = bounds
+            if not lo <= value <= hi or value in open_ends:
+                raise ValueError(text if -_FLOAT_MAX <= value <= _FLOAT_MAX else f"{name} must be finite")
         elif kind is bool:
             if type(value) is not bool:
                 raise ValueError(f"{name} must be true or false")
         # type() rather than isinstance() keeps out bool, an int subclass
         elif type(value) is not int:
             raise ValueError(f"{name} must be an integer")
+        elif bounds is not None:
+            lo, hi, open_ends, text = bounds
+            if not lo <= value <= hi or value in open_ends:
+                raise ValueError(text)
 
 
 def is_finite_number(value) -> bool:
@@ -226,23 +270,11 @@ def is_finite_number(value) -> bool:
     return (type(value) in _REAL_TYPES or _is_real_type(type(value))) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
-def check_signal(name: str, dbm: Optional[float]) -> None:
-    """Raise ValueError unless dbm is None or within ±SIGNAL_DBM_LIMIT."""
-    if dbm is not None and not -SIGNAL_DBM_LIMIT <= dbm <= SIGNAL_DBM_LIMIT:
-        raise ValueError(f"{name} must be within -{SIGNAL_DBM_LIMIT:g}..{SIGNAL_DBM_LIMIT:g} dBm")
-
-
-def check_utc_offset(minutes: int) -> None:
-    if not UTC_OFFSET_MIN_MINUTES <= minutes <= UTC_OFFSET_MAX_MINUTES:
-        raise ValueError(f"utc_offset_minutes must be within "
-                         f"{UTC_OFFSET_MIN_MINUTES}..{UTC_OFFSET_MAX_MINUTES}")
-
-
 @dataclass(frozen=True, slots=True)
 class SampleSeries:
     """Intra-measurement throughput samples taken at a fixed interval."""
 
-    interval_ms: int
+    interval_ms: Annotated[int, Range(1)]
     values: Tuple[float, ...]
 
     def __post_init__(self):
@@ -256,8 +288,6 @@ class SampleSeries:
             object.__setattr__(self, "values", tuple(map(float, self.values)))
         except OverflowError:
             raise ValueError("non-finite or negative sample value") from None
-        if self.interval_ms <= 0:
-            raise ValueError("sample interval must be positive")
         if len(self.values) < 2:
             raise ValueError("sample series needs at least 2 values")
         top = float(MAX_THROUGHPUT_KBPS)  # float against float is the fast compare
@@ -276,9 +306,9 @@ class MeasurementRecord:
 
     record_id: str
     user_id: str
-    timestamp: int  # Unix epoch milliseconds, UTC
-    download_kbps: float
-    upload_kbps: float
+    timestamp: Annotated[int, Range(above=0, below=TIMESTAMP_END_MS)]  # Unix epoch milliseconds, UTC
+    download_kbps: Kbps
+    upload_kbps: Kbps
     manufacturer: str
     model: str
     os_name: str
@@ -288,8 +318,8 @@ class MeasurementRecord:
     technology: RadioTechnology
     latitude: Optional[float] = None
     longitude: Optional[float] = None
-    latency_ms: Optional[float] = None
-    signal_dbm: Optional[float] = None
+    latency_ms: Optional[Annotated[float, Range(0)]] = None
+    signal_dbm: Optional[Dbm] = None
     cell_id: Optional[str] = None
     ip_address: Optional[str] = None
     transport_port: Optional[int] = None
@@ -299,19 +329,6 @@ class MeasurementRecord:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.timestamp <= 0:
-            raise ValueError("timestamp must be positive")
-        if self.timestamp >= TIMESTAMP_END_MS:
-            raise ValueError("timestamp must be before 9999-12-31 UTC")
-        if self.download_kbps < 0 or self.upload_kbps < 0:
-            raise ValueError("negative throughput")
-        if self.download_kbps > MAX_THROUGHPUT_KBPS:
-            raise ValueError(f"download_kbps must be at most {MAX_THROUGHPUT_KBPS} kbps")
-        if self.upload_kbps > MAX_THROUGHPUT_KBPS:
-            raise ValueError(f"upload_kbps must be at most {MAX_THROUGHPUT_KBPS} kbps")
-        if self.latency_ms is not None and self.latency_ms < 0:
-            raise ValueError("negative latency")
-        check_signal("signal_dbm", self.signal_dbm)
         if self.samples is not None:
             m = self.samples.mean()
             if m == 0:
@@ -355,51 +372,28 @@ class CapabilityCatalog:
 class AnalysisConfig:
     """All analysis tunables with their defaults."""
 
-    smoothing_half_width: int = 2  # 5-sample centered neighborhood
-    spike_factor: float = 2.0
-    window_size: int = 10
-    rad_stability_max: float = 0.10
-    mape_low_max: float = 10.0  # percent
+    smoothing_half_width: Annotated[int, Range(1)] = 2  # 5-sample centered neighborhood
+    spike_factor: Annotated[float, Range(above=1)] = 2.0
+    window_size: Annotated[int, Range(2)] = 10
+    rad_stability_max: Annotated[float, Range(0)] = 0.10
+    mape_low_max: Annotated[float, Range(above=0)] = 10.0  # percent
     mape_medium_max: float = 25.0  # percent
-    slow_start_min_excluded: int = 1
-    slow_start_activation_fraction: float = 0.5
-    attribution_alpha: float = 0.8
-    handover_max_gap_ms: int = 120_000
-    busy_hour_start: int = 7  # inclusive, local hours
-    busy_hour_end: int = 17  # inclusive
-    histogram_bin_kbps: float = 500.0
-    signal_bin_dbm: float = 5.0
-    utc_offset_minutes: int = 330  # +5:30 local time
+    slow_start_min_excluded: Annotated[int, Range(0)] = 1
+    slow_start_activation_fraction: Annotated[float, Range(above=0, at_most=1)] = 0.5
+    attribution_alpha: Annotated[float, Range(above=0, at_most=1)] = 0.8
+    handover_max_gap_ms: Annotated[int, Range(0)] = 120_000
+    busy_hour_start: Hour = 7  # inclusive, local hours
+    busy_hour_end: Hour = 17  # inclusive
+    # at most 100 001 bins up to MAX_THROUGHPUT_KBPS
+    histogram_bin_kbps: Annotated[float, Range(MAX_THROUGHPUT_KBPS // 100_000)] = 500.0
+    # at most 20 001 bins over -SIGNAL_DBM_LIMIT..SIGNAL_DBM_LIMIT
+    signal_bin_dbm: Annotated[float, Range(0.1)] = 5.0
+    utc_offset_minutes: UtcOffset = 330  # +5:30 local time
 
     def __post_init__(self):
         check_field_types(self)
-        check_utc_offset(self.utc_offset_minutes)
-        if self.window_size < 2:
-            raise ValueError("window_size must be at least 2")
-        if not (0 < self.mape_low_max < self.mape_medium_max):
-            raise ValueError("require 0 < mape_low_max < mape_medium_max")
-        if not (0 < self.attribution_alpha <= 1):
-            raise ValueError("attribution_alpha must be in (0, 1]")
-        if not (0 < self.slow_start_activation_fraction <= 1):
-            raise ValueError("slow_start_activation_fraction must be in (0, 1]")
-        if self.smoothing_half_width < 1:
-            raise ValueError("smoothing_half_width must be at least 1")
-        if self.spike_factor <= 1:
-            raise ValueError("spike_factor must exceed 1")
-        if self.rad_stability_max < 0:
-            raise ValueError("rad_stability_max must not be negative")
-        if self.slow_start_min_excluded < 0:
-            raise ValueError("slow_start_min_excluded must not be negative")
-        if self.handover_max_gap_ms < 0:
-            raise ValueError("handover_max_gap_ms must not be negative")
-        # at most 100 001 bins up to MAX_THROUGHPUT_KBPS
-        if self.histogram_bin_kbps < MAX_THROUGHPUT_KBPS / 100_000:
-            raise ValueError(f"histogram_bin_kbps must be at least {MAX_THROUGHPUT_KBPS // 100_000}")
-        # at most 20 001 bins over -SIGNAL_DBM_LIMIT..SIGNAL_DBM_LIMIT
-        if self.signal_bin_dbm < SIGNAL_BIN_MIN_DBM:
-            raise ValueError(f"signal_bin_dbm must be at least {SIGNAL_BIN_MIN_DBM:g}")
-        if not (0 <= self.busy_hour_start <= 23 and 0 <= self.busy_hour_end <= 23):
-            raise ValueError("busy hours must be within 0-23")
+        if self.mape_low_max >= self.mape_medium_max:
+            raise ValueError("mape_low_max must be below mape_medium_max")
 
     def local_ms(self, timestamp_ms: int) -> int:
         """The timestamp shifted by the configured UTC offset, in ms."""

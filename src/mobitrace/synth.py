@@ -14,17 +14,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Annotated, Dict, List, NamedTuple, Optional, Tuple
 
 from .congestion import Pool
-from .model import (AnalysisConfig, MeasurementRecord, RadioTechnology, SampleSeries, Scenario,
-                    check_field_types, check_utc_offset, is_downgrade, is_finite_number)
+from .model import (AnalysisConfig, Dbm, Hour, MeasurementRecord, RadioTechnology, Range, SampleSeries,
+                    Scenario, UtcOffset, check_field_types, is_downgrade, is_finite_number)
 
 # 2016-01-04T00:00:00 UTC; traces start at local midnight relative to the
 # configured offset.
 _EPOCH_DAY_MS = 1_451_865_600_000
 
 _MASK64 = (1 << 64) - 1
+
+# generate holds each record's samples in one list and writes them as one
+# trace line; 100 000 samples make a line of about 2 MB.
+MAX_SAMPLES_PER_RECORD = 100_000
 
 
 class CounterRng:
@@ -68,46 +72,30 @@ class CounterRng:
 class ScenarioConfig:
     seed: int
     scenario: Scenario
-    base_capacity_kbps: float = 5000.0
-    diurnal_dip: float = 0.0
-    busy_hour_start: int = 7
-    busy_hour_end: int = 17
+    base_capacity_kbps: Annotated[float, Range(above=0)] = 5000.0
+    diurnal_dip: Annotated[float, Range(0, below=1)] = 0.0
+    busy_hour_start: Hour = 7
+    busy_hour_end: Hour = 17
     cells: Tuple[Tuple[str, RadioTechnology, float], ...] = ()
-    records_per_hour: int = 60
-    sample_interval_ms: int = 500
-    samples_per_record: int = 20
-    spike_rate: float = 0.0
-    noise_cv: float = 0.1
+    # at most one record per ms: generate spaces them by whole ms
+    records_per_hour: Annotated[int, Range(1, 3_600_000)] = 60
+    sample_interval_ms: Annotated[int, Range(1)] = 500
+    samples_per_record: Annotated[int, Range(2, MAX_SAMPLES_PER_RECORD)] = 20
+    spike_rate: Annotated[float, Range(0, 1)] = 0.0
+    noise_cv: Annotated[float, Range(0)] = 0.1
     planted_pool_mix: Optional[Dict[str, float]] = None
-    boundary_gap_ms: int = 0  # extra idle time injected at commute cell changes
+    boundary_gap_ms: Annotated[int, Range(0)] = 0  # extra idle time injected at commute cell changes
     technology: RadioTechnology = RadioTechnology.HSPA
-    signal_low_dbm: float = -95.0
-    signal_high_dbm: float = -55.0
+    signal_low_dbm: Dbm = -95.0
+    signal_high_dbm: Dbm = -55.0
     user_id: str = "synth-user"
     operator: str = "SynthTel"
     region_tag: str = "urban"
     plan_id: Optional[str] = None
-    utc_offset_minutes: int = 330
+    utc_offset_minutes: UtcOffset = 330
 
     def __post_init__(self):
         check_field_types(self)
-        check_utc_offset(self.utc_offset_minutes)
-        if self.base_capacity_kbps <= 0:
-            raise ValueError("base capacity must be positive")
-        if not 0.0 <= self.diurnal_dip < 1.0:
-            raise ValueError("dip must be in [0,1)")
-        if not 0.0 <= self.spike_rate <= 1.0:
-            raise ValueError("spike_rate must be in [0,1]")
-        if self.noise_cv < 0:
-            raise ValueError("noise_cv must be nonnegative")
-        if self.records_per_hour < 1:
-            raise ValueError("records_per_hour must be at least 1")
-        if self.records_per_hour > 3_600_000:  # one record per ms; generate spaces them by whole ms
-            raise ValueError("records_per_hour must be at most 3600000")
-        if self.samples_per_record < 2:
-            raise ValueError("samples_per_record must be at least 2")
-        if self.sample_interval_ms <= 0:
-            raise ValueError("sample_interval_ms must be positive")
         if self.scenario is Scenario.COMMUTE and len(self.cells) < 2:
             raise ValueError("commute scenario needs at least 2 cells")
         if not all(is_finite_number(cap) and cap > 0 for _, _, cap in self.cells):

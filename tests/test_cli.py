@@ -38,7 +38,7 @@ class TestSynthCommand:
         code = main(["synth", "--scenario", "stationary24h", "--seed", "1",
                      "--diurnal-dip", "1.5", "--out", str(tmp_path / "x")])
         assert code == 2
-        assert "dip must be in [0,1)" in capsys.readouterr().err
+        assert "diurnal_dip must be at least 0 and below 1" in capsys.readouterr().err
 
     def test_missing_seed_exits_2(self, tmp_path, capsys):
         code = main(["synth", "--scenario", "stationary24h", "--out", str(tmp_path / "x")])
@@ -66,7 +66,7 @@ class TestSynthCommand:
         code = main(["synth", "--scenario", "stationary24h", "--seed", "1",
                      "--records-per-hour", "3600001", "--out", str(tmp_path / "x")])
         assert code == 2
-        assert capsys.readouterr().err == "error: records_per_hour must be at most 3600000\n"
+        assert capsys.readouterr().err == "error: records_per_hour must be at least 1 and at most 3600000\n"
         assert calls == [] and not (tmp_path / "x").exists()
 
 
@@ -306,7 +306,9 @@ class TestReportCommand:
             ("{not json", "invalid JSON"),
             (json.dumps(event), "at_ms must be an integer"),
             (json.dumps({**event, "at_ms": 1, "to_tech": "6G"}), "unknown to_tech '6G'"),
-            (json.dumps({**event, "at_ms": 1, "from_dbm": -1e308}), "from_dbm must be within -1000..1000 dBm"),
+            (json.dumps({**event, "at_ms": 1, "from_dbm": -1e308}), "from_dbm must be at least -1000 and at most 1000"),
+            (json.dumps({**event, "at_ms": 1, "to_kbps": -5000}), "to_kbps must be at least 0 and at most 10000000"),
+            (json.dumps({**event, "at_ms": 1, "gap_ms": -7}), "gap_ms must be at least 0"),
         ])
 
     def test_camping_rows_per_session(self, tmp_path):
@@ -333,12 +335,15 @@ class TestReportCommand:
     ("analyze", {"spike_factor": 10**400}, "spike_factor"),
     ("report", {"histogram_bin_kbps": 99.5}, "histogram_bin_kbps must be at least 100"),
     ("synth", {"seed": 1, "base_capacity_kbps": 2e7}, "scenario makes an invalid record: "),
-    ("synth", {"seed": 1, "signal_low_dbm": -2000.0}, "signal_dbm must be within -1000..1000 dBm"),
+    ("synth", {"seed": 1, "signal_low_dbm": -2000.0}, "signal_low_dbm must be at least -1000 and at most 1000"),
     ("report", {"signal_bin_dbm": 5e-324}, "signal_bin_dbm must be at least 0.1"),
     ("synth", {"seed": 1, "planted_pool_mix": 5}, "planted_pool_mix must be an object of finite numbers"),
     ("synth", {"seed": 1, "planted_pool_mix": []}, "planted_pool_mix must be an object of finite numbers"),
     ("synth", {"seed": 1, "planted_pool_mix": {"LOW": 10**400}},
      "planted_pool_mix must be an object of finite numbers"),
+    # out of range, this hour would leave the requested dip unplanted
+    ("synth", {"seed": 1, "busy_hour_start": 30, "diurnal_dip": 0.5},
+     "busy_hour_start must be at least 0 and at most 23"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, config, message):
     _, synth_out = run_synth(tmp_path)
@@ -357,8 +362,8 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, command, config, message
 
 
 @pytest.mark.parametrize("report, field, values, reason", [
-    ("operators", "download_kbps", [1e308, 1e308], "download_kbps must be at most 10000000 kbps"),
-    ("signal", "signal_dbm", [1e200, -1e200], "signal_dbm must be within -1000..1000 dBm"),
+    ("operators", "download_kbps", [1e308, 1e308], "download_kbps must be at least 0 and at most 10000000"),
+    ("signal", "signal_dbm", [1e200, -1e200], "signal_dbm must be at least -1000 and at most 1000"),
     ("operators", "network_operator", ["Op\ud800", "Op\ud800"], "network_operator must be UTF-8 text"),
     ("all", "samples", [{"interval_ms": 500, "values": [1e308, 1e308]}] * 2,
      "sample values must be at most 10000000 kbps"),

@@ -2,7 +2,7 @@ import pytest
 
 from mobitrace.congestion import Pool, classify
 from mobitrace.model import AnalysisConfig, RadioTechnology
-from mobitrace.synth import CounterRng, Scenario, ScenarioConfig, generate, plant_pool
+from mobitrace.synth import MAX_SAMPLES_PER_RECORD, CounterRng, Scenario, ScenarioConfig, generate, plant_pool
 
 CFG = AnalysisConfig()
 
@@ -51,8 +51,20 @@ class TestScenarioConfig:
 
     def test_records_per_hour_at_most_one_per_ms(self):
         ScenarioConfig(seed=1, scenario=Scenario.STATIONARY_24H, records_per_hour=3_600_000)
-        with pytest.raises(ValueError, match="records_per_hour must be at most 3600000"):
+        with pytest.raises(ValueError, match="records_per_hour must be at least 1 and at most 3600000"):
             ScenarioConfig(seed=1, scenario=Scenario.STATIONARY_24H, records_per_hour=3_600_001)
+
+    def test_boundary_gap_not_negative(self):
+        # a negative gap would plant handovers with a negative gap_ms
+        ScenarioConfig(seed=1, scenario=Scenario.COMMUTE, cells=COMMUTE_CELLS, boundary_gap_ms=0)
+        with pytest.raises(ValueError, match="^boundary_gap_ms must be at least 0$"):
+            ScenarioConfig(seed=1, scenario=Scenario.COMMUTE, cells=COMMUTE_CELLS, boundary_gap_ms=-600_000)
+
+    def test_samples_per_record_bounded(self):
+        # configs only: generating a record this long is not needed to test the bound
+        ScenarioConfig(seed=1, scenario=Scenario.STATIONARY_24H, samples_per_record=MAX_SAMPLES_PER_RECORD)
+        with pytest.raises(ValueError, match="^samples_per_record must be at least 2 and at most 100000$"):
+            ScenarioConfig(seed=1, scenario=Scenario.STATIONARY_24H, samples_per_record=MAX_SAMPLES_PER_RECORD + 1)
 
     def test_pool_mix_must_sum_to_one(self):
         with pytest.raises(ValueError):
