@@ -211,8 +211,10 @@ def cmd_analyze(args) -> None:
 
 def _read_rows(path: Path, parse):
     """Yield parse(obj) for the JSON value on each line of path. A line that
-    does not parse raises UsageError naming the file and the line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    does not parse raises UsageError naming the file and the line. Bytes
+    that are not UTF-8 are read as lone surrogates, as ingest reads them,
+    which JSON or the row's text check rejects."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             where = f"{path.name} line {line_no}"
             try:

@@ -15,7 +15,7 @@ from typing import Annotated, List, NamedTuple, Optional
 
 from .ingest import Session
 from .model import (GROUP_RANK, AnalysisConfig, Dbm, Kbps, RadioTechnology, Range, TechnologyGroup,
-                    check_field_types, group_of, is_downgrade)
+                    check_field_types, group_of, is_downgrade, mean)
 
 
 @dataclass(frozen=True)
@@ -86,17 +86,6 @@ def detect_handovers(session: Session, cfg: AnalysisConfig) -> List[HandoverEven
     return events
 
 
-def _mean(values) -> Optional[float]:
-    """The mean of finite values, None for none. A sum beyond the float
-    range is taken again over each value divided first."""
-    if not values:
-        return None
-    try:
-        return math.fsum(values) / len(values)
-    except OverflowError:
-        return math.fsum(v / len(values) for v in values)
-
-
 def handover_impact(events: List[HandoverEvent]) -> HandoverImpact:
     """Mean to/from throughput and signal-power ratios across events.
 
@@ -120,9 +109,9 @@ def handover_impact(events: List[HandoverEvent]) -> HandoverImpact:
             sig_excluded += 1
     return HandoverImpact(
         count=len(events),
-        mean_throughput_ratio=_mean(tp_ratios),
+        mean_throughput_ratio=mean(tp_ratios),
         throughput_excluded=tp_excluded,
-        mean_signal_ratio=_mean(sig_ratios),
+        mean_signal_ratio=mean(sig_ratios),
         signal_excluded=sig_excluded,
     )
 

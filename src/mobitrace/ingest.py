@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Tuple
 
-from .model import CapabilityCatalog, MeasurementRecord, RadioTechnology, from_json, to_json
+from .model import (CapabilityCatalog, MeasurementRecord, RadioTechnology, check_cap, check_device_cap,
+                    from_json, to_json)
 
 RECORD_FIELDS = frozenset(f.name for f in fields(MeasurementRecord))
 
@@ -24,6 +24,10 @@ class IngestReport:
     accepted: int = 0
     rejected: int = 0
     warnings: List[Tuple[int, str]] = field(default_factory=list)
+
+    def reject(self, line_no: int, reason: str) -> None:
+        self.rejected += 1
+        self.warnings.append((line_no, reason))
 
 
 class Session(NamedTuple):
@@ -77,14 +81,12 @@ def read_records(path) -> Tuple[List[MeasurementRecord], IngestReport]:
             try:
                 obj = json.loads(line)
             except (ValueError, RecursionError):  # also too long an int, too deep a nesting
-                report.rejected += 1
-                report.warnings.append((line_no, "invalid JSON"))
+                report.reject(line_no, "invalid JSON")
                 continue
             try:
                 record, warns = record_from_obj(obj)
             except (ValueError, TypeError) as exc:
-                report.rejected += 1
-                report.warnings.append((line_no, str(exc)))
+                report.reject(line_no, str(exc))
                 continue
             report.accepted += 1
             for w in warns:
@@ -127,114 +129,87 @@ def write_records(records, path) -> None:
     write_json(map(record_to_obj, records), path)
 
 
-def _is_utf8(row: dict) -> bool:
-    """False when a cell of a catalog row, extra cells included, holds a
-    byte that was not UTF-8 (read as a lone surrogate)."""
-    cells = [v for v in row.values() if isinstance(v, str)]
+def _csv_rows(reader, report: IngestReport):
+    """(line_no, cells) per row of a csv reader, line_no being the line it starts on (a quoted cell may
+    hold a newline). A row with a cell beyond the csv module's field limit is rejected with no cells."""
+    line_no = 1
+    while True:
+        try:
+            cells = next(reader)
+        except StopIteration:
+            return
+        except csv.Error:  # only that limit raises it here; the reader goes on at the next line
+            report.reject(line_no, f"cell longer than the csv field limit ({csv.field_size_limit()} characters)")
+            cells = []
+        yield line_no, cells
+        line_no = reader.line_num + 1
+
+
+def _catalog_row(kind: str, row: dict, tech_caps: dict) -> Tuple[float, Optional[RadioTechnology], tuple]:
+    """The cap, technology (None for a plan) and key of a catalog row of the given kind, a device's
+    cap checked against tech_caps; a row to reject raises ValueError with the reason."""
+    if kind not in ("tech", "device", "plan"):
+        raise ValueError(f"unknown kind '{kind}'")
     try:
-        "".join(cells + row.get(None, [])).encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
+        cap = float(row.get("cap_kbps") or "")
+    except ValueError:
+        raise ValueError("bad cap_kbps") from None
+    check_cap(cap)
+    if kind == "plan":
+        return cap, None, (row.get("operator") or "", row.get("plan_id") or "")
+    try:
+        tech = RadioTechnology(row.get("technology") or "")
+    except ValueError:
+        raise ValueError(f"unknown technology '{row.get('technology')}'") from None
+    if kind == "tech":
+        return cap, tech, tech
+    check_device_cap(cap, tech, tech_caps)
+    return cap, tech, (row.get("manufacturer") or "", row.get("model") or "", tech)
 
 
 def read_catalog(path) -> Tuple[CapabilityCatalog, IngestReport]:
     """Parse a capability catalog CSV (kinds: device, tech, plan).
 
-    Duplicate keys take the last value with a warning; rows with text
-    that is not UTF-8, caps that are not finite and positive, or device
-    caps above the technology standard are rejected. Tech rows are
-    resolved first so device validation does not depend on row order.
-    Bytes that are not UTF-8 are read as lone surrogates, as in
-    read_records.
-    """
+    Duplicate keys take the last value with a warning. A row is rejected for a cell beyond the csv
+    module's field limit (a header so cut reads as none), a byte that is not UTF-8 (read as a lone
+    surrogate, as in read_records), a cap that is not finite and positive, or a device cap above its
+    technology's. Device and plan rows are taken after every tech row, so row order does not matter."""
     report = IngestReport()
-    # (line_no, row): line_no is the row's first line, as a quoted cell may hold a newline; a row
-    # maps the header's names to its cells, and None to the cells beyond the header
-    rows = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        line_no = reader.line_num + 1
-        for cells in reader:
-            if cells:  # else a blank line
-                rows.append((line_no, {**dict(zip(header, cells)), None: cells[len(header):]}))
-            line_no = reader.line_num + 1
+    caps = {"tech": {}, "device": {}, "plan": {}}
 
-    def parse_cap(row, line_no) -> Optional[float]:
+    def take(line_no: int, kind: str, row: dict) -> None:
         try:
-            cap = float(row.get("cap_kbps") or "")
-        except ValueError:
-            report.rejected += 1
-            report.warnings.append((line_no, "bad cap_kbps"))
-            return None
-        if not 0 < cap < math.inf:  # also false for NaN
-            report.rejected += 1
-            report.warnings.append((line_no, "cap must be finite and positive"))
-            return None
-        return cap
-
-    def parse_tech(row, line_no) -> Optional[RadioTechnology]:
-        try:
-            return RadioTechnology(row.get("technology") or "")
-        except ValueError:
-            report.rejected += 1
-            report.warnings.append((line_no, f"unknown technology '{row.get('technology')}'"))
-            return None
-
-    tech_caps = {}
-    deferred = []  # (line_no, row) for device/plan kinds
-    for line_no, row in rows:
-        if not _is_utf8(row):  # before any reason quotes its text
-            report.rejected += 1
-            report.warnings.append((line_no, "row must be UTF-8 text"))
-            continue
-        kind = (row.get("kind") or "").strip()
-        if kind == "tech":
-            cap = parse_cap(row, line_no)
-            tech = parse_tech(row, line_no) if cap is not None else None
-            if cap is None or tech is None:
-                continue
-            if tech in tech_caps:
-                report.warnings.append((line_no, f"duplicate tech cap for {tech.value}; last wins"))
-            tech_caps[tech] = cap
-            report.accepted += 1
-        elif kind in ("device", "plan"):
-            deferred.append((line_no, row))
-        else:
-            report.rejected += 1
-            report.warnings.append((line_no, f"unknown kind '{kind}'"))
-
-    device_caps = {}
-    plan_caps = {}
-    for line_no, row in deferred:
-        cap = parse_cap(row, line_no)
-        if cap is None:
-            continue
-        if row["kind"] == "device":
-            tech = parse_tech(row, line_no)
-            if tech is None:
-                continue
-            tech_cap = tech_caps.get(tech)
-            if tech_cap is not None and cap > tech_cap:
-                report.rejected += 1
-                report.warnings.append(
-                    (line_no, f"device cap {cap:g} exceeds {tech.value} standard cap {tech_cap:g}")
-                )
-                continue
-            key = (row.get("manufacturer") or "", row.get("model") or "", tech)
-            if key in device_caps:
-                report.warnings.append((line_no, "duplicate device cap; last wins"))
-            device_caps[key] = cap
-        else:
-            key = (row.get("operator") or "", row.get("plan_id") or "")
-            if key in plan_caps:
-                report.warnings.append((line_no, "duplicate plan cap; last wins"))
-            plan_caps[key] = cap
+            cap, tech, key = _catalog_row(kind, row, caps["tech"])
+        except ValueError as exc:
+            report.reject(line_no, str(exc))
+            return
+        if key in caps[kind]:
+            where = f" for {tech.value}" if kind == "tech" else ""
+            report.warnings.append((line_no, f"duplicate {kind} cap{where}; last wins"))
+        caps[kind][key] = cap
         report.accepted += 1
 
-    catalog = CapabilityCatalog(device_caps=device_caps, tech_caps=tech_caps, plan_caps=plan_caps)
-    return catalog, report
+    deferred = []  # (line_no, kind, row) of the device and plan rows
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        rows = _csv_rows(csv.reader(fh), report)
+        _, header = next(rows, (1, []))
+        for line_no, cells in rows:
+            if not cells:  # a blank or rejected line
+                continue
+            try:  # before any reason quotes a cell
+                "".join(cells).encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate
+                report.reject(line_no, "row must be UTF-8 text")
+                continue
+            row = dict(zip(header, cells))
+            kind = (row.get("kind") or "").strip()
+            if kind in ("device", "plan"):
+                deferred.append((line_no, kind, row))
+            else:
+                take(line_no, kind, row)
+    for line_no, kind, row in deferred:
+        take(line_no, kind, row)
+    return CapabilityCatalog(device_caps=caps["device"], tech_caps=caps["tech"], plan_caps=caps["plan"]), report
 
 
 def build_sessions(records) -> List[Session]:

@@ -265,6 +265,17 @@ def check_field_types(obj) -> None:
                 raise ValueError(text)
 
 
+def mean(values) -> Optional[float]:
+    """The mean of finite values, None for none. The sum is exact (math.fsum); a sum beyond the
+    float range is taken again over each value divided first."""
+    if not values:
+        return None
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        return math.fsum(v / len(values) for v in values)
+
+
 def is_finite_number(value) -> bool:
     """True for an int or a float, not a bool, within the float range."""
     return (type(value) in _REAL_TYPES or _is_real_type(type(value))) and -_FLOAT_MAX <= value <= _FLOAT_MAX
@@ -344,6 +355,19 @@ class MeasurementRecord:
         return SIGNAL_DBM_MIN <= self.signal_dbm <= SIGNAL_DBM_MAX
 
 
+def check_cap(cap) -> None:
+    """Raise ValueError unless a capability cap is finite and positive."""
+    if not 0 < cap < math.inf:  # also false for NaN
+        raise ValueError("cap must be finite and positive")
+
+
+def check_device_cap(cap, tech: RadioTechnology, tech_caps: dict) -> None:
+    """Raise ValueError if a device cap exceeds the standard cap tech_caps holds for tech."""
+    tech_cap = tech_caps.get(tech)
+    if tech_cap is not None and cap > tech_cap:
+        raise ValueError(f"device cap {cap:g} exceeds {tech.value} standard cap {tech_cap:g}")
+
+
 @dataclass(frozen=True)
 class CapabilityCatalog:
     """Theoretical upper bounds for the artificial limiting factors."""
@@ -354,14 +378,10 @@ class CapabilityCatalog:
 
     def __post_init__(self):
         for caps in (self.device_caps, self.tech_caps, self.plan_caps):
-            if not all(0 < v < math.inf for v in caps.values()):
-                raise ValueError("capability caps must be finite and positive")
+            for cap in caps.values():
+                check_cap(cap)
         for (_, _, tech), cap in self.device_caps.items():
-            tech_cap = self.tech_caps.get(tech)
-            if tech_cap is not None and cap > tech_cap:
-                raise ValueError(
-                    f"device cap {cap} exceeds {tech.value} standard cap {tech_cap}"
-                )
+            check_device_cap(cap, tech, self.tech_caps)
 
     @classmethod
     def empty(cls) -> "CapabilityCatalog":

@@ -15,11 +15,7 @@ from datetime import datetime, timezone
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .congestion import Pool
-from .model import AnalysisConfig, TechnologyGroup, group_of
-
-
-def _mean(values) -> float:
-    return math.fsum(values) / len(values)
+from .model import AnalysisConfig, TechnologyGroup, group_of, mean
 
 
 def quantile(values, q: float) -> float:
@@ -44,8 +40,8 @@ def pearson_r(xs, ys) -> Optional[float]:
     n = len(xs)
     if n < 2:
         return None
-    mx = _mean(xs)
-    my = _mean(ys)
+    mx = mean(xs)
+    my = mean(ys)
     sxx = math.fsum((x - mx) ** 2 for x in xs)
     syy = math.fsum((y - my) ** 2 for y in ys)
     if sxx == 0 or syy == 0:
@@ -131,11 +127,11 @@ def hourly_profile(records, key: str, cfg: AnalysisConfig) -> List[HourlyProfile
     profiles = []
     for k in sorted(grouped):
         by_hour = grouped[k]
-        hour_means = tuple(_mean(by_hour[h]) if h in by_hour else None for h in range(24))
+        hour_means = tuple(mean(by_hour.get(h, ())) for h in range(24))
         busy = [v for h, vs in by_hour.items() if cfg.is_busy_hour(h) for v in vs]
         offpeak = [v for h, vs in by_hour.items() if not cfg.is_busy_hour(h) for v in vs]
-        busy_mean = _mean(busy) if busy else None
-        offpeak_mean = _mean(offpeak) if offpeak else None
+        busy_mean = mean(busy)
+        offpeak_mean = mean(offpeak)
         dip = None
         if busy_mean is not None and offpeak_mean is not None and offpeak_mean > 0:
             dip = 1.0 - busy_mean / offpeak_mean
@@ -183,7 +179,7 @@ def quarterly_trend(records, cfg: AnalysisConfig) -> TrendReport:
     series = []
     for key in sorted(grouped):
         points = tuple(
-            TrendPoint(q, _mean(vs), max(vs), len(vs)) for q, vs in sorted(grouped[key].items())
+            TrendPoint(q, mean(vs), max(vs), len(vs)) for q, vs in sorted(grouped[key].items())
         )
         series.append(TrendSeries(key[0], key[1], key[2], points))
     return TrendReport(tuple(series), excluded)
@@ -221,7 +217,7 @@ def operator_summary(records) -> List[OperatorSummary]:
                 median_kbps=quantile(vs, 0.5),
                 q3_kbps=quantile(vs, 0.75),
                 max_kbps=max(vs),
-                mean_kbps=_mean(vs),
+                mean_kbps=mean(vs),
             )
         )
     return summaries
@@ -316,5 +312,5 @@ def signal_correlation(records, cfg: AnalysisConfig) -> SignalCorrelation:
         binned.setdefault(math.floor(r.signal_dbm / width) * width, []).append(r.download_kbps)
         xs.append(r.signal_dbm)
         ys.append(r.download_kbps)
-    bins = tuple(SignalBin(edge, _mean(binned[edge]), len(binned[edge])) for edge in sorted(binned))
+    bins = tuple(SignalBin(edge, mean(binned[edge]), len(binned[edge])) for edge in sorted(binned))
     return SignalCorrelation(bins, pearson_r(xs, ys), excluded)

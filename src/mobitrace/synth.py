@@ -226,7 +226,8 @@ def _make_record(cfg: ScenarioConfig, index: int, ts: int, cell_id: str,
 def generate(cfg: ScenarioConfig) -> Tuple[List[MeasurementRecord], GroundTruth]:
     """Emit the configured scenario's records and their planted labels."""
     rng = CounterRng(cfg.seed)
-    analysis_cfg = AnalysisConfig(utc_offset_minutes=cfg.utc_offset_minutes)
+    analysis_cfg = AnalysisConfig(busy_hour_start=cfg.busy_hour_start, busy_hour_end=cfg.busy_hour_end,
+                                  utc_offset_minutes=cfg.utc_offset_minutes)
     spacing = 3_600_000 // cfg.records_per_hour
     records: List[MeasurementRecord] = []
     labels: List[RecordLabel] = []
@@ -259,7 +260,7 @@ def generate(cfg: ScenarioConfig) -> Tuple[List[MeasurementRecord], GroundTruth]
 
     if cfg.scenario is Scenario.STATIONARY_24H:
         for hour in range(24):
-            busy = cfg.busy_hour_start <= hour <= cfg.busy_hour_end
+            busy = analysis_cfg.is_busy_hour(hour)
             true_mean = cfg.base_capacity_kbps * (1.0 - cfg.diurnal_dip if busy else 1.0)
             hour_means[hour] = true_mean
             for j in range(cfg.records_per_hour):

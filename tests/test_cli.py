@@ -276,9 +276,9 @@ class TestReportCommand:
 
     def assert_bad_row_exits_2(self, tmp_path, capsys, an, name, bad_lines):
         path = an / name
-        lines = path.read_text().splitlines()
+        lines = path.read_bytes().splitlines()
         for bad, reason in bad_lines:
-            path.write_text("\n".join(lines + [bad]) + "\n")
+            path.write_bytes(b"\n".join(lines + [bad if isinstance(bad, bytes) else bad.encode()]) + b"\n")
             capsys.readouterr()
             assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep")]) == 2
             assert capsys.readouterr().err == f"error: {name} line {len(lines) + 1}: {reason}\n"
@@ -310,6 +310,39 @@ class TestReportCommand:
             (json.dumps({**event, "at_ms": 1, "to_kbps": -5000}), "to_kbps must be at least 0 and at most 10000000"),
             (json.dumps({**event, "at_ms": 1, "gap_ms": -7}), "gap_ms must be at least 0"),
         ])
+
+    def test_analyzed_row_not_utf8_exits_2(self, tmp_path, capsys):
+        an = self.analyzed_dir(tmp_path)
+        row = (an / "analyzed.jsonl").read_bytes().splitlines()[0]
+        self.assert_bad_row_exits_2(tmp_path, capsys, an, "analyzed.jsonl", [
+            (b"\xff", "invalid JSON"),
+            (row.replace(b'"user_id": "synth-user"', b'"user_id": "synth-\xffuser"'), "user_id must be UTF-8 text"),
+        ])
+
+    def test_handovers_row_not_utf8_exits_2(self, tmp_path, capsys):
+        an = self.analyzed_dir(tmp_path)
+        event = {"user_id": "u", "at_ms": 1, "from_cell": "a", "to_cell": "b", "from_tech": "LTE",
+                 "to_tech": "UMTS", "from_kbps": 1.0, "to_kbps": 1.0, "downgrade": True, "gap_ms": 1}
+        self.assert_bad_row_exits_2(tmp_path, capsys, an, "handovers.jsonl", [
+            (b"\xff", "invalid JSON"),
+            (json.dumps(event).encode().replace(b'"a"', b'"\xfe"'), "from_cell must be UTF-8 text"),
+        ])
+
+    def test_busy_window_across_midnight_planted_and_recovered(self, tmp_path):
+        busy = {"busy_hour_start": 22, "busy_hour_end": 2}
+        scenario, analysis = tmp_path / "scenario.json", tmp_path / "analysis.json"
+        scenario.write_text(json.dumps({"scenario": "stationary24h", "seed": 7, "records_per_hour": 4,
+                                        "diurnal_dip": 0.5, **busy}))
+        analysis.write_text(json.dumps(busy))
+        assert main(["synth", "--config", str(scenario), "--out", str(tmp_path / "s")]) == 0
+        truth = json.loads((tmp_path / "s" / "ground_truth.json").read_text())
+        assert sorted(int(h) for h, kbps in truth["hour_means_kbps"].items() if kbps == 2500.0) == [0, 1, 2, 22, 23]
+        an, rep = tmp_path / "an", tmp_path / "rep"
+        assert main(["analyze", "--in", str(tmp_path / "s" / "trace.jsonl"), "--out", str(an)]) == 0
+        assert main(["report", "--in", str(an), "--out", str(rep), "--report", "hourly",
+                     "--config", str(analysis)]) == 0
+        (profile,) = json.loads((rep / "hourly.json").read_text())
+        assert profile["dip_fraction"] == pytest.approx(0.5, abs=0.05)
 
     def test_camping_rows_per_session(self, tmp_path):
         an = self.analyzed_dir(tmp_path)

@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import tracemalloc
@@ -261,6 +262,36 @@ class TestReadCatalog:
         path.write_text(self.HEADER + "\n" + before + "plan,,,,OpA,p1,-1\n")
         _, report = read_catalog(path)
         assert report.warnings == [(4, "cap must be finite and positive")]
+
+    def test_padded_kind_read_as_its_kind(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(self.HEADER + "\ntech,,,HSPA,,,21000\n device,Acme,One,HSPA,,,42000\n"
+                        "device ,Acme,Two,HSPA,,,3200\n")
+        catalog, report = read_catalog(path)
+        assert report.warnings == [(3, "device cap 42000 exceeds HSPA standard cap 21000")]
+        assert catalog.device_caps == {("Acme", "Two", RadioTechnology.HSPA): 3200.0}
+        assert catalog.plan_caps == {}
+
+    @pytest.mark.parametrize("cell", ["{}", '"Ac\n{}"'])
+    def test_cell_beyond_the_csv_field_limit_rejected(self, tmp_path, cell):
+        limit = csv.field_size_limit()
+        path = tmp_path / "c.csv"
+        path.write_text(self.HEADER + "\ntech,,,HSPA,,,21000\n"
+                        f"device,{cell.format('x' * (limit + 1))},One,HSPA,,,3200\nplan,,,,OpA,p1,100\n")
+        catalog, report = read_catalog(path)
+        assert report.warnings == [(3, f"cell longer than the csv field limit ({limit} characters)")]
+        assert (report.accepted, report.rejected) == (2, 1)
+        assert catalog.tech_caps == {RadioTechnology.HSPA: 21000.0}
+        assert catalog.device_caps == {} and catalog.plan_caps == {("OpA", "p1"): 100.0}
+
+    def test_header_beyond_the_csv_field_limit_reads_as_none(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "c.csv"
+        path.write_text("x" * (limit + 1) + "\ntech,,,HSPA,,,21000\n")
+        catalog, report = read_catalog(path)
+        assert report.warnings == [(1, f"cell longer than the csv field limit ({limit} characters)"),
+                                   (2, "unknown kind ''")]
+        assert catalog.tech_caps == {}
 
 
 class TestBuildSessions:

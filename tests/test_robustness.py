@@ -230,6 +230,24 @@ def test_any_row_value_exits_cleanly(analyzed, name, part, field, data):
         _exits_cleanly(["report", "--in", str(root / "an"), "--out", str(root / "rep")], root / "rep")
 
 
+@pytest.mark.parametrize("name", ["analyzed.jsonl", "handovers.jsonl"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_any_bytes_spliced_into_a_row_exit_cleanly(analyzed, name, data):
+    """Raw bytes, which no JSON value above can hold: any bytes, UTF-8 or not, newlines included,
+    replace a span of one row."""
+    lines = (analyzed / name).read_bytes().splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1), label="row")
+    start = data.draw(st.integers(0, len(lines[i])), label="start")
+    end = data.draw(st.integers(start, min(start + 4, len(lines[i]))), label="end")
+    lines[i] = lines[i][:start] + data.draw(st.binary(min_size=1, max_size=6), label="bytes") + lines[i][end:]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        shutil.copytree(analyzed, root / "an")
+        (root / "an" / name).write_bytes(b"".join(lines))
+        _exits_cleanly(["report", "--in", str(root / "an"), "--out", str(root / "rep")], root / "rep")
+
+
 # ---------------------------------------------------------------------------
 # from_json inverts to_json on every type that a JSON input decodes into.
 
