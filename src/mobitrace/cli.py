@@ -18,8 +18,8 @@ from importlib import import_module
 from pathlib import Path
 
 from . import __version__
-from .ingest import (build_sessions, read_catalog, read_records, record_from_obj, record_to_obj, write_json,
-                     write_records)
+from .ingest import (build_sessions, read_catalog, read_json_lines, read_records, record_from_obj, record_to_obj,
+                     replacing, write_json, write_records)
 from .model import AnalysisConfig, CapabilityCatalog, Scenario, TechnologyGroup, from_json, to_json
 
 # The names this module takes from each module that only some stages run. A stage binds them with
@@ -79,7 +79,7 @@ def _write_json(obj, path: Path) -> None:
 def _write_csv(header, rows, path: Path) -> None:
     import csv
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -180,12 +180,10 @@ def cmd_analyze(args) -> None:
 
     def rows():
         for record in records:
-            assessment = None
-            if record.samples is not None and len(record.samples.values) >= 2 * cfg.window_size:
-                try:
-                    assessment = classify(record.samples, cfg)
-                except ValueError:
-                    assessment = None
+            try:
+                assessment = classify(record.samples, cfg) if record.samples is not None else None
+            except ValueError:  # insufficient samples, or no eligible window
+                assessment = None
             verdict = attribute(record, catalog, assessment, handover_nearby(record), cfg)
             yield {
                 "record": record_to_obj(record),
@@ -210,89 +208,65 @@ def cmd_analyze(args) -> None:
 
 
 def _read_rows(path: Path, parse):
-    """Yield parse(obj) for the JSON value on each line of path. A line that
-    does not parse raises UsageError naming the file and the line. Bytes
-    that are not UTF-8 are read as lone surrogates, as ingest reads them,
-    which JSON or the row's text check rejects."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            where = f"{path.name} line {line_no}"
-            try:
-                row = parse(json.loads(line))
-            except (json.JSONDecodeError, RecursionError):  # also JSON nested too deep
-                raise UsageError(f"{where}: invalid JSON") from None
-            except KeyError as exc:
-                raise UsageError(f"{where}: missing field {exc}") from None
-            except (ValueError, TypeError) as exc:
-                raise UsageError(f"{where}: {exc}") from None
-            yield row
+    """Yield parse(obj) for the JSON value on each line of path, as read_json_lines reads it. A line
+    that does not parse raises UsageError naming the file, the line and the fault."""
+    for line_no, row, fault in read_json_lines(path, parse):
+        if fault is not None:
+            raise UsageError(f"{path.name} line {line_no}: {fault}")
+        yield row
 
 
 def _analyzed_row(obj):
+    """(record, pool, artificial) of an analyzed row, its verdict checked."""
     record, _ = record_from_obj(obj["record"])
     verdict = {**obj["verdict"]}
     verdict.pop("record_id", None)  # the record's, which the row holds already
+    artificial = from_json(LimitingFactorVerdict, verdict).artificial
     a = obj.get("assessment")
-    return record, from_json(LimitingFactorVerdict, verdict), Pool(a["pool"]) if a else None
+    return record, Pool(a["pool"]) if a else None, artificial
 
 
-def _read_analyzed(in_dir: Path):
-    records, verdicts, pools = [], [], []
-    for record, verdict, pool in _read_rows(in_dir / "analyzed.jsonl", _analyzed_row):
-        records.append(record)
-        verdicts.append(verdict)
-        pools.append(pool)
-    return records, verdicts, pools
-
-
-def _read_events(in_dir: Path):
-    path = in_dir / "handovers.jsonl"
-    if not path.exists():
-        return []
-    return list(_read_rows(path, lambda obj: from_json(HandoverEvent, obj)))
-
-
-# Each report maps (records, pools, events, cfg, args) to its JSON object,
+# Each report maps (records, analyzed, events, cfg, args) to its JSON object,
 # CSV header and CSV rows. They call the analysis functions through this
 # module's globals when a report runs, so a wrapper set on this module
 # after import (perfbench/tracer.py sets one per function) sees every call.
 
 
-def _histogram(records, pools, events, cfg, args):
+def _histogram(records, analyzed, events, cfg, args):
     h = throughput_histogram(records, cfg)
     return to_json(h), HistogramBin._fields, h.bins
 
 
-def _hourly(records, pools, events, cfg, args):
+def _hourly(records, analyzed, events, cfg, args):
     profiles = hourly_profile(records, args.key, cfg)
     rows = [(p.key, hour, mean) for p in profiles
             for hour, mean in enumerate(p.hour_means_kbps) if mean is not None]
     return to_json(profiles), ("key", "hour", "mean_kbps"), rows
 
 
-def _trend(records, pools, events, cfg, args):
+def _trend(records, analyzed, events, cfg, args):
     t = quarterly_trend(records, cfg)
     header = ("technology_group", "region_tag", "network_type", *TrendPoint._fields)
     rows = [(s.technology_group, s.region_tag, s.network_type, *p) for s in t.series for p in s.points]
     return to_json(t), header, rows
 
 
-def _operators(records, pools, events, cfg, args):
+def _operators(records, analyzed, events, cfg, args):
     summaries = operator_summary(records)
     return to_json(summaries), OperatorSummary._fields, summaries
 
 
-def _pools(records, pools, events, cfg, args):
-    t = pool_trend([(r, p) for r, p in zip(records, pools) if p is not None], cfg)
+def _pools(records, analyzed, events, cfg, args):
+    t = pool_trend([(r, p) for r, p in analyzed if p is not None], cfg)
     return to_json(t), PoolPoint._fields, t.points
 
 
-def _signal(records, pools, events, cfg, args):
+def _signal(records, analyzed, events, cfg, args):
     s = signal_correlation(records, cfg)
     return to_json(s), SignalBin._fields, s.bins
 
 
-def _camping(records, pools, events, cfg, args):
+def _camping(records, analyzed, events, cfg, args):
     group = TechnologyGroup.G4 if args.subscription == "4g" else TechnologyGroup.G3
     objs = [{"user_id": session.user_id, "subscriber_operator": session.subscriber_operator,
              **to_json(camping_stats(session, group))}
@@ -301,7 +275,7 @@ def _camping(records, pools, events, cfg, args):
     return objs, header, [[o[k] for k in header] for o in objs]
 
 
-def _handovers(records, pools, events, cfg, args):
+def _handovers(records, analyzed, events, cfg, args):
     obj = {**to_json(handover_impact(events)), "downgrades": sum(1 for e in events if e.downgrade)}
     header = ("count", "downgrades", "mean_throughput_ratio", "throughput_excluded",
               "mean_signal_ratio", "signal_excluded")
@@ -329,18 +303,16 @@ def cmd_report(args) -> None:
     _bind("congestion", "attribution", "coverage", "reports")
     cfg = _load_config(args, AnalysisConfig)
     in_dir = Path(args.indir)
-    records, verdicts, pools = _read_analyzed(in_dir)
-    events = _read_events(in_dir)
-
-    if not args.include_artificial:
-        kept = [(r, p) for r, v, p in zip(records, verdicts, pools) if not v.artificial]
-        records, pools = [r for r, _ in kept], [p for _, p in kept]
+    analyzed = [(record, pool) for record, pool, artificial in _read_rows(in_dir / "analyzed.jsonl", _analyzed_row)
+                if args.include_artificial or not artificial]
+    records = [record for record, _ in analyzed]
+    events = list(_read_rows(in_dir / "handovers.jsonl", lambda obj: from_json(HandoverEvent, obj)))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     for name in names:
-        json_obj, header, rows = REPORTS[name](records, pools, events, cfg, args)
+        json_obj, header, rows = REPORTS[name](records, analyzed, events, cfg, args)
         _write_json(json_obj, out_dir / f"{name}.json")
         _write_csv(header, rows, out_dir / f"{name}.csv")
         outputs.extend([f"{name}.json", f"{name}.csv"])

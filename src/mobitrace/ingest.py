@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Tuple
@@ -63,16 +64,12 @@ def record_from_obj(obj: dict) -> Tuple[MeasurementRecord, List[str]]:
     return record, warnings
 
 
-def read_records(path) -> Tuple[List[MeasurementRecord], IngestReport]:
-    """Parse a JSON Lines record file. Raises OSError if unreadable.
-
-    A record whose record_id an earlier accepted record has is kept, with
-    a warning that names the line of the first. Bytes that are not UTF-8
-    are read as lone surrogates, which the record's text check rejects.
-    """
-    records = []
-    report = IngestReport()
-    first_line = {}  # record_id -> line of the first accepted record
+def read_json_lines(path, parse):
+    """Yield (line_no, parse(value), None) for the JSON value on each line of path, or (line_no, None,
+    fault) for a line that does not parse. Blank lines are skipped. The fault reads "invalid JSON",
+    "missing field 'x'" for a KeyError, or the text of the ValueError or TypeError that parse raised.
+    Bytes that are not UTF-8 are read as lone surrogates, which JSON or a record's text check
+    rejects. Raises OSError if the file is unreadable."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -81,48 +78,69 @@ def read_records(path) -> Tuple[List[MeasurementRecord], IngestReport]:
             try:
                 obj = json.loads(line)
             except (ValueError, RecursionError):  # also too long an int, too deep a nesting
-                report.reject(line_no, "invalid JSON")
+                yield line_no, None, "invalid JSON"
                 continue
             try:
-                record, warns = record_from_obj(obj)
+                value, fault = parse(obj), None
+            except KeyError as exc:
+                value, fault = None, f"missing field {exc}"
             except (ValueError, TypeError) as exc:
-                report.reject(line_no, str(exc))
-                continue
-            report.accepted += 1
-            for w in warns:
-                report.warnings.append((line_no, w))
-            first = first_line.setdefault(record.record_id, line_no)
-            if first != line_no:
-                report.warnings.append(
-                    (line_no, f"duplicate record_id '{record.record_id}' (first on line {first})"))
-            records.append(record)
+                value, fault = None, str(exc)
+            yield line_no, value, fault
+
+
+def read_records(path) -> Tuple[List[MeasurementRecord], IngestReport]:
+    """Parse a JSON Lines record file, rejecting each line that does not parse. Raises OSError if
+    unreadable.
+
+    A record whose record_id an earlier accepted record has is kept, with
+    a warning that names the line of the first.
+    """
+    records = []
+    report = IngestReport()
+    first_line = {}  # record_id -> line of the first accepted record
+    for line_no, parsed, fault in read_json_lines(path, record_from_obj):
+        if fault is not None:
+            report.reject(line_no, fault)
+            continue
+        record, warns = parsed
+        report.accepted += 1
+        report.warnings.extend((line_no, w) for w in warns)
+        first = first_line.setdefault(record.record_id, line_no)
+        if first != line_no:
+            report.warnings.append((line_no, f"duplicate record_id '{record.record_id}' (first on line {first})"))
+        records.append(record)
     return records, report
 
 
-def write_json(objs, path, indent=None) -> None:
-    """Write each JSON-ready object of objs, keys sorted, then a newline:
-    one object per line, or indented by indent. The JSON is strict (RFC
-    8259): a NaN or an infinity raises ValueError instead of being written
-    as text that no JSON parser accepts.
-
-    The text goes to a temporary file beside path, which replaces path
-    only when every object is written; on a failure it is deleted, so
-    path is never left cut off."""
-    encoder = json.JSONEncoder(sort_keys=True, indent=indent, allow_nan=False)
+@contextmanager
+def replacing(path):
+    """Open a temporary file beside path for writing UTF-8 text, newlines untranslated. It replaces
+    path when the block ends; if the block raises it is deleted, so path is never left cut off."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for obj in objs:
-                if indent is None:  # the C encoder, which makes the line whole
-                    fh.write(encoder.encode(obj))
-                else:  # written as it is made, so the text is never held whole
-                    fh.writelines(encoder.iterencode(obj))
-                fh.write("\n")
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(objs, path, indent=None) -> None:
+    """Write each JSON-ready object of objs, keys sorted, then a newline:
+    one object per line, or indented by indent, through replacing(path).
+    The JSON is strict (RFC 8259): a NaN or an infinity raises ValueError
+    instead of being written as text that no JSON parser accepts."""
+    encoder = json.JSONEncoder(sort_keys=True, indent=indent, allow_nan=False)
+    with replacing(path) as fh:
+        for obj in objs:
+            if indent is None:  # the C encoder, which makes the line whole
+                fh.write(encoder.encode(obj))
+            else:  # written as it is made, so the text is never held whole
+                fh.writelines(encoder.iterencode(obj))
+            fh.write("\n")
 
 
 def write_records(records, path) -> None:
@@ -131,15 +149,20 @@ def write_records(records, path) -> None:
 
 def _csv_rows(reader, report: IngestReport):
     """(line_no, cells) per row of a csv reader, line_no being the line it starts on (a quoted cell may
-    hold a newline). A row with a cell beyond the csv module's field limit is rejected with no cells."""
+    hold a newline). A row with a cell beyond the csv module's field limit, or with a byte that is not
+    UTF-8 (read as a lone surrogate, as in read_json_lines), is rejected with no cells."""
     line_no = 1
     while True:
         try:
             cells = next(reader)
+            "".join(cells).encode("utf-8")  # before any reason quotes a cell
         except StopIteration:
             return
         except csv.Error:  # only that limit raises it here; the reader goes on at the next line
             report.reject(line_no, f"cell longer than the csv field limit ({csv.field_size_limit()} characters)")
+            cells = []
+        except UnicodeEncodeError:  # a lone surrogate
+            report.reject(line_no, "row must be UTF-8 text")
             cells = []
         yield line_no, cells
         line_no = reader.line_num + 1
@@ -171,9 +194,9 @@ def read_catalog(path) -> Tuple[CapabilityCatalog, IngestReport]:
     """Parse a capability catalog CSV (kinds: device, tech, plan).
 
     Duplicate keys take the last value with a warning. A row is rejected for a cell beyond the csv
-    module's field limit (a header so cut reads as none), a byte that is not UTF-8 (read as a lone
-    surrogate, as in read_records), a cap that is not finite and positive, or a device cap above its
-    technology's. Device and plan rows are taken after every tech row, so row order does not matter."""
+    module's field limit or a byte that is not UTF-8 (a header so rejected reads as none), a cap that
+    is not finite and positive, or a device cap above its technology's. Device and plan rows are
+    taken after every tech row, so row order does not matter."""
     report = IngestReport()
     caps = {"tech": {}, "device": {}, "plan": {}}
 
@@ -195,11 +218,6 @@ def read_catalog(path) -> Tuple[CapabilityCatalog, IngestReport]:
         _, header = next(rows, (1, []))
         for line_no, cells in rows:
             if not cells:  # a blank or rejected line
-                continue
-            try:  # before any reason quotes a cell
-                "".join(cells).encode("utf-8")
-            except UnicodeEncodeError:  # a lone surrogate
-                report.reject(line_no, "row must be UTF-8 text")
                 continue
             row = dict(zip(header, cells))
             kind = (row.get("kind") or "").strip()

@@ -11,6 +11,7 @@ fields are also the CSV columns.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from datetime import datetime, timezone
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -255,12 +256,11 @@ def pool_trend(assessed, cfg: AnalysisConfig) -> PoolTrend:
     Also reports the combined MEDIUM+HIGH fraction per month for records
     whose region_tag is URBAN_TAG.
     """
-    by_month: Dict[str, Dict[Pool, int]] = {}
+    by_month: Dict[str, Dict[Pool, int]] = defaultdict(lambda: dict.fromkeys(Pool, 0))
     urban: Dict[str, List[int]] = {}  # month -> [medium_high, total]
     for record, pool in assessed:
         month = month_label(record.timestamp, cfg)
-        counts = by_month.setdefault(month, {p: 0 for p in Pool})
-        counts[pool] += 1
+        by_month[month][pool] += 1
         if record.region_tag == URBAN_TAG:
             acc = urban.setdefault(month, [0, 0])
             acc[0] += pool in (Pool.MEDIUM, Pool.HIGH)

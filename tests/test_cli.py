@@ -296,6 +296,7 @@ class TestReportCommand:
             (json.dumps({"verdict": {}}), "missing field 'record'"),
             (json.dumps(verdict_row), "artificial must be true or false"),
             ("[" * 100_000, "invalid JSON"),
+            ("9" * 5000, "invalid JSON"),  # beyond int's digit limit
         ])
 
     def test_bad_handovers_row_exits_2(self, tmp_path, capsys):
@@ -309,6 +310,7 @@ class TestReportCommand:
             (json.dumps({**event, "at_ms": 1, "from_dbm": -1e308}), "from_dbm must be at least -1000 and at most 1000"),
             (json.dumps({**event, "at_ms": 1, "to_kbps": -5000}), "to_kbps must be at least 0 and at most 10000000"),
             (json.dumps({**event, "at_ms": 1, "gap_ms": -7}), "gap_ms must be at least 0"),
+            ('{"at_ms": ' + "9" * 5000 + "}", "invalid JSON"),  # beyond int's digit limit
         ])
 
     def test_analyzed_row_not_utf8_exits_2(self, tmp_path, capsys):
@@ -327,6 +329,24 @@ class TestReportCommand:
             (b"\xff", "invalid JSON"),
             (json.dumps(event).encode().replace(b'"a"', b'"\xfe"'), "from_cell must be UTF-8 text"),
         ])
+
+    @pytest.mark.parametrize("name", ["analyzed.jsonl", "handovers.jsonl"])
+    def test_whitespace_line_leaves_report_unchanged(self, tmp_path, name):
+        an = self.analyzed_dir(tmp_path)
+        assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep")]) == 0
+        lines = (an / name).read_text().splitlines(keepends=True)
+        (an / name).write_text("".join(lines[:1] + [" \t\n"] + lines[1:] + ["\n"]))
+        assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep2")]) == 0
+        written = {p.name: p.read_bytes() for p in (tmp_path / "rep").iterdir() if p.name != "manifest.json"}
+        assert written == {n: (tmp_path / "rep2" / n).read_bytes() for n in written}
+
+    def test_missing_handovers_exits_1(self, tmp_path, capsys):
+        an = self.analyzed_dir(tmp_path)
+        (an / "handovers.jsonl").unlink()
+        capsys.readouterr()
+        assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep")]) == 1
+        assert "handovers.jsonl" in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
 
     def test_busy_window_across_midnight_planted_and_recovered(self, tmp_path):
         busy = {"busy_hour_start": 22, "busy_hour_end": 2}

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import make_record, make_series
 from mobitrace.cli import main
-from mobitrace.ingest import build_sessions, read_catalog, read_records, record_to_obj, write_json, write_records
+from mobitrace.ingest import (build_sessions, read_catalog, read_records, record_to_obj, replacing, write_json,
+                              write_records)
 from mobitrace.model import TIMESTAMP_END_MS, RadioTechnology
 
 
@@ -170,6 +171,14 @@ def test_write_json_refuses_non_finite(tmp_path, value):
     assert list(tmp_path.iterdir()) == []  # neither a cut-off target nor its temporary file
 
 
+def test_replacing_block_that_raises_leaves_no_file(tmp_path):
+    with pytest.raises(ValueError):
+        with replacing(tmp_path / "out.csv") as fh:
+            fh.write("kind,count\n")
+            raise ValueError("cut off")
+    assert list(tmp_path.iterdir()) == []  # neither out.csv nor .out.csv.tmp
+
+
 # Bytes that the records read from a synth trace hold, per record: 1365 under
 # Python 3.11 with interned text and slotted records (1963 without), plus 10%.
 BYTES_PER_RECORD_MAX = 1500
@@ -292,6 +301,15 @@ class TestReadCatalog:
         assert report.warnings == [(1, f"cell longer than the csv field limit ({limit} characters)"),
                                    (2, "unknown kind ''")]
         assert catalog.tech_caps == {}
+
+    def test_header_not_utf8_reads_as_none(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(self.HEADER.replace("model", "mod\xffel").encode("latin-1")
+                         + b"\ndevice,Acme,One,HSPA,,,3200\ndevice,Acme,Two,HSPA,,,4200\n")
+        catalog, report = read_catalog(path)
+        assert report.warnings == [(1, "row must be UTF-8 text"), (2, "unknown kind ''"), (3, "unknown kind ''")]
+        assert (report.accepted, report.rejected) == (0, 3)
+        assert catalog.device_caps == {}
 
 
 class TestBuildSessions:
