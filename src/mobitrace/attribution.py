@@ -32,13 +32,35 @@ _BINDING_PRIORITY = {Factor.PLAN: 0, Factor.DEVICE: 1, Factor.TECHNOLOGY: 2}
 
 @dataclass(frozen=True, slots=True)
 class LimitingFactorVerdict:
+    record_id: str
     factor: Factor
     artificial: bool
-    binding_upper_bound_kbps: Optional[float] = None
-    congestion_pool: Optional[Pool] = None
+    binding_upper_bound_kbps: Optional[float]
+    congestion_pool: Optional[Pool]
 
-    def __post_init__(self):
-        check_field_types(self)
+    __post_init__ = check_field_types
+
+
+@dataclass(frozen=True, slots=True)
+class AssessmentSummary:
+    """A CongestionAssessment's fields in order, less the per-window stats, which no report reads."""
+
+    upper_bound_kbps: float
+    upper_bound_window: int
+    overall_mape_pct: float
+    pool: Pool
+    spikes_replaced: int
+
+    __post_init__ = check_field_types
+
+
+@dataclass(frozen=True, slots=True)
+class AnalyzedRow:
+    """One line of analyzed.jsonl; assessment is None (null) for a record classify did not assess."""
+
+    record: MeasurementRecord
+    verdict: LimitingFactorVerdict
+    assessment: Optional[AssessmentSummary]
 
 
 def upper_bounds(record: MeasurementRecord, catalog: CapabilityCatalog) -> Dict[Factor, float]:
@@ -80,6 +102,7 @@ def attribute(
         )
         if record.download_kbps >= cfg.attribution_alpha * binding_cap:
             return LimitingFactorVerdict(
+                record_id=record.record_id,
                 factor=binding_factor,
                 artificial=True,
                 binding_upper_bound_kbps=binding_cap,
@@ -92,6 +115,7 @@ def attribute(
     else:
         factor = Factor.UNDETERMINED
     return LimitingFactorVerdict(
+        record_id=record.record_id,
         factor=factor,
         artificial=False,
         binding_upper_bound_kbps=binding_cap,

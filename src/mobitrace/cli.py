@@ -18,16 +18,17 @@ from importlib import import_module
 from pathlib import Path
 
 from . import __version__
-from .ingest import (build_sessions, read_catalog, read_json_lines, read_records, record_from_obj, record_to_obj,
-                     replacing, write_json, write_records)
+# record_from_obj is not called here; it stays bound because perfbench/tracer.py wraps it on this module.
+from .ingest import (build_sessions, read_catalog, read_json_lines, read_records, record_from_obj, replacing,
+                     write_json, write_records)
 from .model import AnalysisConfig, CapabilityCatalog, Scenario, TechnologyGroup, from_json, to_json
 
 # The names this module takes from each module that only some stages run. A stage binds them with
 # _bind when it starts, so each stage imports only what it runs.
 _STAGE_NAMES = {
     "synth": ("ScenarioConfig", "generate"),
-    "congestion": ("Pool", "classify"),
-    "attribution": ("LimitingFactorVerdict", "attribute"),
+    "congestion": ("classify",),
+    "attribution": ("AnalyzedRow", "AssessmentSummary", "attribute"),
     "coverage": ("HandoverEvent", "camping_stats", "detect_handovers", "handover_impact"),
     "reports": ("HistogramBin", "OperatorSummary", "PoolPoint", "SignalBin", "TrendPoint", "hourly_profile",
                 "operator_summary", "pool_trend", "quarterly_trend", "signal_correlation", "throughput_histogram"),
@@ -137,17 +138,6 @@ def cmd_synth(args) -> None:
 # analyze
 
 
-def _assessment_summary(a):
-    """What an analyzed row keeps of an assessment: its summary, without the
-    per-window stats, which no report reads and classify derives again from
-    the row's samples."""
-    if a is None:
-        return None
-    return {"upper_bound_kbps": a.upper_bound_kbps, "upper_bound_window": a.upper_bound_window,
-            "overall_mape_pct": a.overall_mape_pct, "pool": a.pool.value,
-            "spikes_replaced": a.spikes_replaced}
-
-
 def cmd_analyze(args) -> None:
     started = time.monotonic()
     _bind("congestion", "attribution", "coverage")
@@ -185,11 +175,8 @@ def cmd_analyze(args) -> None:
             except ValueError:  # insufficient samples, or no eligible window
                 assessment = None
             verdict = attribute(record, catalog, assessment, handover_nearby(record), cfg)
-            yield {
-                "record": record_to_obj(record),
-                "verdict": {"record_id": record.record_id, **to_json(verdict)},
-                "assessment": _assessment_summary(assessment),
-            }
+            summary = None if assessment is None else AssessmentSummary(*assessment[1:])  # all but windows
+            yield to_json(AnalyzedRow(record, verdict, summary))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -214,16 +201,6 @@ def _read_rows(path: Path, parse):
         if fault is not None:
             raise UsageError(f"{path.name} line {line_no}: {fault}")
         yield row
-
-
-def _analyzed_row(obj):
-    """(record, pool, artificial) of an analyzed row, its verdict checked."""
-    record, _ = record_from_obj(obj["record"])
-    verdict = {**obj["verdict"]}
-    verdict.pop("record_id", None)  # the record's, which the row holds already
-    artificial = from_json(LimitingFactorVerdict, verdict).artificial
-    a = obj.get("assessment")
-    return record, Pool(a["pool"]) if a else None, artificial
 
 
 # Each report maps (records, analyzed, events, cfg, args) to its JSON object,
@@ -303,8 +280,9 @@ def cmd_report(args) -> None:
     _bind("congestion", "attribution", "coverage", "reports")
     cfg = _load_config(args, AnalysisConfig)
     in_dir = Path(args.indir)
-    analyzed = [(record, pool) for record, pool, artificial in _read_rows(in_dir / "analyzed.jsonl", _analyzed_row)
-                if args.include_artificial or not artificial]
+    analyzed = [(row.record, None if row.assessment is None else row.assessment.pool)
+                for row in _read_rows(in_dir / "analyzed.jsonl", lambda obj: from_json(AnalyzedRow, obj))
+                if args.include_artificial or not row.verdict.artificial]
     records = [record for record, _ in analyzed]
     events = list(_read_rows(in_dir / "handovers.jsonl", lambda obj: from_json(HandoverEvent, obj)))
 
@@ -316,7 +294,8 @@ def cmd_report(args) -> None:
         _write_json(json_obj, out_dir / f"{name}.json")
         _write_csv(header, rows, out_dir / f"{name}.csv")
         outputs.extend([f"{name}.json", f"{name}.csv"])
-    _write_manifest(out_dir, "report", to_json(cfg), [in_dir / "analyzed.jsonl"], outputs, started)
+    _write_manifest(out_dir, "report", to_json(cfg), [in_dir / "analyzed.jsonl", in_dir / "handovers.jsonl"],
+                    outputs, started)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,7 @@ class HandoverEvent:
     from_dbm: Optional[Dbm] = None
     to_dbm: Optional[Dbm] = None
 
-    def __post_init__(self):
-        check_field_types(self)
+    __post_init__ = check_field_types
 
 
 class HandoverImpact(NamedTuple):

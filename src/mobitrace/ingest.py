@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -39,23 +38,15 @@ class Session(NamedTuple):
     records: Tuple[MeasurementRecord, ...]
 
 
-def record_to_obj(record: MeasurementRecord) -> dict:
-    """The record as a JSON object, without its None fields."""
-    return {name: value for name, value in to_json(record).items() if value is not None}
-
-
 def record_from_obj(obj: dict) -> Tuple[MeasurementRecord, List[str]]:
-    """Build a record from a parsed JSON object; returns (record, warnings).
-
-    Its text fields are interned, so records that repeat a user, cell or
-    operator share one string; record_id is unique and kept as it is."""
+    """Build a record from a parsed JSON object; returns (record, warnings). A field the record
+    does not have is ignored with a warning."""
     if not isinstance(obj, dict):
         raise ValueError("record must be a JSON object")
     warnings = []
     if not obj.keys() <= RECORD_FIELDS:
         warnings = [f"unknown field '{name}' ignored" for name in obj if name not in RECORD_FIELDS]
-    obj = {name: sys.intern(value) if type(value) is str and name != "record_id" else value
-           for name, value in obj.items() if name in RECORD_FIELDS}
+        obj = {name: value for name, value in obj.items() if name in RECORD_FIELDS}
     if isinstance(samples := obj.get("samples"), dict) and not isinstance(samples.get("values", []), list):
         raise ValueError("sample values must be a list")
     record = from_json(MeasurementRecord, obj)
@@ -144,7 +135,7 @@ def write_json(objs, path, indent=None) -> None:
 
 
 def write_records(records, path) -> None:
-    write_json(map(record_to_obj, records), path)
+    write_json(map(to_json, records), path)
 
 
 def _csv_rows(reader, report: IngestReport):

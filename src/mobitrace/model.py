@@ -163,13 +163,13 @@ def _bounds(name: str, kind, rng: Optional[Range]):
 @lru_cache(maxsize=None)
 def _plan(cls) -> Optional[_Plan]:
     """What to_json, from_json and check_field_types know of a dataclass type (None for any other),
-    from annotations resolved once. names and required (no default) map names to None in declaration
-    order; kinds holds (name, kind, optional, _bounds) per _CHECKED field, converts (name, convert)
-    per other."""
+    from annotations resolved once. names maps each name, in declaration order, to whether its
+    default is None; required maps the names without a default to None. kinds holds (name, kind,
+    optional, _bounds) per _CHECKED field, converts (name, convert) per other."""
     if not is_dataclass(cls):
         return None
     fs, hints, extras = fields(cls), get_type_hints(cls), get_type_hints(cls, include_extras=True)
-    return _Plan(names={f.name: None for f in fs},
+    return _Plan(names={f.name: f.default is None for f in fs},
                  required={f.name: None for f in fs if f.default is MISSING and f.default_factory is MISSING},
                  kinds=tuple((f.name, kind, optional, _bounds(f.name, kind, _range(extras[f.name])))
                              for f in fs for kind, optional in [_optional(hints[f.name])] if kind in _CHECKED),
@@ -181,9 +181,10 @@ def to_json(obj):
 
     Dataclasses and NamedTuples become objects keyed by field name, enums
     their value, tuples arrays, and dict keys strings, so that sort_keys
-    orders them as text. Plain scalars pass through without a call each;
-    enums are tested before dataclasses because the analyze loop encodes
-    mostly enums and scalars.
+    orders them as text; a dataclass field that is None by default is left
+    out while None, and from_json restores it. Plain scalars pass through
+    without a call each; enums are tested before dataclasses because the
+    analyze loop encodes mostly enums and scalars.
     """
     if isinstance(obj, Enum):
         return obj.value
@@ -196,7 +197,8 @@ def to_json(obj):
     plan = _plan(type(obj))
     if plan is not None:
         return {name: v if type(v) in _PLAIN else to_json(v)
-                for name in plan.names for v in (getattr(obj, name),)}
+                for name, none_default in plan.names.items() for v in (getattr(obj, name),)
+                if v is not None or not none_default}
     return obj
 
 
@@ -307,8 +309,11 @@ class SampleSeries:
                 raise ValueError(f"sample values must be at most {MAX_THROUGHPUT_KBPS} kbps")
             raise ValueError("non-finite or negative sample value")
 
-    def mean(self) -> float:
-        return math.fsum(self.values) / len(self.values)
+
+@lru_cache(maxsize=None)
+def _interned_fields(cls) -> Tuple[str, ...]:
+    """The text fields of cls but the unique record_id: interned, so that repeats share one string."""
+    return tuple(name for name, kind, _, _ in _plan(cls).kinds if kind is str and name != "record_id")
 
 
 @dataclass(frozen=True, slots=True)
@@ -340,8 +345,11 @@ class MeasurementRecord:
 
     def __post_init__(self):
         check_field_types(self)
+        for name in _interned_fields(MeasurementRecord):
+            if type(value := getattr(self, name)) is str:  # not None, nor a str subclass, which intern refuses
+                object.__setattr__(self, name, sys.intern(value))
         if self.samples is not None:
-            m = self.samples.mean()
+            m = mean(self.samples.values)
             if m == 0:
                 if self.download_kbps != 0:
                     raise ValueError("headline throughput inconsistent with samples")

@@ -18,7 +18,7 @@ from typing import Annotated, Dict, List, NamedTuple, Optional, Tuple
 
 from .congestion import Pool
 from .model import (AnalysisConfig, Dbm, Hour, MeasurementRecord, RadioTechnology, Range, SampleSeries,
-                    Scenario, UtcOffset, check_field_types, is_downgrade, is_finite_number)
+                    Scenario, UtcOffset, check_field_types, is_downgrade, is_finite_number, mean)
 
 # 2016-01-04T00:00:00 UTC; traces start at local midnight relative to the
 # configured offset.
@@ -200,7 +200,7 @@ def _noisy_samples(cfg: ScenarioConfig, mean_kbps: float, rng: CounterRng) -> Tu
 def _make_record(cfg: ScenarioConfig, index: int, ts: int, cell_id: str,
                  technology: RadioTechnology, values: List[float], rng: CounterRng) -> MeasurementRecord:
     series = SampleSeries(interval_ms=cfg.sample_interval_ms, values=tuple(values))
-    download = series.mean()
+    download = mean(series.values)
     signal = cfg.signal_low_dbm + (cfg.signal_high_dbm - cfg.signal_low_dbm) * rng.uniform()
     return MeasurementRecord(
         record_id=f"r{index:06d}",

@@ -8,10 +8,11 @@ import pytest
 
 from conftest import make_record
 from mobitrace import cli
+from mobitrace.attribution import AnalyzedRow
 from mobitrace.cli import main
 from mobitrace.congestion import classify
-from mobitrace.ingest import record_to_obj, write_records
-from mobitrace.model import AnalysisConfig, SampleSeries
+from mobitrace.ingest import write_records
+from mobitrace.model import AnalysisConfig, SampleSeries, from_json, to_json
 
 
 def sha(path):
@@ -290,14 +291,43 @@ class TestReportCommand:
         row["record"]["timestamp"] = "x"
         verdict_row = json.loads(first)
         verdict_row["verdict"]["artificial"] = "x"
+        good = json.loads(first)
+        assert good["assessment"] is not None
+
+        def changed(part, **values):
+            return json.dumps({**good, part: {**good[part], **values}})
+
         self.assert_bad_row_exits_2(tmp_path, capsys, an, "analyzed.jsonl", [
             ("{not json", "invalid JSON"),
             (json.dumps(row), "timestamp must be an integer"),
-            (json.dumps({"verdict": {}}), "missing field 'record'"),
+            (json.dumps({"verdict": {}}), "missing required field 'record'"),
             (json.dumps(verdict_row), "artificial must be true or false"),
             ("[" * 100_000, "invalid JSON"),
             ("9" * 5000, "invalid JSON"),  # beyond int's digit limit
+            ("[1, 2]", "AnalyzedRow must be a JSON object"),
+            (json.dumps({**good, "assessment": [1]}), "AssessmentSummary must be a JSON object"),
+            (changed("assessment", pool="X"), "unknown pool 'X'"),
+            (json.dumps({**good, "verdict": [1]}), "LimitingFactorVerdict must be a JSON object"),
+            (changed("assessment", zzz=1), "unknown field 'zzz'"),
+            (changed("record", zzz=1), "unknown field 'zzz'"),
+            (changed("assessment", upper_bound_kbps="s"), "upper_bound_kbps must be a number"),
+            (changed("verdict", record_id=5), "record_id must be a string"),
         ])
+
+    def test_manifest_hashes_both_inputs(self, tmp_path):
+        an = self.analyzed_dir(tmp_path)
+        assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep")]) == 0
+        inputs = json.loads((tmp_path / "rep" / "manifest.json").read_text())["inputs"]
+        assert inputs == {str(an / name): hashlib.sha256((an / name).read_bytes()).hexdigest()
+                          for name in ("analyzed.jsonl", "handovers.jsonl")}
+
+    def test_rows_share_repeated_text(self, tmp_path):
+        # report holds every record it reads, so repeated text must not be held once per row
+        an = self.analyzed_dir(tmp_path)
+        first, second = (from_json(AnalyzedRow, json.loads(line)).record
+                         for line in (an / "analyzed.jsonl").read_text().splitlines()[:2])
+        assert first.user_id == second.user_id and first.cell_id == second.cell_id
+        assert first.user_id is second.user_id and first.cell_id is second.cell_id
 
     def test_bad_handovers_row_exits_2(self, tmp_path, capsys):
         an = self.analyzed_dir(tmp_path)
@@ -422,7 +452,7 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, command, config, message
      "sample values must be at most 10000000 kbps"),
 ])
 def test_unreportable_value_rejected_at_ingest(tmp_path, report, field, values, reason):
-    objs = [record_to_obj(make_record(signal_dbm=-70.0 - i, timestamp=1_451_865_600_000 + i))
+    objs = [to_json(make_record(signal_dbm=-70.0 - i, timestamp=1_451_865_600_000 + i))
             for i in range(2 + len(values))]
     for obj, value in zip(objs[2:], values):
         obj[field] = value

@@ -16,7 +16,11 @@ import json
 import sys
 from pathlib import Path
 
+from mobitrace.attribution import AnalyzedRow
 from mobitrace.cli import main
+from mobitrace.coverage import HandoverEvent
+from mobitrace.ingest import write_json
+from mobitrace.model import from_json, to_json
 
 # (a) the c11 run: a stationary day, no catalog.
 STATIONARY = [
@@ -230,6 +234,19 @@ def test_every_output_is_strict_json(tmp_path):
             json.loads(doc, parse_constant=_refuse)
 
 
+def test_rows_decode_and_encode_to_the_same_bytes(tmp_path):
+    """Every analyzed and handovers row of both runs, decoded by from_json and written again by
+    write_json, is the same line: the row codec loses nothing on real rows."""
+    run_digests(tmp_path / "runs")
+    for file, cls in (("analyzed.jsonl", AnalyzedRow), ("handovers.jsonl", HandoverEvent)):
+        for name in ("stationary", "commute"):
+            path = tmp_path / "runs" / name / "analyzed" / file
+            lines = path.read_text(encoding="utf-8").splitlines()
+            write_json((to_json(from_json(cls, json.loads(line))) for line in lines), tmp_path / file)
+            assert lines or (name, file) == ("stationary", "handovers.jsonl")  # a day on one cell
+            assert (tmp_path / file).read_text(encoding="utf-8").splitlines() == lines, (name, file)
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -239,3 +256,4 @@ if __name__ == "__main__":
     for name, digest in digests.items():
         sys.stdout.write(f'    "{name}":\n        "{digest}",\n')
     sys.stdout.write("}\n")
+

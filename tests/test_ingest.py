@@ -7,9 +7,8 @@ import pytest
 
 from conftest import make_record, make_series
 from mobitrace.cli import main
-from mobitrace.ingest import (build_sessions, read_catalog, read_records, record_to_obj, replacing, write_json,
-                              write_records)
-from mobitrace.model import TIMESTAMP_END_MS, RadioTechnology
+from mobitrace.ingest import build_sessions, read_catalog, read_records, replacing, write_json, write_records
+from mobitrace.model import TIMESTAMP_END_MS, RadioTechnology, to_json
 
 
 def write_lines(path, lines):
@@ -17,7 +16,7 @@ def write_lines(path, lines):
 
 
 def valid_line(**overrides):
-    obj = record_to_obj(make_record(**overrides))
+    obj = to_json(make_record(**overrides))
     return json.dumps(obj)
 
 

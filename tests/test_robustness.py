@@ -26,9 +26,8 @@ from mobitrace.attribution import Factor, LimitingFactorVerdict
 from mobitrace.cli import main
 from mobitrace.congestion import Pool
 from mobitrace.coverage import HandoverEvent
-from mobitrace.ingest import record_to_obj
 from mobitrace.model import (MAX_THROUGHPUT_KBPS, SIGNAL_DBM_LIMIT, TIMESTAMP_END_MS, AnalysisConfig,
-                             MeasurementRecord, RadioTechnology, SampleSeries, from_json, to_json)
+                             MeasurementRecord, RadioTechnology, SampleSeries, from_json, mean, to_json)
 from mobitrace.synth import Scenario, ScenarioConfig
 
 
@@ -40,13 +39,13 @@ def _trace():
         values = [level * (1 + 0.1 * ((k * 7) % 5 - 2)) for k in range(24)]
         series = make_series(values)
         record = make_record(record_id=f"r{i}", timestamp=1_451_865_600_000 + 60_000 * i,
-                             download_kbps=series.mean(), samples=series, cell_id=cell,
+                             download_kbps=mean(series.values), samples=series, cell_id=cell,
                              technology=tech, signal_dbm=-70.0 - 10 * i, region_tag="urban",
                              latency_ms=40.0, transport_port=443)
-        lines.append(record_to_obj(record))
+        lines.append(to_json(record))
     # without samples, so that its headline throughput may take any value
-    lines.append(record_to_obj(make_record(record_id="r3", timestamp=1_451_865_780_000, cell_id="c2",
-                                           signal_dbm=-60.0, download_kbps=3000.0)))
+    lines.append(to_json(make_record(record_id="r3", timestamp=1_451_865_780_000, cell_id="c2",
+                                     signal_dbm=-60.0, download_kbps=3000.0)))
     return lines
 
 
@@ -265,7 +264,7 @@ def _records(draw):
         **{name: draw(_plain_text) for name in ("record_id", "user_id", "manufacturer", "model", "os_name",
                                                 "os_version", "network_operator", "subscriber_operator")},
         timestamp=draw(st.integers(1, TIMESTAMP_END_MS - 1)),
-        download_kbps=draw(_kbps) if samples is None else samples.mean(),
+        download_kbps=draw(_kbps) if samples is None else mean(samples.values),
         upload_kbps=draw(_kbps | st.integers(0, MAX_THROUGHPUT_KBPS)),
         technology=draw(st.sampled_from(RadioTechnology)),
         latitude=draw(st.none() | st.floats(-90, 90)),

@@ -1,7 +1,7 @@
 import pytest
 
 from mobitrace.congestion import Pool, classify
-from mobitrace.model import AnalysisConfig, RadioTechnology
+from mobitrace.model import AnalysisConfig, RadioTechnology, mean
 from mobitrace.synth import MAX_SAMPLES_PER_RECORD, CounterRng, Scenario, ScenarioConfig, generate, plant_pool
 
 CFG = AnalysisConfig()
@@ -97,7 +97,7 @@ class TestGenerateStationary:
                              spike_rate=0.05)
         records, _ = generate(cfg)
         for record in records:
-            assert record.download_kbps == pytest.approx(record.samples.mean(), rel=1e-12)
+            assert record.download_kbps == pytest.approx(mean(record.samples.values), rel=1e-12)
 
     def test_local_hours_cycle(self):
         cfg = ScenarioConfig(seed=5, scenario=Scenario.STATIONARY_24H, records_per_hour=1)
