@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from .congestion import CongestionAssessment, Pool
-from .model import AnalysisConfig, CapabilityCatalog, MeasurementRecord, check_field_types
+from .model import AnalysisConfig, CapabilityCatalog, MeasurementRecord, Pool, check_field_types
+
+if TYPE_CHECKING:  # only an annotation here, so report need not load congestion
+    from .congestion import CongestionAssessment
 
 
 class Factor(Enum):

@@ -277,7 +277,7 @@ def cmd_report(args) -> None:
     names = REPORT_NAMES if args.report == "all" else (args.report,)
     if any(n not in REPORTS for n in names):
         raise UsageError(f"unknown report {args.report!r}; valid: all, {', '.join(REPORT_NAMES)}")
-    _bind("congestion", "attribution", "coverage", "reports")
+    _bind("attribution", "coverage", "reports")
     cfg = _load_config(args, AnalysisConfig)
     in_dir = Path(args.indir)
     analyzed = [(row.record, None if row.assessment is None else row.assessment.pool)

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from enum import Enum
 from typing import List, NamedTuple, Optional, Tuple
 
-from .model import AnalysisConfig, SampleSeries
+# Pool is defined in model and re-exported here, so `from mobitrace.congestion import Pool` still works.
+from .model import AnalysisConfig, Pool, SampleSeries
 
 # Safety bound on spike replacements: 4 per sample, and never fewer than
 # 1000. A replacement can push a neighbor over the threshold, so a series
@@ -23,12 +23,6 @@ from .model import AnalysisConfig, SampleSeries
 # spikes in long series.
 _REPLACEMENTS_PER_SAMPLE = 4
 _MIN_REPLACEMENTS = 1000
-
-
-class Pool(Enum):
-    LOW = "LOW"
-    MEDIUM = "MEDIUM"
-    HIGH = "HIGH"
 
 
 class WindowStats(NamedTuple):

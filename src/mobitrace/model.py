@@ -71,6 +71,14 @@ class Scenario(Enum):
     COMMUTE = "commute"
 
 
+class Pool(Enum):
+    """Congestion pool that congestion.classify assigns a series by its MAPE."""
+
+    LOW = "LOW"
+    MEDIUM = "MEDIUM"
+    HIGH = "HIGH"
+
+
 # Ordering over cellular generations; WLAN is deliberately unranked so it
 # never participates in downgrade/camping comparisons.
 GROUP_RANK = {

@@ -15,8 +15,7 @@ from collections import defaultdict
 from datetime import datetime, timezone
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .congestion import Pool
-from .model import AnalysisConfig, TechnologyGroup, group_of, mean
+from .model import AnalysisConfig, Pool, TechnologyGroup, group_of, mean
 
 
 def quantile(values, q: float) -> float:

@@ -13,11 +13,12 @@ CounterRng.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Annotated, Dict, List, NamedTuple, Optional, Tuple
+from itertools import chain, count
+from typing import Annotated, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .congestion import Pool
-from .model import (AnalysisConfig, Dbm, Hour, MeasurementRecord, RadioTechnology, Range, SampleSeries,
+from .model import (AnalysisConfig, Dbm, Hour, MeasurementRecord, Pool, RadioTechnology, Range, SampleSeries,
                     Scenario, UtcOffset, check_field_types, is_downgrade, is_finite_number, mean)
 
 # 2016-01-04T00:00:00 UTC; traces start at local midnight relative to the
@@ -25,6 +26,18 @@ from .model import (AnalysisConfig, Dbm, Hour, MeasurementRecord, RadioTechnolog
 _EPOCH_DAY_MS = 1_451_865_600_000
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_UNIT = 2.0 ** -53
+
+# CounterRng's block: _BLOCK lanes of 128 bits each. _ONES has a 1 at the bottom of every slot,
+# _STEPS holds lane i's counter offset i * _GAMMA, and _LANES keeps each slot's low 64 bits.
+_BLOCK = 512
+_ONES = ((1 << 128 * _BLOCK) - 1) // ((1 << 128) - 1)
+_STEPS = _GAMMA * int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(_BLOCK)), "little")
+_LANES = _ONES * _MASK64
+# cast("Q") reads native byte order. From little-endian bytes lane i's low half is item 2i; from
+# big-endian bytes it is item 2 * (_BLOCK - i) - 1, which [::-2] visits in lane order.
+_LOW_HALVES = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
 # generate holds each record's samples in one list and writes them as one
 # trace line; 100 000 samples make a line of about 2 MB.
@@ -32,26 +45,37 @@ MAX_SAMPLES_PER_RECORD = 100_000
 
 
 class CounterRng:
-    """splitmix64 as a counter-based stream.
+    """splitmix64 as a counter-based stream, computed a block of counters at a time.
 
-    output(n) = mix(seed + n * 0x9E3779B97F4A7C15) with the standard
-    mixing constants 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB; uniforms
-    take the top 53 bits.
+    Draw n (n = 1, 2, ...) is mix(seed + n * 0x9E3779B97F4A7C15) with the
+    standard mixing constants 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB;
+    uniforms take its top 53 bits.
+
+    A block packs _BLOCK counters into one int, lane i in the low 64 bits of
+    its own 128-bit slot, so each mixing step runs once per block instead of
+    once per draw. The result is exact: a lane below 2**64 times a constant
+    below 2**64 stays below 2**128, inside its own slot, and the bits a right
+    shift moves in from the next slot land at bit 64 or above, where the
+    lane mask clears them before the next product; only the low 64 bits of
+    each slot are read. Draws are taken strictly in order, so every caller
+    sees the counters the one-at-a-time formula would give it.
     """
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        self.counter = 0
+        self._draws = chain.from_iterable(map(self._block, count(1, _BLOCK)))
 
-    def next_u64(self) -> int:
-        self.counter += 1
-        z = (self.seed + self.counter * 0x9E3779B97F4A7C15) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+    def _block(self, first: int) -> Iterator[float]:
+        """The uniforms of counters first .. first + _BLOCK - 1."""
+        z = (((self.seed + first * _GAMMA) & _MASK64) * _ONES + _STEPS) & _LANES
+        z = ((z ^ (z >> 30)) & _LANES) * 0xBF58476D1CE4E5B9 & _LANES
+        z = ((z ^ (z >> 27)) & _LANES) * 0x94D049BB133111EB & _LANES
+        z = (z ^ (z >> 31)) >> 11  # the low half of each slot now holds its lane's top 53 bits
+        # k * 2**-53 is exact for k < 2**53
+        return map(_UNIT.__mul__, memoryview(z.to_bytes(16 * _BLOCK, sys.byteorder)).cast("Q")[_LOW_HALVES])
 
     def uniform(self) -> float:
-        return (self.next_u64() >> 11) * 2.0 ** -53
+        return next(self._draws)
 
     def normal(self) -> float:
         u1 = self.uniform()
@@ -98,10 +122,14 @@ class ScenarioConfig:
         check_field_types(self)
         if self.scenario is Scenario.COMMUTE and len(self.cells) < 2:
             raise ValueError("commute scenario needs at least 2 cells")
+        if not all(isinstance(cell, tuple) and len(cell) == 3 for cell in self.cells):
+            raise ValueError("cells must be (cell id, technology, capacity) triples")
         if not all(is_finite_number(cap) and cap > 0 for _, _, cap in self.cells):
             raise ValueError("cell capacities must be positive and finite")
         if any(not isinstance(cell_id, str) for cell_id, _, _ in self.cells):
             raise ValueError("cell ids must be strings")
+        if not all(isinstance(tech, RadioTechnology) for _, tech, _ in self.cells):
+            raise ValueError("cell technologies must be RadioTechnology values")
         object.__setattr__(self, "cells", tuple((cell, tech, float(cap)) for cell, tech, cap in self.cells))
         if self.planted_pool_mix is not None:
             mix = self.planted_pool_mix

@@ -185,9 +185,9 @@ def test_only_a_stage_that_hashes_loads_openssl(tmp_path):
 
 @pytest.mark.parametrize("command, modules", [
     ("--version", ()),
-    ("synth", ("congestion", "synth")),
+    ("synth", ("synth",)),
     ("analyze", ("attribution", "congestion", "coverage")),
-    ("report", ("attribution", "congestion", "coverage", "reports")),
+    ("report", ("attribution", "coverage", "reports")),
 ])
 def test_each_stage_imports_only_what_it_runs(tmp_path, command, modules):
     _, synth_out = run_synth(tmp_path)

@@ -1,8 +1,12 @@
+import math
+import random
+
 import pytest
 
 from mobitrace.congestion import Pool, classify
 from mobitrace.model import AnalysisConfig, RadioTechnology, mean
-from mobitrace.synth import MAX_SAMPLES_PER_RECORD, CounterRng, Scenario, ScenarioConfig, generate, plant_pool
+from mobitrace.synth import (_BLOCK, MAX_SAMPLES_PER_RECORD, CounterRng, Scenario, ScenarioConfig, generate,
+                             plant_pool)
 
 CFG = AnalysisConfig()
 
@@ -13,11 +17,78 @@ COMMUTE_CELLS = (
 )
 
 
+MASK64 = (1 << 64) - 1
+
+
+class ScalarRng:
+    """The oracle: splitmix64 one draw at a time, as CounterRng computed it before it drew in blocks."""
+
+    def __init__(self, seed: int):
+        self.seed = seed & MASK64
+        self.counter = 0
+
+    def next_u64(self) -> int:
+        self.counter += 1
+        z = (self.seed + self.counter * 0x9E3779B97F4A7C15) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self) -> float:
+        return (self.next_u64() >> 11) * 2.0 ** -53
+
+    def normal(self) -> float:
+        u1 = self.uniform()
+        while u1 == 0.0:
+            u1 = self.uniform()
+        u2 = self.uniform()
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def lognormal_unit_mean(self, cv: float) -> float:
+        if cv <= 0:
+            return 1.0
+        sigma2 = math.log(1.0 + cv * cv)
+        return math.exp(-0.5 * sigma2 + math.sqrt(sigma2) * self.normal())
+
+
+def noisy_draws(rng, shapes):
+    """The draws synth makes per record, in its order: noisy samples, data-dependent spike draws
+    (a second draw only after a spike), then the signal draw."""
+    out = []
+    for samples, cv, spike_rate in shapes:
+        values = [rng.lognormal_unit_mean(cv) for _ in range(samples)]
+        for i in range(samples):
+            if rng.uniform() < spike_rate:
+                values[i] *= 3.0 + 2.0 * rng.uniform()
+        out.append((values, rng.uniform()))
+    return out
+
+
 class TestCounterRng:
     def test_deterministic_stream(self):
-        a = CounterRng(42)
-        b = CounterRng(42)
-        assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
+        # seed 0 gives the splitmix64 reference outputs
+        oracle = ScalarRng(0)
+        assert [oracle.next_u64() for _ in range(3)] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                                         0x06C45D188009454F]
+        assert CounterRng(0).uniform() == (0xE220A8397B1DCDAF >> 11) * 2.0 ** -53
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, -1, 2**64 - 1, 2**64 + 5])
+    def test_block_stream_equals_scalar_oracle(self, seed):
+        lengths = random.Random(seed)
+        shapes = [(lengths.randrange(2, 60), cv, rate)
+                  for cv, rate in [(0.1, 0.05), (0.0, 0.3), (0.5, 0.0), (0.2, 1.0)] * 12]
+        oracle = ScalarRng(seed)
+        assert noisy_draws(CounterRng(seed), shapes) == noisy_draws(oracle, shapes)
+        assert oracle.counter > 3 * _BLOCK
+
+    def test_normal_redraws_a_zero_u1(self):
+        # no seed is known to draw exactly 0.0, so both streams are stubbed with the same draws
+        rng, oracle = CounterRng(0), ScalarRng(0)
+        rng._draws = iter([0.0, 0.25, 0.5, 0.75])
+        oracle_draws = iter([0.0, 0.25, 0.5, 0.75])
+        oracle.uniform = oracle_draws.__next__
+        assert rng.normal() == oracle.normal() == math.sqrt(-2.0 * math.log(0.25)) * math.cos(math.pi)
+        assert rng.uniform() == next(oracle_draws) == 0.75
 
     def test_uniform_in_unit_interval(self):
         rng = CounterRng(7)
@@ -44,6 +115,8 @@ class TestScenarioConfig:
         (("c9", RadioTechnology.LTE, float("nan")), "cell capacities"),
         (("c9", RadioTechnology.LTE, float("inf")), "cell capacities"),
         ((9, RadioTechnology.LTE, 1000.0), "cell ids"),
+        (("c9", "UMTS", 1000.0), "cell technologies must be RadioTechnology values"),
+        (("c9", RadioTechnology.LTE), r"cells must be \(cell id, technology, capacity\) triples"),
     ])
     def test_bad_commute_cell_rejected(self, cell, message):
         with pytest.raises(ValueError, match=message):
