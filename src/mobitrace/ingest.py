@@ -60,8 +60,9 @@ def read_json_lines(path, parse):
     fault) for a line that does not parse. Blank lines are skipped. The fault reads "invalid JSON",
     "missing field 'x'" for a KeyError, or the text of the ValueError or TypeError that parse raised.
     Bytes that are not UTF-8 are read as lone surrogates, which JSON or a record's text check
-    rejects. Raises OSError if the file is unreadable."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    rejects. Only a newline ends a line: a bare carriage return is JSON whitespace, and the one of a
+    CRLF ending is stripped with the rest. Raises OSError if the file is unreadable."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -13,8 +13,10 @@ from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from functools import lru_cache, partial
-from typing import Annotated, Callable, NamedTuple, Optional, Tuple, get_args, get_origin, get_type_hints
+from functools import lru_cache
+from operator import itemgetter
+from types import MemberDescriptorType
+from typing import Annotated, Callable, List, NamedTuple, Optional, Tuple, get_args, get_origin, get_type_hints
 
 SIGNAL_DBM_MIN = -140.0  # physical range; ingest warns outside it
 SIGNAL_DBM_MAX = -20.0
@@ -114,7 +116,7 @@ def is_downgrade(from_tech: RadioTechnology, to_tech: RadioTechnology) -> bool:
 
 _PLAIN = frozenset({str, int, float, bool, type(None)})
 _CHECKED = (str, int, float, bool)  # the kinds check_field_types checks; from_json takes them as they are
-_Plan = namedtuple("_Plan", "names required kinds converts")
+_Codec = namedtuple("_Codec", "decode check encode")
 
 
 def _optional(tp):
@@ -122,30 +124,38 @@ def _optional(tp):
     return (get_args(tp)[0], True) if type(None) in get_args(tp) else (tp, False)
 
 
-def _converter(tp, name: str) -> Optional[Callable]:
-    """convert(value) from JSON to the type tp of the field name; None if a value is taken as it is."""
+def _indent(lines: List[str]) -> List[str]:
+    return ["    " + line for line in lines]
+
+
+def _convert(tp, name: str, var: str, ns: dict) -> List[str]:
+    """Source lines that turn the JSON value in the variable var into tp, the type of the field name, or
+    raise ValueError; none for a value taken as it is. The constants they use go into ns."""
     tp, optional = _optional(tp)
     if isinstance(tp, type) and issubclass(tp, Enum):
-        members = {member.value: member for member in tp}
-        def convert(value):
-            try:
-                return members[value]
-            except (KeyError, TypeError):  # TypeError: a list or an object, which no member equals
-                raise ValueError(f"unknown {name} {value!r}") from None
+        ns[f"_m_{var}"] = {member.value: member for member in tp}
+        lines = [f"try: {var} = _m_{var}[{var}]",
+                 # TypeError: a list or an object, which no member equals
+                 f"except (KeyError, TypeError): raise ValueError({f'unknown {name} '!r} + repr({var})) from None"]
     elif is_dataclass(tp):
-        convert = partial(from_json, tp)
-    elif get_origin(tp) is tuple:  # Tuple[X, ...], or exactly Tuple[X, Y]
-        items = [_converter(a, name) for a in get_args(tp) if a is not Ellipsis]
-        size = None if Ellipsis in get_args(tp) else len(items)
-        def convert(value):
-            if type(value) is not list or size not in (None, len(value)):
-                raise ValueError(f"{name} must be a list" + (f" of {size} values" if size else ""))
-            if not any(items):
-                return tuple(value)
-            return tuple(c(v) if c else v for c, v in zip(items * (size or len(value)), value))
+        ns[f"_d_{var}"] = _plan(tp).decode
+        lines = [f"{var} = _d_{var}({var})"]
+    elif get_origin(tp) is tuple and Ellipsis in get_args(tp):  # Tuple[X, ...]
+        item = _convert(get_args(tp)[0], name, f"{var}_i", ns)
+        lines = [f"if type({var}) is not list: raise ValueError({f'{name} must be a list'!r})"]
+        lines += [f"{var} = tuple({var})"] if not item else [
+            f"{var}_t = []", f"for {var}_i in {var}:", *_indent(item), f"    {var}_t.append({var}_i)",
+            f"{var} = tuple({var}_t)"]
+    elif get_origin(tp) is tuple:  # exactly Tuple[X, Y]
+        items = [f"{var}_{i}" for i in range(len(get_args(tp)))]
+        lines = [f"if type({var}) is not list or len({var}) != {len(items)}:",
+                 f"    raise ValueError({f'{name} must be a list of {len(items)} values'!r})",
+                 f"{', '.join(items)}, = {var}",
+                 *(line for item, a in zip(items, get_args(tp)) for line in _convert(a, name, item, ns)),
+                 f"{var} = ({', '.join(items)},)"]
     else:
-        return None
-    return (lambda value: None if value is None else convert(value)) if optional else convert
+        return []
+    return [f"if {var} is not None:", *_indent(lines)] if optional else lines
 
 
 def _range(tp) -> Optional[Range]:
@@ -153,35 +163,154 @@ def _range(tp) -> Optional[Range]:
     return next((m for m in getattr(_optional(tp)[0], "__metadata__", ()) if isinstance(m, Range)), None)
 
 
-def _bounds(name: str, kind, rng: Optional[Range]):
-    """(lo, hi, open_ends, text) of a field for check_field_types: a number passes when lo <= it <= hi
-    and it is no open end, else text is the fault. A float without a Range need only be finite; any
-    other field without one has no bounds (None)."""
-    if rng is None:
-        return (-_FLOAT_MAX, _FLOAT_MAX, (), None) if kind is float else None
-    edge = _FLOAT_MAX if kind is float else math.inf
-    lo = next((b for b in (rng.at_least, rng.above) if b is not None), -edge)
-    hi = next((b for b in (rng.at_most, rng.below) if b is not None), edge)
-    open_ends = tuple(b for b in (rng.above, rng.below) if b is not None)
-    words = " and ".join(f"{word.replace('_', ' ')} {getattr(rng, word)}"
-                         for word in ("at_least", "above", "at_most", "below") if getattr(rng, word) is not None)
-    return lo, hi, open_ends, f"{name} must be {words}"
+def _passes(kind, rng: Optional[Range]) -> str:
+    """A test of v, the value of a field of kind (one of _CHECKED) and Range rng (None without one), that
+    passes only values that _check_field passes: exact types, ASCII text, and the bounds as literals.
+    The checker's fast path."""
+    if kind is str:
+        return "type(v) is str and v.isascii()"
+    if kind is bool:
+        return "type(v) is bool"
+    rng = rng or Range()
+    low = [f"{b!r} {op} v" for b, op in ((rng.at_least, "<="), (rng.above, "<")) if b is not None]
+    high = [f"v {op} {b!r}" for b, op in ((rng.at_most, "<="), (rng.below, "<")) if b is not None]
+    if kind is int:
+        return " and ".join(["type(v) is int", *low, *high])
+    # a float must be finite
+    return " and ".join(["(type(v) is float or type(v) is int)", *(low or [f"{-_FLOAT_MAX!r} <= v"]),
+                         *(high or [f"v <= {_FLOAT_MAX!r}"])])
+
+
+def _check_field(name: str, kind, rng: Optional[Range], value) -> None:
+    """Raise ValueError unless value, the value of the field name, is of kind (one of _CHECKED) and lies
+    within rng, the field's Range (None without one). Floats must be finite and text must be encodable as
+    UTF-8. A fault names the bounds in words, as "window_size must be at least 2"."""
+    if kind is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string")
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which no UTF-8 file can hold
+            raise ValueError(f"{name} must be UTF-8 text") from None
+    elif kind is bool:
+        if type(value) is not bool:
+            raise ValueError(f"{name} must be true or false")
+    elif kind is float and type(value) not in _REAL_TYPES and not _is_real_type(type(value)):
+        raise ValueError(f"{name} must be a number")
+    # type() rather than isinstance() keeps out bool, an int subclass
+    elif kind is int and type(value) is not int:
+        raise ValueError(f"{name} must be an integer")
+    elif rng is not None or kind is float:  # a float without a Range need only be finite
+        edge = _FLOAT_MAX if kind is float else math.inf
+        rng = rng or Range()
+        lo = next((b for b in (rng.at_least, rng.above) if b is not None), -edge)
+        hi = next((b for b in (rng.at_most, rng.below) if b is not None), edge)
+        if not lo <= value <= hi or value in (rng.above, rng.below):
+            if kind is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                raise ValueError(f"{name} must be finite")
+            words = (f"{word.replace('_', ' ')} {getattr(rng, word)}"
+                     for word in ("at_least", "above", "at_most", "below") if getattr(rng, word) is not None)
+            raise ValueError(f"{name} must be {' and '.join(words)}")
+
+
+def _key_fault(cls, obj) -> None:
+    """Raise the ValueError for obj, which is no JSON object, or has a key that the dataclass cls has no
+    field for, or lacks a field cls requires: the first such key in obj, the first such field in cls."""
+    if type(obj) is not dict:
+        raise ValueError(f"{cls.__name__} must be a JSON object")
+    names = [f.name for f in fields(cls)]
+    if unknown := [name for name in obj if name not in names]:
+        raise ValueError(f"unknown field {unknown[0]!r}")
+    required = (f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+    raise ValueError(f"missing required field '{next(name for name in required if name not in obj)}'")
+
+
+def _kind(hint):
+    """(kind, optional) of a field annotated hint: kind is X for Optional[X], without its Annotated[] metadata."""
+    kind, optional = _optional(hint)
+    return get_args(kind)[0] if get_origin(kind) is Annotated else kind, optional
+
+
+def _decoder(cls, hints: dict, ns: dict) -> List[str]:
+    """Source of decode(obj): the key checks, each conversion in declaration order, then
+    cls.__post_init__ on an instance built without __init__."""
+    fs = fields(cls)
+    required = [f.name for f in fs if f.default is MISSING and f.default_factory is MISSING]
+    ns.update(_cls=cls, _new=object.__new__, _setattr=object.__setattr__, _key_fault=_key_fault,
+              _names=frozenset(f.name for f in fs), _required=frozenset(required))
+    keys = "not obj.keys() <= _names" + (" or not obj.keys() >= _required" if required else "")
+    lines = [f"if type(obj) is not dict or {keys}: _key_fault(_cls, obj)"]
+    if len(required) > 1:
+        ns["_take"] = itemgetter(*required)
+        lines.append(f"{', '.join(f'v_{name}' for name in required)} = _take(obj)")
+    elif required:  # an itemgetter of one name gives the value itself
+        lines.append(f"v_{required[0]} = obj[{required[0]!r}]")
+    fill = []
+    for f in fs:
+        var = f"v_{f.name}"
+        convert = _convert(hints[f.name], f.name, var, ns)
+        if f.name in required:
+            lines += convert
+        elif convert or f.default_factory is not MISSING:  # a default is not converted; a factory is called
+            ns[f"_default_{f.name}"] = f.default if f.default_factory is MISSING else f.default_factory
+            default = f"_default_{f.name}" + ("" if f.default_factory is MISSING else "()")
+            lines += [f"if {f.name!r} in obj:", f"    {var} = obj[{f.name!r}]", *_indent(convert),
+                      f"else: {var} = {default}"]
+        else:
+            ns[f"_default_{f.name}"] = f.default
+            lines.append(f"{var} = obj.get({f.name!r}{'' if f.default is None else f', _default_{f.name}'})")
+        if isinstance(slot := vars(cls).get(f.name), MemberDescriptorType):
+            # a slot's own setter skips the frozen class's __setattr__ and object's lookup by name
+            ns[f"_set_{f.name}"] = slot.__set__
+            fill.append(f"_set_{f.name}(self, {var})")
+        else:
+            fill.append(f"_setattr(self, {f.name!r}, {var})")
+    post_init = ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
+    return ["def decode(obj):", *_indent([*lines, "self = _new(_cls)", *fill, *post_init, "return self"])]
+
+
+def _checker(cls, hints: dict, ns: dict) -> List[str]:
+    """Source of check(obj): each _CHECKED field in declaration order, through _check_field unless
+    its value passes the fast test."""
+    ns["_check"] = _check_field
+    lines = []
+    for f in fields(cls):
+        kind, optional = _kind(hints[f.name])
+        if kind in _CHECKED:
+            rng = ns[f"_range_{f.name}"] = _range(hints[f.name])
+            lines += [f"v = obj.{f.name}",
+                      f"if not ({'v is None or ' if optional else ''}{_passes(kind, rng)}):",
+                      f"    _check({f.name!r}, {kind.__name__}, {rng and f'_range_{f.name}'}, v)"]
+    return ["def check(obj):", *_indent(lines or ["pass"])]
+
+
+def _encoder(cls, hints: dict, ns: dict) -> List[str]:
+    """Source of encode(obj): a _CHECKED value as it is, any other through to_json, and a field that
+    is None by default left out while None. Keys in declaration order."""
+    ns["_to_json"] = to_json
+    display, lines = [], []
+    for f in fields(cls):
+        value = "{}" if _kind(hints[f.name])[0] in _CHECKED else "_to_json({})"
+        if f.default is None:
+            lines.append(f"if (v := obj.{f.name}) is not None: d[{f.name!r}] = {value.format('v')}")
+        elif lines:
+            lines.append(f"d[{f.name!r}] = {value.format(f'obj.{f.name}')}")
+        else:
+            display.append(f"{f.name!r}: {value.format(f'obj.{f.name}')}")
+    return ["def encode(obj):", *_indent([f"d = {{{', '.join(display)}}}", *lines, "return d"])]
 
 
 @lru_cache(maxsize=None)
-def _plan(cls) -> Optional[_Plan]:
-    """What to_json, from_json and check_field_types know of a dataclass type (None for any other),
-    from annotations resolved once. names maps each name, in declaration order, to whether its
-    default is None; required maps the names without a default to None. kinds holds (name, kind,
-    optional, _bounds) per _CHECKED field, converts (name, convert) per other."""
+def _plan(cls) -> Optional[_Codec]:
+    """The codec of a dataclass type (None for any other): decode, check and encode, compiled from its
+    annotations the first time it is asked for, as dataclasses compiles __init__. decode is from_json
+    for cls, check is check_field_types and encode is to_json."""
     if not is_dataclass(cls):
         return None
-    fs, hints, extras = fields(cls), get_type_hints(cls), get_type_hints(cls, include_extras=True)
-    return _Plan(names={f.name: f.default is None for f in fs},
-                 required={f.name: None for f in fs if f.default is MISSING and f.default_factory is MISSING},
-                 kinds=tuple((f.name, kind, optional, _bounds(f.name, kind, _range(extras[f.name])))
-                             for f in fs for kind, optional in [_optional(hints[f.name])] if kind in _CHECKED),
-                 converts=tuple((f.name, c) for f in fs if (c := _converter(hints[f.name], f.name))))
+    hints, ns = get_type_hints(cls, include_extras=True), {}
+    for build in (_decoder, _checker, _encoder):  # one at a time: the compiler's memory grows with the source
+        exec(compile("\n".join(build(cls, hints, ns)), f"<{cls.__qualname__} codec>", "exec"), ns)
+    return _Codec(ns["decode"], ns["check"], ns["encode"])
 
 
 def to_json(obj):
@@ -191,8 +320,7 @@ def to_json(obj):
     their value, tuples arrays, and dict keys strings, so that sort_keys
     orders them as text; a dataclass field that is None by default is left
     out while None, and from_json restores it. Plain scalars pass through
-    without a call each; enums are tested before dataclasses because the
-    analyze loop encodes mostly enums and scalars.
+    without a call each.
     """
     if isinstance(obj, Enum):
         return obj.value
@@ -202,29 +330,14 @@ def to_json(obj):
         return values if names is None else dict(zip(names, values))
     if isinstance(obj, dict):
         return {str(k): v if type(v) in _PLAIN else to_json(v) for k, v in obj.items()}
-    plan = _plan(type(obj))
-    if plan is not None:
-        return {name: v if type(v) in _PLAIN else to_json(v)
-                for name, none_default in plan.names.items() for v in (getattr(obj, name),)
-                if v is not None or not none_default}
-    return obj
+    codec = _plan(type(obj))
+    return obj if codec is None else codec.encode(obj)
 
 
 def from_json(cls, obj):
     """to_json's inverse: the dataclass cls from obj, a parsed JSON object. Enum, dataclass, Tuple and
     Optional fields convert by annotation; a fault in obj or in cls.__post_init__ raises ValueError."""
-    if type(obj) is not dict:
-        raise ValueError(f"{cls.__name__} must be a JSON object")
-    names, required, _, converts = _plan(cls)
-    if not obj.keys() <= names.keys():
-        raise ValueError(f"unknown field {next(n for n in obj if n not in names)!r}")
-    if not required.keys() <= obj.keys():
-        raise ValueError(f"missing required field '{next(n for n in required if n not in obj)}'")
-    obj = dict(obj)
-    for name, convert in converts:
-        if name in obj:
-            obj[name] = convert(obj[name])
-    return cls(**obj)
+    return _plan(cls).decode(obj)
 
 
 # Bounds on finite numbers, ints included: an int beyond them has no float
@@ -241,38 +354,10 @@ _REAL_TYPES = frozenset({int, float})
 
 
 def check_field_types(obj) -> None:
-    """Raise ValueError for a field of the dataclass obj whose value does
-    not match its int, float, bool or str annotation, or Optional[] of
-    one of them, or lies outside the field's Range. Floats must be finite
-    and text must be encodable as UTF-8."""
-    for name, kind, optional, bounds in _plan(type(obj)).kinds:
-        value = getattr(obj, name)
-        if value is None and optional:
-            continue
-        if kind is str:
-            if not isinstance(value, str):
-                raise ValueError(f"{name} must be a string")
-            if not value.isascii():
-                try:
-                    value.encode("utf-8")
-                except UnicodeEncodeError:  # a lone surrogate, which no UTF-8 file can hold
-                    raise ValueError(f"{name} must be UTF-8 text") from None
-        elif kind is float:
-            if type(value) not in _REAL_TYPES and not _is_real_type(type(value)):
-                raise ValueError(f"{name} must be a number")
-            lo, hi, open_ends, text = bounds
-            if not lo <= value <= hi or value in open_ends:
-                raise ValueError(text if -_FLOAT_MAX <= value <= _FLOAT_MAX else f"{name} must be finite")
-        elif kind is bool:
-            if type(value) is not bool:
-                raise ValueError(f"{name} must be true or false")
-        # type() rather than isinstance() keeps out bool, an int subclass
-        elif type(value) is not int:
-            raise ValueError(f"{name} must be an integer")
-        elif bounds is not None:
-            lo, hi, open_ends, text = bounds
-            if not lo <= value <= hi or value in open_ends:
-                raise ValueError(text)
+    """Raise ValueError for the first field of the dataclass obj, in declaration order, whose value does
+    not match its int, float, bool or str annotation, or Optional[] of one of them, or lies outside the
+    field's Range, as _check_field tells it."""
+    _plan(type(obj)).check(obj)
 
 
 def mean(values) -> Optional[float]:
@@ -319,9 +404,12 @@ class SampleSeries:
 
 
 @lru_cache(maxsize=None)
-def _interned_fields(cls) -> Tuple[str, ...]:
-    """The text fields of cls but the unique record_id: interned, so that repeats share one string."""
-    return tuple(name for name, kind, _, _ in _plan(cls).kinds if kind is str and name != "record_id")
+def _interned_fields(cls) -> Tuple[Tuple[str, Callable], ...]:
+    """(name, setter) of each text field of the slotted class cls but the unique record_id: interned, so
+    that repeats share one string. A slot's own setter skips the frozen class's __setattr__."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, vars(cls)[f.name].__set__) for f in fields(cls)
+                 if _optional(hints[f.name])[0] is str and f.name != "record_id")
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,9 +441,9 @@ class MeasurementRecord:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in _interned_fields(MeasurementRecord):
+        for name, set_slot in _interned_fields(MeasurementRecord):
             if type(value := getattr(self, name)) is str:  # not None, nor a str subclass, which intern refuses
-                object.__setattr__(self, name, sys.intern(value))
+                set_slot(self, sys.intern(value))
         if self.samples is not None:
             m = mean(self.samples.values)
             if m == 0:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from mobitrace.attribution import AnalyzedRow
 from mobitrace.cli import main
 from mobitrace.congestion import classify
 from mobitrace.ingest import write_records
-from mobitrace.model import AnalysisConfig, SampleSeries, from_json, to_json
+from mobitrace.model import AnalysisConfig, MeasurementRecord, SampleSeries, from_json, to_json
 
 
 def sha(path):
@@ -201,11 +202,14 @@ def test_each_stage_imports_only_what_it_runs(tmp_path, command, modules):
     script = (f"import sys; sys.path.insert(0, {SRC!r}); from mobitrace.cli import main\n"
               f"try:\n    code = main({argv!r})\n"
               "except SystemExit as exc:  # how argparse ends --version\n    code = exc.code\n"
-              "print(code, *sorted(m for m in sys.modules if m.startswith('mobitrace.')))\n")
+              "print(code, *sorted(m for m in sys.modules if m.startswith('mobitrace.')))\n"
+              "from mobitrace.model import _plan; print(_plan.cache_info().currsize)\n")
     out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
-    code, *loaded = out.stdout.splitlines()[-1].split()
+    code, *loaded = out.stdout.splitlines()[-2].split()
     assert code == "0"
     assert loaded == sorted(f"mobitrace.{m}" for m in ("cli", "ingest", "model", *modules))
+    # a codec is compiled when its class is first used, never at import
+    assert command != "--version" or out.stdout.splitlines()[-1] == "0"
 
 
 # The names perfbench/tracer.py wraps on mobitrace.cli, and those whose calls are counted below.
@@ -237,6 +241,22 @@ def test_wrappers_set_on_cli_see_every_call(tmp_path):
     assert callable_ == "True" and codes == ["0", "0", "0"]
     # 48 records in one session: each is classified and attributed
     assert [int(c) for c in counts.split()] == [1, 48, 48, 1, 1, 1]
+
+
+def test_wrappers_set_on_post_init_see_every_decode(tmp_path, monkeypatch):
+    # perfbench/tracer.py times validation by such a wrapper on these two classes
+    _, synth_out = run_synth(tmp_path, "s", "--records-per-hour", "2")
+    calls = Counter()
+    for cls in (MeasurementRecord, SampleSeries):
+        def counting(self, post_init=cls.__post_init__, name=cls.__name__):
+            calls[name] += 1
+            return post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    assert main(["analyze", "--in", str(synth_out / "trace.jsonl"), "--out", str(tmp_path / "an")]) == 0
+    assert calls == {"MeasurementRecord": 48, "SampleSeries": 48}
+    calls.clear()
+    assert main(["report", "--in", str(tmp_path / "an"), "--out", str(tmp_path / "rep")]) == 0
+    assert calls == {"MeasurementRecord": 48, "SampleSeries": 48}
 
 
 class TestReportCommand:
@@ -320,6 +340,16 @@ class TestReportCommand:
         inputs = json.loads((tmp_path / "rep" / "manifest.json").read_text())["inputs"]
         assert inputs == {str(an / name): hashlib.sha256((an / name).read_bytes()).hexdigest()
                           for name in ("analyzed.jsonl", "handovers.jsonl")}
+
+    def test_carriage_return_inside_a_row_is_whitespace(self, tmp_path):
+        an = self.analyzed_dir(tmp_path)
+        assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep")]) == 0
+        rows = (an / "analyzed.jsonl").read_text().splitlines()
+        (an / "analyzed.jsonl").write_text("".join(row.replace(", ", ",\r", 1) + "\n" for row in rows))
+        assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep2")]) == 0
+        for path in (tmp_path / "rep").iterdir():
+            if path.name != "manifest.json":
+                assert (tmp_path / "rep2" / path.name).read_bytes() == path.read_bytes()
 
     def test_rows_share_repeated_text(self, tmp_path):
         # report holds every record it reads, so repeated text must not be held once per row

@@ -53,6 +53,15 @@ class TestReadRecords:
         assert len(records) == 100
         assert report.accepted + report.rejected == 103
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    def test_carriage_return_inside_a_line_is_whitespace(self, tmp_path, ending):
+        # JSON allows a bare CR between tokens; only a newline ends a line
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(ending.join([valid_line().replace(", ", ",\r", 1), valid_line(), "{broken", ""]).encode())
+        records, report = read_records(path)
+        assert (report.accepted, report.rejected) == (2, 1)
+        assert report.warnings == [(3, "invalid JSON")]
+
     def test_unknown_field_warns(self, tmp_path):
         path = tmp_path / "r.jsonl"
         obj = json.loads(valid_line())

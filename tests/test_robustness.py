@@ -9,6 +9,7 @@ report, in-process.
 """
 
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -16,18 +17,21 @@ import shutil
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import codec_oracle
 from conftest import make_record, make_series
-from mobitrace.attribution import Factor, LimitingFactorVerdict
+from mobitrace.attribution import AnalyzedRow, AssessmentSummary, Factor, LimitingFactorVerdict
 from mobitrace.cli import main
 from mobitrace.congestion import Pool
 from mobitrace.coverage import HandoverEvent
 from mobitrace.model import (MAX_THROUGHPUT_KBPS, SIGNAL_DBM_LIMIT, TIMESTAMP_END_MS, AnalysisConfig,
-                             MeasurementRecord, RadioTechnology, SampleSeries, from_json, mean, to_json)
+                             MeasurementRecord, RadioTechnology, Range, SampleSeries, check_field_types,
+                             from_json, mean, to_json)
 from mobitrace.synth import Scenario, ScenarioConfig
 
 
@@ -56,9 +60,10 @@ FIELDS = tuple(f.name for f in fields(MeasurementRecord)) + ("samples.interval_m
 _surrogates = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
 _text = st.text(st.characters() | _surrogates, max_size=4)
 _scalars = st.none() | st.booleans() | st.integers() | st.floats() | _text
+_EXTREMES = [10**400, -10**400, 2**63, 1e308, -1e308, 1.7976931348623157e308, 1e200, -1e200, 5e-324,
+             float("nan"), float("inf"), "\ud800", "", "LTE"]
 # extremes, drawn as often as arbitrary JSON
-_edges = st.sampled_from([10**400, -10**400, 2**63, 1e308, -1e308, 1.7976931348623157e308, 1e200,
-                          -1e200, 5e-324, float("nan"), float("inf"), "\ud800", "", "LTE"])
+_edges = st.sampled_from(_EXTREMES)
 _values = _edges | st.recursive(
     _scalars,
     lambda children: st.lists(children, max_size=3) | st.dictionaries(_text, children, max_size=3),
@@ -204,29 +209,47 @@ def test_any_catalog_cell_exits_cleanly(analyzed, column, data):
 
 VERDICT_FIELDS = ("record_id", "factor", "artificial", "binding_upper_bound_kbps", "congestion_pool")
 ASSESSMENT_FIELDS = ("upper_bound_kbps", "upper_bound_window", "overall_mape_pct", "pool", "spikes_replaced")
+# (file, the object within the row as a dotted path or None for the row, field)
 ROW_FIELDS = ([("analyzed.jsonl", "verdict", f) for f in VERDICT_FIELDS]
               + [("analyzed.jsonl", "assessment", f) for f in ASSESSMENT_FIELDS]
               + [("analyzed.jsonl", None, part) for part in ("verdict", "assessment")]
               + [("handovers.jsonl", None, f.name) for f in fields(HandoverEvent)])
+# the record and its samples within a row, drawn fewer times: analyze's fuzz above reaches them too
+RECORD_FIELDS = ([("analyzed.jsonl", "record", f.name) for f in fields(MeasurementRecord)]
+                 + [("analyzed.jsonl", "record.samples", f) for f in ("interval_ms", "values")])
+
+
+def _at(row, part):
+    for key in part.split(".") if part else ():
+        row = row.get(key) if isinstance(row, dict) else None
+    return row
+
+
+def _report_with_a_row_value(analyzed, name, part, field, data):
+    """Set field of the object part in one row of name to any JSON value, and run report."""
+    rows = [json.loads(line) for line in (analyzed / name).read_text().splitlines()]
+    candidates = [i for i, row in enumerate(rows) if isinstance(_at(row, part), dict)]
+    i = data.draw(st.sampled_from(candidates), label="row")
+    _at(rows[i], part)[field] = data.draw(_values, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        shutil.copytree(analyzed, root / "an")
+        (root / "an" / name).write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        _exits_cleanly(["report", "--in", str(root / "an"), "--out", str(root / "rep")], root / "rep")
 
 
 @pytest.mark.parametrize("name, part, field", ROW_FIELDS)
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
 def test_any_row_value_exits_cleanly(analyzed, name, part, field, data):
-    rows = [json.loads(line) for line in (analyzed / name).read_text().splitlines()]
-    candidates = [i for i, row in enumerate(rows) if part is None or row[part] is not None]
-    i = data.draw(st.sampled_from(candidates), label="row")
-    value = data.draw(_values, label="value")
-    if part is None:
-        rows[i][field] = value
-    else:
-        rows[i][part][field] = value
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        shutil.copytree(analyzed, root / "an")
-        (root / "an" / name).write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-        _exits_cleanly(["report", "--in", str(root / "an"), "--out", str(root / "rep")], root / "rep")
+    _report_with_a_row_value(analyzed, name, part, field, data)
+
+
+@pytest.mark.parametrize("name, part, field", RECORD_FIELDS)
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_any_record_value_in_a_row_exits_cleanly(analyzed, name, part, field, data):
+    _report_with_a_row_value(analyzed, name, part, field, data)
 
 
 @pytest.mark.parametrize("name", ["analyzed.jsonl", "handovers.jsonl"])
@@ -276,15 +299,21 @@ def _records(draw):
     )
 
 
+_verdicts = st.builds(LimitingFactorVerdict, record_id=_plain_text, factor=st.sampled_from(Factor),
+                      artificial=st.booleans(), binding_upper_bound_kbps=st.none() | _kbps,
+                      congestion_pool=st.none() | st.sampled_from(Pool))
+_summaries = st.builds(AssessmentSummary, upper_bound_kbps=_kbps, upper_bound_window=st.integers(),
+                       overall_mape_pct=st.floats(0, 1e3), pool=st.sampled_from(Pool), spikes_replaced=st.integers(0))
 _EXAMPLES = {
     MeasurementRecord: _records(),
+    SampleSeries: st.builds(SampleSeries, st.integers(1, 10**6), st.lists(_kbps, min_size=2, max_size=6).map(tuple)),
+    AnalyzedRow: st.builds(AnalyzedRow, _records(), _verdicts, st.none() | _summaries),
+    AssessmentSummary: _summaries,
     HandoverEvent: st.builds(HandoverEvent, user_id=_plain_text, at_ms=st.integers(), from_cell=_plain_text,
                              to_cell=_plain_text, from_tech=st.sampled_from(RadioTechnology),
                              to_tech=st.sampled_from(RadioTechnology), from_kbps=_kbps, to_kbps=_kbps,
                              downgrade=st.booleans(), gap_ms=st.integers(0, 10**9), from_dbm=_dbm, to_dbm=_dbm),
-    LimitingFactorVerdict: st.builds(LimitingFactorVerdict, factor=st.sampled_from(Factor),
-                                     artificial=st.booleans(), binding_upper_bound_kbps=st.none() | _kbps,
-                                     congestion_pool=st.none() | st.sampled_from(Pool)),
+    LimitingFactorVerdict: _verdicts,
     AnalysisConfig: st.builds(AnalysisConfig, window_size=st.integers(2, 100), spike_factor=st.floats(1.5, 10),
                               handover_max_gap_ms=st.integers(0, 10**9), histogram_bin_kbps=st.floats(100, 1e6),
                               utc_offset_minutes=st.integers(-720, 840)),
@@ -303,3 +332,101 @@ _EXAMPLES = {
 def test_from_json_inverts_to_json(cls, data):
     value = data.draw(_EXAMPLES[cls], label="value")
     assert from_json(cls, json.loads(json.dumps(to_json(value)))) == value
+    # the compiled encoder gives the generic one's object, keys in the same order
+    assert json.dumps(to_json(value)) == json.dumps(codec_oracle.to_json(value))
+
+
+# ---------------------------------------------------------------------------
+# The compiled codec against the generic one (tests/codec_oracle.py): the same value or the same first
+# fault, for a valid value's JSON with one or two keys, nested ones too, set to any JSON value, deleted,
+# or added.
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, TypeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _paths(obj, prefix=()):
+    """The path of each key of obj, a JSON object, and of the objects it holds."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _faulty_json(draw, cls):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_values, label="document")
+    obj = json.loads(json.dumps(codec_oracle.to_json(draw(_EXAMPLES[cls], label="value"))))
+    for _ in range(draw(st.integers(1, 2), label="faults")):
+        *parents, key = draw(st.sampled_from(list(_paths(obj)) or [("",)]), label="path")
+        target = obj
+        for part in parents:
+            target = target[part]
+        how = draw(st.sampled_from(["set", "set", "set", "delete", "add"]), label="how")
+        if how == "delete":
+            target.pop(key, None)
+        else:
+            target[key if how == "set" else draw(_text, label="key")] = draw(_values, label="json")
+    return obj
+
+
+@pytest.mark.parametrize("cls", list(_EXAMPLES), ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_compiled_decode_agrees_with_generic(cls, data):
+    obj = data.draw(_faulty_json(cls))
+    compiled = _outcome(from_json, cls, obj)
+    assert compiled == _outcome(codec_oracle.from_json, cls, obj)
+    if not isinstance(compiled, str):
+        assert json.dumps(to_json(compiled)) == json.dumps(codec_oracle.to_json(compiled))
+
+
+class _Text(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+def _bound_edges(cls, name):
+    """Each bound in the Range of the field name of cls, as it is, as a float, and either side of it."""
+    hint = get_type_hints(cls, include_extras=True)[name]
+    bounds = {b for tp in (hint, *get_args(hint)) for m in getattr(tp, "__metadata__", ()) if isinstance(m, Range)
+              for b in m if b is not None}
+    return sorted({v for b in bounds for v in (b, float(b), b - 1, b + 1, b - 0.5, b + 0.5)})
+
+
+# beyond JSON: a bool where an int goes, and str and int subclasses, which the checks take as they are
+_PYTHON_ONLY = [True, _Text("a"), _Text("\ud800"), _Count(5), _Count(-5)]
+
+
+@pytest.mark.parametrize("cls", list(_EXAMPLES), ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_compiled_check_agrees_with_generic_at_each_edge(cls, data):
+    """Each field in turn set to each of its edges and a few values of every type."""
+    value = data.draw(_EXAMPLES[cls], label="value")
+    for f in fields(cls):
+        for edge in _bound_edges(cls, f.name) + _PYTHON_ONLY + _EXTREMES + [None, 0, "a", [], {}]:
+            changed = copy.copy(value)
+            object.__setattr__(changed, f.name, edge)
+            assert _outcome(check_field_types, changed) == _outcome(codec_oracle.check_field_types, changed), (f, edge)
+
+
+@pytest.mark.parametrize("cls", list(_EXAMPLES), ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_compiled_check_agrees_with_generic(cls, data):
+    """One or two fields set, past __post_init__, to any JSON value, a bound's edge or a Python-only value."""
+    value = data.draw(_EXAMPLES[cls], label="value")
+    names = st.sampled_from([f.name for f in fields(cls)])
+    for name in data.draw(st.lists(names, min_size=1, max_size=2), label="fields"):
+        edges = st.sampled_from(_bound_edges(cls, name) + _PYTHON_ONLY)
+        object.__setattr__(value, name, data.draw(edges | _values, label=name))
+    assert _outcome(check_field_types, value) == _outcome(codec_oracle.check_field_types, value)
