@@ -21,7 +21,8 @@ from . import __version__
 # record_from_obj is not called here; it stays bound because perfbench/tracer.py wraps it on this module.
 from .ingest import (build_sessions, read_catalog, read_json_lines, read_records, record_from_obj, replacing,
                      write_json, write_records)
-from .model import AnalysisConfig, CapabilityCatalog, Scenario, TechnologyGroup, from_json, to_json
+from .model import (AnalysisConfig, CapabilityCatalog, MeasurementRecord, Scenario, TechnologyGroup, from_json,
+                    to_json)
 
 # The names this module takes from each module that only some stages run. A stage binds them with
 # _bind when it starts, so each stage imports only what it runs.
@@ -280,9 +281,12 @@ def cmd_report(args) -> None:
     _bind("attribution", "coverage", "reports")
     cfg = _load_config(args, AnalysisConfig)
     in_dir = Path(args.indir)
-    analyzed = [(row.record, None if row.assessment is None else row.assessment.pool)
-                for row in _read_rows(in_dir / "analyzed.jsonl", lambda obj: from_json(AnalyzedRow, obj))
-                if args.include_artificial or not row.verdict.artificial]
+    drop_samples = MeasurementRecord.samples.__set__  # a slot's own setter skips the frozen __setattr__
+    analyzed = []
+    for row in _read_rows(in_dir / "analyzed.jsonl", lambda obj: from_json(AnalyzedRow, obj)):
+        drop_samples(row.record, None)  # checked with the row, and no report reads them
+        if args.include_artificial or not row.verdict.artificial:
+            analyzed.append((row.record, None if row.assessment is None else row.assessment.pool))
     records = [record for record, _ in analyzed]
     events = list(_read_rows(in_dir / "handovers.jsonl", lambda obj: from_json(HandoverEvent, obj)))
 

@@ -61,10 +61,12 @@ def read_json_lines(path, parse):
     "missing field 'x'" for a KeyError, or the text of the ValueError or TypeError that parse raised.
     Bytes that are not UTF-8 are read as lone surrogates, which JSON or a record's text check
     rejects. Only a newline ends a line: a bare carriage return is JSON whitespace, and the one of a
-    CRLF ending is stripped with the rest. Raises OSError if the file is unreadable."""
+    CRLF ending is stripped with the rest. Only JSON's whitespace (space, tab, CR, LF) is stripped, so
+    a line wrapped in another control or separator character does not parse. Raises OSError if the
+    file is unreadable."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = line.strip(" \t\r\n")
             if not line:
                 continue
             try:

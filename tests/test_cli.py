@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -259,6 +261,11 @@ def test_wrappers_set_on_post_init_see_every_decode(tmp_path, monkeypatch):
     assert calls == {"MeasurementRecord": 48, "SampleSeries": 48}
 
 
+# Bytes a row that report holds may grow by when its record has 400 samples instead of 20. report
+# checks the samples and then drops them; holding them took about 12 KB a row under Python 3.11.
+SAMPLE_BYTES_PER_ROW_MAX = 100
+
+
 class TestReportCommand:
     def analyzed_dir(self, tmp_path):
         _, synth_out = run_synth(tmp_path)
@@ -332,7 +339,58 @@ class TestReportCommand:
             (changed("record", zzz=1), "unknown field 'zzz'"),
             (changed("assessment", upper_bound_kbps="s"), "upper_bound_kbps must be a number"),
             (changed("verdict", record_id=5), "record_id must be a string"),
+            # checked before report drops the samples
+            (changed("record", download_kbps=2 * good["record"]["download_kbps"]),
+             "headline throughput inconsistent with samples"),
+            (changed("record", samples={"interval_ms": 500, "values": [1.0, 10_000_001.0]}),
+             "sample values must be at most 10000000 kbps"),
         ])
+
+    def test_reports_get_records_without_samples(self, tmp_path, monkeypatch):
+        an = self.analyzed_dir(tmp_path)
+        rows = [json.loads(line) for line in (an / "analyzed.jsonl").read_text().splitlines()]
+        assert all(row["record"]["samples"]["values"] for row in rows)
+        seen = []
+        histogram = cli.throughput_histogram
+
+        def wrapper(records, cfg):
+            seen.extend(record.samples for record in records)
+            return histogram(records, cfg)
+        monkeypatch.setattr(cli, "throughput_histogram", wrapper)
+        assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep"), "--report", "histogram"]) == 0
+        assert seen == [None] * len(rows)
+
+    def test_held_memory_does_not_grow_with_samples(self, tmp_path, monkeypatch):
+        short = self.analyzed_dir(tmp_path)
+        long = tmp_path / "ln"
+        long.mkdir()
+        (long / "handovers.jsonl").write_bytes((short / "handovers.jsonl").read_bytes())
+        rows = [json.loads(line) for line in (short / "analyzed.jsonl").read_text().splitlines()]
+        for row in rows:
+            assert len(row["record"]["samples"]["values"]) == 20
+            row["record"]["samples"]["values"] *= 20  # 400 samples with the same mean
+        (long / "analyzed.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+        held = []
+        histogram = cli.throughput_histogram
+
+        def wrapper(records, cfg):  # the first report called
+            held.append(tracemalloc.get_traced_memory()[0])
+            return histogram(records, cfg)
+        monkeypatch.setattr(cli, "throughput_histogram", wrapper)
+
+        def report_holds(an):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep")]) == 0
+            finally:
+                tracemalloc.stop()
+            return held.pop()
+
+        report_holds(short)  # fills the caches a first report fills
+        grown = report_holds(long) - report_holds(short)
+        assert grown / len(rows) < SAMPLE_BYTES_PER_ROW_MAX
 
     def test_manifest_hashes_both_inputs(self, tmp_path):
         an = self.analyzed_dir(tmp_path)

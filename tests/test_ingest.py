@@ -55,12 +55,23 @@ class TestReadRecords:
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n"])
     def test_carriage_return_inside_a_line_is_whitespace(self, tmp_path, ending):
-        # JSON allows a bare CR between tokens; only a newline ends a line
+        # JSON allows a bare CR between tokens; only a newline ends a line, and JSON's whitespace
+        # around a line is stripped
         path = tmp_path / "r.jsonl"
-        path.write_bytes(ending.join([valid_line().replace(", ", ",\r", 1), valid_line(), "{broken", ""]).encode())
+        first = " \t" + valid_line().replace(", ", ",\r", 1) + "\t "
+        path.write_bytes(ending.join([first, " \t", valid_line(), "{broken", ""]).encode())
         records, report = read_records(path)
         assert (report.accepted, report.rejected) == (2, 1)
-        assert report.warnings == [(3, "invalid JSON")]
+        assert report.warnings == [(4, "invalid JSON")]
+
+    @pytest.mark.parametrize("char", ["\x1c", "\x1f", "\x85", "\u2028", "\x0b", "\x0c", "\xa0"])
+    def test_other_whitespace_around_a_line_rejected(self, tmp_path, char):
+        # str.strip() would remove these, but JSON does not count them as whitespace
+        path = tmp_path / "r.jsonl"
+        path.write_bytes("\n".join([char + valid_line() + char, char, valid_line(), ""]).encode())
+        records, report = read_records(path)
+        assert (report.accepted, report.rejected) == (1, 2)
+        assert report.warnings == [(1, "invalid JSON"), (2, "invalid JSON")]
 
     def test_unknown_field_warns(self, tmp_path):
         path = tmp_path / "r.jsonl"
