@@ -131,6 +131,7 @@ def cmd_synth(args) -> None:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_records(records, out_dir / "trace.jsonl")
+    del records  # freed before the ground truth is encoded, so that the two do not peak together
     _write_json(to_json(truth), out_dir / "ground_truth.json")
     _write_manifest(out_dir, "synth", to_json(cfg), [], ["trace.jsonl", "ground_truth.json"], started)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import lru_cache
+from operator import ne, truediv
 from typing import List, NamedTuple, Optional, Tuple
 
 # Pool is defined in model and re-exported here, so `from mobitrace.congestion import Pool` still works.
@@ -23,6 +25,7 @@ from .model import AnalysisConfig, Pool, SampleSeries
 # spikes in long series.
 _REPLACEMENTS_PER_SAMPLE = 4
 _MIN_REPLACEMENTS = 1000
+_BLOCK_CELLS = 1 << 16
 
 
 class WindowStats(NamedTuple):
@@ -42,62 +45,56 @@ class CongestionAssessment(NamedTuple):
     spikes_replaced: int
 
 
-def _neighborhood_mean(values, i: int, half_width: int) -> Optional[float]:
-    """Mean of the up-to-2*half_width neighbors of i (truncated at edges),
-    excluding i itself."""
-    lo = max(0, i - half_width)
-    hi = min(len(values), i + half_width + 1)
-    neighbors = [values[j] for j in range(lo, hi) if j != i]
-    if not neighbors:
-        return None
-    return math.fsum(neighbors) / len(neighbors)
+@lru_cache(maxsize=64)
+def _neighbor_counts(n: int, h: int) -> Tuple[int, ...]:
+    """How many neighbors each of n samples has within half width h."""
+    return tuple(min(i, h) + min(n - 1 - i, h) for i in range(n))
 
 
-def _spike_ratio(values, i: int, half_width: int) -> Optional[float]:
-    """How far sample i lies from its neighborhood mean m, as a factor >= 1
-    (inf for a zero sample), or None when m is missing or not positive."""
-    m = _neighborhood_mean(values, i, half_width)
-    if m is None or m <= 0:
-        return None
-    v = values[i]
-    return v / m if v > m else (math.inf if v == 0 else m / v)
+def _neighborhood_means(padded, h: int, lo: int, hi: int) -> List[float]:
+    """The means of the up-to-2*h neighbors (the sample itself excluded) of samples lo..hi-1 of a series
+    padded with h zeros at each end. fsum is correctly rounded, so neither the zeros nor the order of the
+    neighbors changes a mean. Blocks of at most _BLOCK_CELLS neighbors bound the shifted copies held."""
+    counts = _neighbor_counts(len(padded) - 2 * h, h)
+    step = max(1, _BLOCK_CELLS // h)
+    means = []
+    for start in range(lo, hi, step):
+        stop = min(hi, start + step)
+        shifted = [padded[start + s : stop + s] for s in range(2 * h + 1) if s != h]
+        means += map(truediv, map(math.fsum, zip(*shifted)), counts[start:stop])
+    return means
+
+
+def _spike_ratios(values, means) -> List[float]:
+    """How far each sample v lies from its neighborhood mean m: a factor >= 1 (inf for v = 0), 0.0 if m <= 0."""
+    return [(v / m if v > m else (math.inf if v == 0 else m / v)) if m > 0 else 0.0 for v, m in zip(values, means)]
 
 
 def _despike(original, cfg: AnalysisConfig) -> Tuple[List[float], int]:
-    """The spike filter on a sequence of at least 2 floats: returns the
-    filtered values and the count of samples replaced."""
-    values = list(original)
-    n = len(values)
-    h = cfg.smoothing_half_width
+    """The spike filter on at least 2 floats: returns the filtered values and the count of samples replaced."""
+    n = len(original)
+    h = min(cfg.smoothing_half_width, n - 1)  # a wider neighborhood holds no more samples
     factor = cfg.spike_factor
-    fsum = math.fsum
-    # First pass: every sample's ratio inline, as _spike_ratio computes it;
-    # fsum is correctly rounded, so the neighbor order does not matter.
-    ratios = [None] * n
-    heap = []
-    for i, v in enumerate(values):
-        neighbors = values[i - h if i > h else 0 : i] + values[i + 1 : i + h + 1]
-        m = fsum(neighbors) / len(neighbors)
-        if m > 0:
-            r = ratios[i] = v / m if v > m else (math.inf if v == 0 else m / v)
-            if r > factor:
-                heap.append((-r, i))
-    if not heap:
-        return values, 0
+    padded = [0.0] * h + list(original) + [0.0] * h  # sample i at padded[i + h]
+    means = _neighborhood_means(padded, h, 0, n)
+    ratios = _spike_ratios(original, means)
+    heap = [(-r, i) for i, r in enumerate(ratios) if r > factor]
     heapq.heapify(heap)
-    replacements = 0
-    cap = max(_MIN_REPLACEMENTS, _REPLACEMENTS_PER_SAMPLE * n)
+    replacements, cap = 0, max(_MIN_REPLACEMENTS, _REPLACEMENTS_PER_SAMPLE * n)
     while heap and replacements < cap:
         neg_ratio, i = heapq.heappop(heap)
         if -neg_ratio != ratios[i]:
             continue
-        values[i] = _neighborhood_mean(values, i, h)
+        padded[i + h] = means[i]  # current: each replacement within h of i recomputed it
         replacements += 1
-        for j in range(max(0, i - h), min(n, i + h + 1)):
-            r = ratios[j] = _spike_ratio(values, j, h)
-            if r is not None and r > factor:
+        lo, hi = max(0, i - h), min(n, i + h + 1)
+        means[lo:hi] = _neighborhood_means(padded, h, lo, hi)
+        ratios[lo:hi] = changed = _spike_ratios(padded[lo + h : hi + h], means[lo:hi])
+        for j, r in enumerate(changed, lo):
+            if r > factor:
                 heapq.heappush(heap, (-r, j))
-    return values, sum(1 for a, b in zip(original, values) if a != b)
+    values = padded[h : h + n]
+    return values, sum(map(ne, original, values))
 
 
 def filter_spikes(series: SampleSeries, cfg: AnalysisConfig) -> Tuple[SampleSeries, int]:
@@ -114,10 +111,13 @@ def filter_spikes(series: SampleSeries, cfg: AnalysisConfig) -> Tuple[SampleSeri
     of samples replaced.
 
     Cost: O(n*h + k*h*log n) for n samples, half width h and k
-    replacements. Every spike sits in a max-heap keyed (-ratio, index);
-    replacing sample i changes the ratios of i-h..i+h only, so just those
-    are recomputed and pushed again. An entry whose ratio has changed since
-    its push is stale and skipped when popped (lazy invalidation).
+    replacements. One routine gives exact neighborhood means: it pads the
+    series with h zeros at each end and fsums the tuples of 2h shifted
+    slices. It runs once over all n samples, then once per replacement:
+    replacing sample i by its mean changes the means and ratios of i-h..i+h
+    only, so just those are recomputed. Every spike sits in a max-heap keyed
+    (-ratio, index); an entry whose ratio has changed since its push is
+    stale and skipped when popped (lazy invalidation).
     """
     values, replaced = _despike(series.values, cfg)
     return SampleSeries(interval_ms=series.interval_ms, values=tuple(values)), replaced

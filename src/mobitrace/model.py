@@ -390,10 +390,11 @@ class SampleSeries:
         kinds = set(map(type, self.values))
         if not kinds <= _REAL_TYPES and not all(map(_is_real_type, kinds)):
             raise ValueError("sample values must be numbers")
-        try:
-            object.__setattr__(self, "values", tuple(map(float, self.values)))
-        except OverflowError:
-            raise ValueError("non-finite or negative sample value") from None
+        if type(self.values) is not tuple or kinds != {float}:  # a tuple of floats is kept as it is
+            try:
+                object.__setattr__(self, "values", tuple(map(float, self.values)))
+            except OverflowError:
+                raise ValueError("non-finite or negative sample value") from None
         if len(self.values) < 2:
             raise ValueError("sample series needs at least 2 values")
         top = float(MAX_THROUGHPUT_KBPS)  # float against float is the fast compare

@@ -1,14 +1,19 @@
 
+import json
 import math
 import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import congestion_oracle
 from conftest import make_series
 from mobitrace import congestion
+from mobitrace.cli import main
 from mobitrace.congestion import (
     CongestionAssessment,
     Pool,
@@ -268,16 +273,8 @@ class TestFilterSpikes:
         assert _worst_outlier(filtered.values, CFG) is None
 
     def test_mean_calls_linear_in_replacements(self, monkeypatch):
-        # a rescan after each replacement costs about n calls per replacement
-        calls = 0
-        real = congestion._neighborhood_mean
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return real(*args)
-
-        monkeypatch.setattr(congestion, "_neighborhood_mean", counting)
+        # a rescan after each replacement would cover about n samples per replacement
+        covered = count_mean_calls(monkeypatch)
         rng = random.Random(4)
         n, h = 1600, CFG.smoothing_half_width
         # isolated clean spikes, so each replaced sample is replaced once
@@ -286,42 +283,141 @@ class TestFilterSpikes:
             values[i] *= rng.uniform(3.0, 5.0)
         _, replaced = filter_spikes(make_series(values), CFG)
         assert replaced == n // 20
-        assert calls <= n + (2 * h + 2) * replaced
+        # the first pass, then one call over the up-to-2h+1 samples around each replacement
+        assert covered[0] == n and len(covered) == 1 + replaced and max(covered[1:]) == 2 * h + 1
+        assert sum(covered) <= n + (2 * h + 2) * replaced
 
     def test_spike_free_series_makes_no_ratio_calls(self, monkeypatch):
-        # the first pass computes every ratio inline; the helpers run only
-        # around a replacement
-        calls = []
-        for name in ("_spike_ratio", "_neighborhood_mean"):
-            real = getattr(congestion, name)
-            monkeypatch.setattr(congestion, name,
-                                lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        # the first pass computes every ratio; the means are computed again
+        # only around a replacement
+        covered = count_mean_calls(monkeypatch)
         rng = random.Random(5)
         series = make_series([1000.0 * rng.uniform(0.9, 1.1) for _ in range(1600)])
         assert filter_spikes(series, CFG) == (series, 0)
+        assert covered == [1600]
         assert classify(series, CFG).spikes_replaced == 0
-        assert calls == []
+        assert covered == [1600, 1600]
 
     def test_factor_near_one_stops_at_cap(self, monkeypatch):
         # near spike_factor 1 a replacement keeps making new spikes, so the
         # filter stops at its cap and returns with spikes left
-        calls = 0
-        real = congestion._neighborhood_mean
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return real(*args)
-
-        monkeypatch.setattr(congestion, "_neighborhood_mean", counting)
+        covered = count_mean_calls(monkeypatch)
         cfg = AnalysisConfig(spike_factor=1.0001)
         rng = random.Random(6)
         series = make_series([1000.0 * rng.uniform(0.5, 1.5) for _ in range(100)])
         filtered, _ = filter_spikes(series, cfg)
         cap = 1000  # max(1000, 4 * 100) replacements
-        # each replacement: one mean for the new value, one per ratio recomputed
-        assert calls <= (2 * cfg.smoothing_half_width + 2) * cap
+        # the first pass, then one call per replacement, up to the cap
+        assert len(covered) == 1 + cap
+        assert sum(covered) <= 100 + (2 * cfg.smoothing_half_width + 2) * cap
         assert _worst_outlier(filtered.values, cfg) is not None
+
+    def test_wide_neighborhood_holds_little_memory(self, monkeypatch):
+        # the means are taken in blocks, so that a wide neighborhood over a
+        # long series never holds 2h copies of it at once
+        covered = count_mean_calls(monkeypatch)
+        n, h = 2000, 1000
+        values = [1000.0] * n
+        values[7] = 5000.0
+        tracemalloc.start()
+        try:
+            filtered, replaced = filter_spikes(make_series(values), AnalysisConfig(smoothing_half_width=h))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (replaced, filtered.values[7]) == (1, 1000.0)
+        assert covered == [n, 7 + h + 1]
+        assert peak < 4_000_000  # 2h copies of the series take 32 MB
+        # a half width of n - 1 or more reaches every other sample
+        assert filter_spikes(make_series([10, 100, 10]), AnalysisConfig(smoothing_half_width=10**9))[1] == 1
+
+
+def count_mean_calls(monkeypatch):
+    """The number of samples each call of congestion._neighborhood_means covers, in call order."""
+    covered = []
+    real = congestion._neighborhood_means
+
+    def counting(padded, h, lo, hi):
+        covered.append(hi - lo)
+        return real(padded, h, lo, hi)
+
+    monkeypatch.setattr(congestion, "_neighborhood_means", counting)
+    return covered
+
+
+def outcome(f, *args):
+    """repr of what f returns, which tells every float apart (-0.0 from 0.0 too), or the ValueError's text."""
+    try:
+        return repr(f(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def assert_matches_oracle(series, cfg):
+    """filter_spikes and classify give what tests/congestion_oracle.py gives, float for float."""
+    filtered, replaced = filter_spikes(series, cfg)
+    expected, expected_replaced = congestion_oracle.despike(series.values, cfg)
+    assert repr(filtered.values) == repr(tuple(expected))
+    assert replaced == expected_replaced
+    assert outcome(classify, series, cfg) == outcome(congestion_oracle.classify, series, cfg)
+
+
+class TestMatchesOracle:
+    """The filter and classify against tests/congestion_oracle.py, which computes each neighborhood mean
+    by its own slice: the same floats, bit for bit, the same replaced count and the same assessment."""
+
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(min_value=2, max_value=1600),
+        st.floats(min_value=0.0, max_value=0.8),
+        st.floats(min_value=0.0, max_value=0.3),
+        st.sampled_from([1.0, 1000.0, 12_000.0]),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=2, max_value=12),
+        st.floats(min_value=1.0001, max_value=4.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_filter_and_classify_match_oracle(self, rng, n, spike_rate, zero_rate, base, half_width, w, factor):
+        cfg = AnalysisConfig(smoothing_half_width=half_width, window_size=w, spike_factor=factor)
+        values = [-0.0 if v == 0 and rng.random() < 0.5 else v
+                  for v in spiky_values(rng, n, spike_rate, zero_rate, base)]
+        assert_matches_oracle(make_series(values), cfg)
+
+    @pytest.mark.parametrize("half_width", [1, 5])
+    def test_cap_on_a_long_series_matches_oracle(self, half_width):
+        # 4 * 1600 replacements, past the fixed 1000 of reference_filter_spikes
+        cfg = AnalysisConfig(smoothing_half_width=half_width, spike_factor=1.0001)
+        rng = random.Random(half_width)
+        series = make_series([1000.0 * rng.uniform(0.5, 1.5) for _ in range(1600)])
+        assert_matches_oracle(series, cfg)
+        assert _worst_outlier(filter_spikes(series, cfg)[0].values, cfg) is not None
+
+
+class TestPlantedSpikes:
+    """The filter scored against the spikes synth plants (ground_truth.json's spike_indices), on the
+    stationary-dense shape. It pins today's counts: a spike two samples from another planted spike can be
+    kept, and the clean sample between them replaced in its place."""
+
+    @pytest.mark.parametrize("seed, planted, kept, records_with_kept, clean_replaced",
+                             [(1, 2191, 78, 40, 116), (7, 2277, 120, 58, 203)])
+    def test_spike_indices_scored(self, tmp_path, seed, planted, kept, records_with_kept, clean_replaced):
+        assert main(["synth", "--scenario", "stationary24h", "--seed", str(seed), "--records-per-hour", "100",
+                     "--spike-rate", "0.05", "--diurnal-dip", "0.6", "--out", str(tmp_path)]) == 0
+        truth = json.loads((tmp_path / "ground_truth.json").read_text(encoding="utf-8"))
+        spikes = {label["record_id"]: set(label["spike_indices"]) for label in truth["record_labels"]}
+        score = Counter()
+        for line in (tmp_path / "trace.jsonl").read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            series = make_series(record["samples"]["values"])
+            filtered, _ = filter_spikes(series, CFG)
+            planted_here = spikes[record["record_id"]]
+            changed = {i for i, (a, b) in enumerate(zip(series.values, filtered.values)) if a != b}
+            score["planted"] += len(planted_here)
+            score["kept"] += len(planted_here - changed)
+            score["records_with_kept"] += bool(planted_here - changed)
+            score["clean_replaced"] += len(changed - planted_here)
+        assert score == Counter(planted=planted, kept=kept, records_with_kept=records_with_kept,
+                                clean_replaced=clean_replaced)
 
 
 def classify_windows(windows, **overrides):

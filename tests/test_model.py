@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+
 import pytest
 
 from conftest import make_record, make_series
@@ -45,6 +47,28 @@ class TestSampleSeries:
     def test_negative_value_rejected(self):
         with pytest.raises(ValueError):
             SampleSeries(interval_ms=500, values=(1.0, -1.0))
+
+    def test_tuple_of_floats_kept(self):
+        values = (1.0, 2.5)
+        assert SampleSeries(interval_ms=500, values=values).values is values
+
+    @pytest.mark.parametrize("values", [[1.0, 2.5], (1, 2.5), (type("Kbps", (float,), {})(1.0), 2.5)])
+    def test_other_values_become_a_tuple_of_floats(self, values):
+        series = SampleSeries(interval_ms=500, values=values)
+        assert type(series.values) is tuple and list(map(type, series.values)) == [float, float]
+        assert series.values == (1.0, 2.5)
+
+    def test_decode_builds_the_values_tuple_once(self):
+        obj = {"interval_ms": 500, "values": [float(i) for i in range(10_000)]}
+        tracemalloc.start()
+        try:
+            series = from_json(SampleSeries, obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.values == tuple(obj["values"])
+        # one tuple of 10 000 values holds 80 kB of pointers; the floats are the JSON list's
+        assert peak < 120_000
 
 
 class TestMeasurementRecord:
