@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
 from .model import AnalysisConfig, CapabilityCatalog, MeasurementRecord, Pool, check_field_types
-
-if TYPE_CHECKING:  # only an annotation here, so report need not load congestion
-    from .congestion import CongestionAssessment
 
 
 class Factor(Enum):
@@ -27,20 +24,23 @@ class Factor(Enum):
     UNDETERMINED = "UNDETERMINED"
 
 
-# Tiebreak for equal caps: plan caps are operator-enforced, device caps are
-# hardware, technology caps are the loosest standard.
+# The artificial factors, with the tiebreak for equal caps: plan caps are
+# operator-enforced, device caps are hardware, technology caps are the
+# loosest standard.
 _BINDING_PRIORITY = {Factor.PLAN: 0, Factor.DEVICE: 1, Factor.TECHNOLOGY: 2}
 
 
 @dataclass(frozen=True, slots=True)
 class LimitingFactorVerdict:
-    record_id: str
     factor: Factor
-    artificial: bool
     binding_upper_bound_kbps: Optional[float]
-    congestion_pool: Optional[Pool]
 
     __post_init__ = check_field_types
+
+    @property
+    def artificial(self) -> bool:
+        """A cap limited the measurement, not the network."""
+        return self.factor in _BINDING_PRIORITY
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,18 +84,18 @@ def upper_bounds(record: MeasurementRecord, catalog: CapabilityCatalog) -> Dict[
 def attribute(
     record: MeasurementRecord,
     catalog: CapabilityCatalog,
-    assessment: Optional[CongestionAssessment],
+    pool: Optional[Pool],
     handover_nearby: bool,
     cfg: AnalysisConfig,
 ) -> LimitingFactorVerdict:
     """Decide which factor limited this measurement's download speed.
 
-    With caps present, throughput at or above alpha times the tightest cap
-    is attributed to that cap. Otherwise a nearby handover means coverage,
-    a medium/high congestion pool means congestion, and absent evidence
-    degrades to UNDETERMINED.
+    pool is the record's congestion pool, or None when classify did not
+    assess it. With caps present, throughput at or above alpha times the
+    tightest cap is attributed to that cap. Otherwise a nearby handover
+    means coverage, a medium/high pool means congestion, and absent
+    evidence degrades to UNDETERMINED. The binding cap is kept either way.
     """
-    pool = assessment.pool if assessment is not None else None
     bounds = upper_bounds(record, catalog)
     binding_cap = None
     if bounds:
@@ -103,23 +103,9 @@ def attribute(
             bounds.items(), key=lambda kv: (kv[1], _BINDING_PRIORITY[kv[0]])
         )
         if record.download_kbps >= cfg.attribution_alpha * binding_cap:
-            return LimitingFactorVerdict(
-                record_id=record.record_id,
-                factor=binding_factor,
-                artificial=True,
-                binding_upper_bound_kbps=binding_cap,
-                congestion_pool=pool,
-            )
+            return LimitingFactorVerdict(binding_factor, binding_cap)
     if handover_nearby:
-        factor = Factor.COVERAGE
-    elif pool in (Pool.MEDIUM, Pool.HIGH):
-        factor = Factor.CONGESTION
-    else:
-        factor = Factor.UNDETERMINED
-    return LimitingFactorVerdict(
-        record_id=record.record_id,
-        factor=factor,
-        artificial=False,
-        binding_upper_bound_kbps=binding_cap,
-        congestion_pool=pool,
-    )
+        return LimitingFactorVerdict(Factor.COVERAGE, binding_cap)
+    if pool in (Pool.MEDIUM, Pool.HIGH):
+        return LimitingFactorVerdict(Factor.CONGESTION, binding_cap)
+    return LimitingFactorVerdict(Factor.UNDETERMINED, binding_cap)

@@ -30,7 +30,7 @@ _STAGE_NAMES = {
     "synth": ("ScenarioConfig", "generate"),
     "congestion": ("classify",),
     "attribution": ("AnalyzedRow", "AssessmentSummary", "attribute"),
-    "coverage": ("HandoverEvent", "camping_stats", "detect_handovers", "handover_impact"),
+    "coverage": ("HandoverEvent", "HandoverImpact", "camping_stats", "detect_handovers", "handover_impact"),
     "reports": ("HistogramBin", "OperatorSummary", "PoolPoint", "SignalBin", "TrendPoint", "hourly_profile",
                 "operator_summary", "pool_trend", "quarterly_trend", "signal_correlation", "throughput_histogram"),
 }
@@ -176,8 +176,9 @@ def cmd_analyze(args) -> None:
                 assessment = classify(record.samples, cfg) if record.samples is not None else None
             except ValueError:  # insufficient samples, or no eligible window
                 assessment = None
-            verdict = attribute(record, catalog, assessment, handover_nearby(record), cfg)
             summary = None if assessment is None else AssessmentSummary(*assessment[1:])  # all but windows
+            pool = None if summary is None else summary.pool
+            verdict = attribute(record, catalog, pool, handover_nearby(record), cfg)
             yield to_json(AnalyzedRow(record, verdict, summary))
 
     out_dir = Path(args.out)
@@ -255,10 +256,8 @@ def _camping(records, analyzed, events, cfg, args):
 
 
 def _handovers(records, analyzed, events, cfg, args):
-    obj = {**to_json(handover_impact(events)), "downgrades": sum(1 for e in events if e.downgrade)}
-    header = ("count", "downgrades", "mean_throughput_ratio", "throughput_excluded",
-              "mean_signal_ratio", "signal_excluded")
-    return obj, header, [[obj[k] for k in header]]
+    impact = handover_impact(events)
+    return to_json(impact), HandoverImpact._fields, [impact]
 
 
 REPORTS = {

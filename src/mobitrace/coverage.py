@@ -38,6 +38,7 @@ class HandoverEvent:
 
 class HandoverImpact(NamedTuple):
     count: int
+    downgrades: int
     mean_throughput_ratio: Optional[float]  # to/from, finite ratios only
     throughput_excluded: int
     mean_signal_ratio: Optional[float]  # linear milliwatt scale
@@ -86,7 +87,7 @@ def detect_handovers(session: Session, cfg: AnalysisConfig) -> List[HandoverEven
 
 
 def handover_impact(events: List[HandoverEvent]) -> HandoverImpact:
-    """Mean to/from throughput and signal-power ratios across events.
+    """Event and downgrade counts, and mean to/from throughput and signal-power ratios across events.
 
     Signal ratios are taken on the linear milliwatt scale because ratios
     of dBm values are meaningless. A throughput ratio counts only when it
@@ -108,6 +109,7 @@ def handover_impact(events: List[HandoverEvent]) -> HandoverImpact:
             sig_excluded += 1
     return HandoverImpact(
         count=len(events),
+        downgrades=sum(1 for e in events if e.downgrade),
         mean_throughput_ratio=mean(tp_ratios),
         throughput_excluded=tp_excluded,
         mean_signal_ratio=mean(sig_ratios),

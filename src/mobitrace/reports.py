@@ -11,7 +11,7 @@ fields are also the CSV columns.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from datetime import datetime, timezone
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -83,17 +83,13 @@ class Histogram(NamedTuple):
 
 def throughput_histogram(records, cfg: AnalysisConfig) -> Histogram:
     width = cfg.histogram_bin_kbps
-    counts: Dict[int, int] = {}
-    below = 0
-    for r in records:
-        counts[int(r.download_kbps // width)] = counts.get(int(r.download_kbps // width), 0) + 1
-        if r.download_kbps < 1000.0:
-            below += 1
-    total = len(records)
+    counts = Counter(int(r.download_kbps // width) for r in records)
     if not counts:
         return Histogram(width, (), 0, None)
+    total = len(records)
+    below = sum(1 for r in records if r.download_kbps < 1000.0)
     top = max(counts)
-    bins = tuple(HistogramBin(k * width, counts.get(k, 0)) for k in range(top + 1))
+    bins = tuple(HistogramBin(k * width, counts[k]) for k in range(top + 1))
     return Histogram(width, bins, total, below / total)
 
 

@@ -1,11 +1,14 @@
 import math
+from dataclasses import fields
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record
 from mobitrace.attribution import (
+    AssessmentSummary,
     Factor,
+    LimitingFactorVerdict,
     attribute,
     upper_bounds,
 )
@@ -19,13 +22,6 @@ FULL_CATALOG = CapabilityCatalog(
     tech_caps={RadioTechnology.HSPA: 42000.0},
     plan_caps={("OpA", "p1"): 7200.0},
 )
-
-
-def assessment_with_pool(pool):
-    return CongestionAssessment(
-        windows=(), upper_bound_kbps=1000.0, upper_bound_window=1,
-        overall_mape_pct=30.0, pool=pool, spikes_replaced=0,
-    )
 
 
 class TestUpperBounds:
@@ -58,10 +54,10 @@ class TestAttribute:
 
     def test_below_cap_with_high_pool_is_congestion(self):
         record = make_record(download_kbps=2000.0, plan_id="p1")
-        verdict = attribute(record, FULL_CATALOG, assessment_with_pool(Pool.HIGH), False, CFG)
+        verdict = attribute(record, FULL_CATALOG, Pool.HIGH, False, CFG)
         assert verdict.factor is Factor.CONGESTION
         assert not verdict.artificial
-        assert verdict.congestion_pool is Pool.HIGH
+        assert verdict.binding_upper_bound_kbps == 7200.0
 
     def test_no_evidence_is_undetermined(self):
         verdict = attribute(make_record(), CapabilityCatalog.empty(), None, False, CFG)
@@ -71,12 +67,12 @@ class TestAttribute:
 
     def test_handover_takes_precedence_over_congestion(self):
         record = make_record(download_kbps=100.0)
-        verdict = attribute(record, FULL_CATALOG, assessment_with_pool(Pool.HIGH), True, CFG)
+        verdict = attribute(record, FULL_CATALOG, Pool.HIGH, True, CFG)
         assert verdict.factor is Factor.COVERAGE
 
     def test_low_pool_is_not_congestion(self):
         record = make_record(download_kbps=100.0)
-        verdict = attribute(record, FULL_CATALOG, assessment_with_pool(Pool.LOW), False, CFG)
+        verdict = attribute(record, FULL_CATALOG, Pool.LOW, False, CFG)
         assert verdict.factor is Factor.UNDETERMINED
 
     def test_alpha_threshold_exact(self):
@@ -111,3 +107,15 @@ class TestAttribute:
         v_hi = attribute(make_record(download_kbps=hi, plan_id="p1"), FULL_CATALOG, None, False, CFG)
         # raising throughput can only move natural -> artificial
         assert not (v_lo.artificial and not v_hi.artificial)
+
+
+class TestVerdict:
+    def test_artificial_exactly_for_the_caps(self):
+        caps = {Factor.DEVICE, Factor.TECHNOLOGY, Factor.PLAN}
+        for factor in Factor:
+            assert LimitingFactorVerdict(factor, None).artificial is (factor in caps)
+
+    def test_summary_is_the_assessment_less_its_windows(self):
+        # cli.cmd_analyze builds AssessmentSummary(*assessment[1:]) by position
+        assert CongestionAssessment._fields[0] == "windows"
+        assert tuple(f.name for f in fields(AssessmentSummary)) == CongestionAssessment._fields[1:]

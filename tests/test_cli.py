@@ -11,7 +11,7 @@ import pytest
 
 from conftest import make_record
 from mobitrace import cli
-from mobitrace.attribution import AnalyzedRow
+from mobitrace.attribution import AnalyzedRow, LimitingFactorVerdict
 from mobitrace.cli import main
 from mobitrace.congestion import classify
 from mobitrace.ingest import write_records
@@ -83,6 +83,7 @@ class TestAnalyzeCommand:
         trace_lines = (synth_out / "trace.jsonl").read_text().splitlines()
         analyzed = (an / "analyzed.jsonl").read_text().splitlines()
         assert len(analyzed) == len(trace_lines) == 96
+        assert all(set(json.loads(line)["verdict"]) == {"factor", "binding_upper_bound_kbps"} for line in analyzed)
 
     def test_no_samples_means_no_pool(self, tmp_path):
         trace = tmp_path / "t.jsonl"
@@ -92,14 +93,14 @@ class TestAnalyzeCommand:
         for line in (an / "analyzed.jsonl").read_text().splitlines():
             obj = json.loads(line)
             assert obj["assessment"] is None
-            assert obj["verdict"]["congestion_pool"] is None
+            assert obj["verdict"]["factor"] == "UNDETERMINED"
 
     def test_no_catalog_means_no_artificial(self, tmp_path):
         _, synth_out = run_synth(tmp_path)
         an = tmp_path / "an"
         main(["analyze", "--in", str(synth_out / "trace.jsonl"), "--out", str(an)])
         for line in (an / "analyzed.jsonl").read_text().splitlines():
-            assert not json.loads(line)["verdict"]["artificial"]
+            assert not from_json(LimitingFactorVerdict, json.loads(line)["verdict"]).artificial
 
     def test_assessment_is_the_summary_classify_returns(self, tmp_path):
         _, synth_out = run_synth(tmp_path)
@@ -317,7 +318,7 @@ class TestReportCommand:
         row = json.loads(first)
         row["record"]["timestamp"] = "x"
         verdict_row = json.loads(first)
-        verdict_row["verdict"]["artificial"] = "x"
+        verdict_row["verdict"]["factor"] = "x"
         good = json.loads(first)
         assert good["assessment"] is not None
 
@@ -328,7 +329,7 @@ class TestReportCommand:
             ("{not json", "invalid JSON"),
             (json.dumps(row), "timestamp must be an integer"),
             (json.dumps({"verdict": {}}), "missing required field 'record'"),
-            (json.dumps(verdict_row), "artificial must be true or false"),
+            (json.dumps(verdict_row), "unknown factor 'x'"),
             ("[" * 100_000, "invalid JSON"),
             ("9" * 5000, "invalid JSON"),  # beyond int's digit limit
             ("[1, 2]", "AnalyzedRow must be a JSON object"),
@@ -338,7 +339,11 @@ class TestReportCommand:
             (changed("assessment", zzz=1), "unknown field 'zzz'"),
             (changed("record", zzz=1), "unknown field 'zzz'"),
             (changed("assessment", upper_bound_kbps="s"), "upper_bound_kbps must be a number"),
-            (changed("verdict", record_id=5), "record_id must be a string"),
+            (changed("verdict", binding_upper_bound_kbps="s"), "binding_upper_bound_kbps must be a number"),
+            # rows written before the verdict stored only its factor and binding cap: re-run analyze
+            (changed("verdict", record_id=good["record"]["record_id"]), "unknown field 'record_id'"),
+            (changed("verdict", artificial=False), "unknown field 'artificial'"),
+            (changed("verdict", congestion_pool=good["assessment"]["pool"]), "unknown field 'congestion_pool'"),
             # checked before report drops the samples
             (changed("record", download_kbps=2 * good["record"]["download_kbps"]),
              "headline throughput inconsistent with samples"),

@@ -22,11 +22,11 @@ def session_from(cells, gap_ms=30_000, techs=None, start=1_000_000):
 
 
 def event(from_tech=RadioTechnology.UMTS, to_tech=RadioTechnology.UMTS,
-          from_kbps=1000.0, to_kbps=1000.0, from_dbm=None, to_dbm=None):
+          from_kbps=1000.0, to_kbps=1000.0, from_dbm=None, to_dbm=None, downgrade=False):
     return HandoverEvent(
         user_id="u1", at_ms=1, from_cell="A", to_cell="B",
         from_tech=from_tech, to_tech=to_tech, from_kbps=from_kbps, to_kbps=to_kbps,
-        downgrade=False, gap_ms=30_000, from_dbm=from_dbm, to_dbm=to_dbm,
+        downgrade=downgrade, gap_ms=30_000, from_dbm=from_dbm, to_dbm=to_dbm,
     )
 
 
@@ -117,9 +117,14 @@ class TestHandoverImpact:
         assert impact.mean_throughput_ratio == pytest.approx(1e308)
         assert impact.throughput_excluded == 0
 
+    def test_downgrades_counted(self):
+        impact = handover_impact([event(downgrade=True), event(), event(downgrade=True)])
+        assert (impact.count, impact.downgrades) == (3, 2)
+
     def test_empty_input(self):
         impact = handover_impact([])
         assert impact.count == 0
+        assert impact.downgrades == 0
         assert impact.mean_throughput_ratio is None
 
 

@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from mobitrace.attribution import AnalyzedRow
+from mobitrace.attribution import AnalyzedRow, LimitingFactorVerdict
 from mobitrace.cli import main
 from mobitrace.coverage import HandoverEvent
 from mobitrace.ingest import write_json
@@ -61,7 +61,7 @@ COMMUTE = [
 
 GOLDEN = {
     "commute/analyzed/analyzed.jsonl":
-        "30bf08e30a5b763eb24299a41d95fdf9f396629a6637675fc003b6008c6091a3",
+        "89d01bee1a3e263c88086026f88f50b99d32f468c2532a21935abbf32c0ad693",
     "commute/analyzed/handovers.jsonl":
         "2c4615bfe32637f8a06638402674b56cc9b22c39bee54d002dbf7981970d7457",
     "commute/analyzed/ingest_report.json":
@@ -135,7 +135,7 @@ GOLDEN = {
     "commute/synth/trace.jsonl":
         "9aaf77511e04afd8ee8cdc8a8fb39a8f8b367577beee9d941b1d9595ba0cce01",
     "stationary/analyzed/analyzed.jsonl":
-        "aba90e51e366cdfc7a99c13d8ef088e1c2d1553cd730df1b303d0b366d140c70",
+        "b3be94c88f2a4b40b56ac491b07d0748795ca32eb2b1424084872c997014fa75",
     "stationary/analyzed/handovers.jsonl":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "stationary/analyzed/ingest_report.json":
@@ -209,7 +209,7 @@ def test_commute_run_exercises_downgrades_and_the_artificial_filter(tmp_path):
     assert handovers["downgrades"] >= 1
     verdicts = [json.loads(line)["verdict"]
                 for line in (commute / "analyzed" / "analyzed.jsonl").read_text().splitlines()]
-    artificial = sum(v["artificial"] for v in verdicts)
+    artificial = sum(from_json(LimitingFactorVerdict, v).artificial for v in verdicts)
     assert 0 < artificial < len(verdicts)
     natural = json.loads((commute / "reports" / "histogram.json").read_text())
     everything = json.loads((commute / "reports_all" / "histogram.json").read_text())

@@ -207,7 +207,7 @@ def test_any_catalog_cell_exits_cleanly(analyzed, column, data):
             _exits_cleanly(["report", "--in", str(an), "--out", str(root / "rep")], root / "rep")
 
 
-VERDICT_FIELDS = ("record_id", "factor", "artificial", "binding_upper_bound_kbps", "congestion_pool")
+VERDICT_FIELDS = ("factor", "binding_upper_bound_kbps")
 ASSESSMENT_FIELDS = ("upper_bound_kbps", "upper_bound_window", "overall_mape_pct", "pool", "spikes_replaced")
 # (file, the object within the row as a dotted path or None for the row, field)
 ROW_FIELDS = ([("analyzed.jsonl", "verdict", f) for f in VERDICT_FIELDS]
@@ -299,9 +299,8 @@ def _records(draw):
     )
 
 
-_verdicts = st.builds(LimitingFactorVerdict, record_id=_plain_text, factor=st.sampled_from(Factor),
-                      artificial=st.booleans(), binding_upper_bound_kbps=st.none() | _kbps,
-                      congestion_pool=st.none() | st.sampled_from(Pool))
+_verdicts = st.builds(LimitingFactorVerdict, factor=st.sampled_from(Factor),
+                      binding_upper_bound_kbps=st.none() | _kbps)
 _summaries = st.builds(AssessmentSummary, upper_bound_kbps=_kbps, upper_bound_window=st.integers(),
                        overall_mape_pct=st.floats(0, 1e3), pool=st.sampled_from(Pool), spikes_replaced=st.integers(0))
 _EXAMPLES = {
