@@ -63,11 +63,17 @@ class EmptyResult(Exception):
 
 
 def _sha256(path: Path) -> str:
-    """The file's sha256, read 64 KiB at a time. hashlib loads OpenSSL, so only a command that
-    hashes an input imports it."""
-    import hashlib
+    """The file's sha256, read 64 KiB at a time. It comes from CPython's own sha256 module, the one
+    hashlib falls back to without OpenSSL: importing hashlib maps libcrypto, over 3 MB of peak RSS."""
+    try:
+        from _sha2 import sha256  # Python >= 3.12
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:  # a CPython built without its own hashes
+            from hashlib import sha256
 
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
@@ -104,15 +110,18 @@ def _load_config(args, cls):
     """The config dataclass cls: the --config JSON object ({} without --config), with each flag whose
     dest is a field of cls set over it. A bad value raises UsageError, an unreadable file OSError."""
     values = {}
-    try:
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            try:
                 values = json.load(fh)
-            if not isinstance(values, dict):
-                raise ValueError("config must be a JSON object")
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+                raise UsageError(f"{args.config}: {exc}") from exc
+        if not isinstance(values, dict):
+            raise UsageError(f"{args.config}: config must be a JSON object")
+    try:
         flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
         return from_json(cls, {**values, **{name: v for name, v in flags.items() if v is not None}})
-    except (ValueError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+    except (ValueError, TypeError) as exc:
         raise UsageError(exc) from exc
 
 

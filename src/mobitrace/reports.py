@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from datetime import datetime, timezone
+from datetime import date
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .model import AnalysisConfig, Pool, TechnologyGroup, group_of, mean
@@ -51,18 +52,23 @@ def pearson_r(xs, ys) -> Optional[float]:
     return sxy / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
 
 
-def _local_dt(timestamp_ms: int, cfg: AnalysisConfig) -> datetime:
-    return datetime.fromtimestamp(cfg.local_ms(timestamp_ms) / 1000.0, tz=timezone.utc)
+_DAY_MS = 86_400_000
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+@lru_cache(maxsize=4096)
+def _day_labels(local_day: int) -> Tuple[str, str]:
+    """The month and quarter labels of a local day, counted in days from 1970-01-01."""
+    d = date.fromordinal(local_day + _EPOCH_ORDINAL)
+    return f"{d.year}-{d.month:02d}", f"{d.year}-Q{(d.month - 1) // 3 + 1}"
 
 
 def quarter_label(timestamp_ms: int, cfg: AnalysisConfig) -> str:
-    dt = _local_dt(timestamp_ms, cfg)
-    return f"{dt.year}-Q{(dt.month - 1) // 3 + 1}"
+    return _day_labels(cfg.local_ms(timestamp_ms) // _DAY_MS)[1]
 
 
 def month_label(timestamp_ms: int, cfg: AnalysisConfig) -> str:
-    dt = _local_dt(timestamp_ms, cfg)
-    return f"{dt.year}-{dt.month:02d}"
+    return _day_labels(cfg.local_ms(timestamp_ms) // _DAY_MS)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -175,16 +175,43 @@ class TestAnalyzeCommand:
         assert inputs == {str(trace): sha(trace), str(catalog): hashlib.sha256(b"").hexdigest()}
 
 
-def test_only_a_stage_that_hashes_loads_openssl(tmp_path):
-    src = Path(__file__).resolve().parent.parent / "src"
-    script = (f"import sys; sys.path.insert(0, {str(src)!r}); from mobitrace.cli import main\n"
-              f"main(['synth', '--scenario', 'stationary24h', '--seed', '7', '--records-per-hour', '2',"
-              f" '--out', {str(tmp_path / 's')!r}])\n"
-              "print('_hashlib' in sys.modules)\n"
-              f"main(['analyze', '--in', {str(tmp_path / 's' / 'trace.jsonl')!r}, '--out', {str(tmp_path / 'a')!r}])\n"
-              "print('_hashlib' in sys.modules)\n")
+def test_no_stage_loads_openssl(tmp_path):
+    s, a, r, caps = (str(tmp_path / name) for name in ("s", "a", "r", "caps.csv"))
+    trace = str(tmp_path / "s" / "trace.jsonl")
+    script = (f"import sys; sys.path.insert(0, {SRC!r}); from mobitrace.cli import main\n"
+              "def run(*argv):\n"
+              "    assert main(list(argv)) == 0\n"
+              "    print('_hashlib' in sys.modules, '_ssl' in sys.modules)\n"
+              f"run('synth', '--scenario', 'stationary24h', '--seed', '7', '--records-per-hour', '2', '--out', {s!r})\n"
+              f"open({caps!r}, 'w').close()\n"
+              f"run('analyze', '--in', {trace!r}, '--out', {a!r}, '--catalog', {caps!r})\n"
+              f"run('report', '--in', {a!r}, '--out', {r!r})\n")
     out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False"] * 6
+
+
+@pytest.mark.parametrize("size", [0, 65536, 3 * 65536 + 1])
+def test_sha256_matches_hashlib(tmp_path, size):
+    path = tmp_path / "f"
+    path.write_bytes(bytes(i * 7 % 251 for i in range(size)))
+    assert cli._sha256(path) == sha(path)
+
+
+def test_sha256_falls_back_to_hashlib(tmp_path):
+    # a CPython without its own sha256 module: the manifest still holds hashlib's digests
+    _, synth_out = run_synth(tmp_path)
+    trace, catalog, an = synth_out / "trace.jsonl", tmp_path / "caps.csv", tmp_path / "an"
+    catalog.write_bytes(b"")
+    script = (f"import sys; sys.path.insert(0, {SRC!r})\n"
+              "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+              "from mobitrace.cli import main\n"
+              f"code = main(['analyze', '--in', {str(trace)!r}, '--out', {str(an)!r},"
+              f" '--catalog', {str(catalog)!r}])\n"
+              "print(code, 'hashlib' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "True"]
+    inputs = json.loads((an / "manifest.json").read_text())["inputs"]
+    assert inputs == {str(trace): sha(trace), str(catalog): sha(catalog)}
 
 
 @pytest.mark.parametrize("command, modules", [
@@ -535,6 +562,24 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, command, config, message
                  "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["synth", "analyze", "report"])
+@pytest.mark.parametrize("content, message", [
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b'{"seed": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    (b"[1]", "config must be a JSON object"),
+])
+def test_config_file_fault_names_the_file(tmp_path, capsys, command, content, message):
+    trace = tmp_path / "t.jsonl"
+    write_records([make_record()], trace)
+    source = {"synth": ["--scenario", "stationary24h"], "analyze": ["--in", str(trace)],
+              "report": ["--in", str(tmp_path)]}[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    assert main([command, *source, "--out", str(tmp_path / "out"), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and message in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("report, field, values, reason", [

@@ -1,3 +1,5 @@
+from datetime import date, datetime, timezone
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ CFG = AnalysisConfig()
 
 # 2015-02-10 00:00 UTC
 TS_2015_Q1 = 1_423_526_400_000
+DAY_MS = 86_400_000
 
 
 def at_local_hour(hour, cfg=CFG, day_ms=1_451_865_600_000):
@@ -246,6 +249,28 @@ class TestLabels:
         earliest = AnalysisConfig(utc_offset_minutes=UTC_OFFSET_MIN_MINUTES)
         assert quarter_label(TIMESTAMP_END_MS - 1, latest) == "9999-Q4"
         assert month_label(1, earliest) == "1969-12"
+
+    def test_labels_by_local_day_match_datetime(self):
+        # the labels are derived from the integer local day; the oracle is the datetime formula
+        def oracle(ts, cfg):
+            dt = datetime.fromtimestamp(cfg.local_ms(ts) / 1000.0, tz=timezone.utc)
+            return f"{dt.year}-{dt.month:02d}", f"{dt.year}-Q{(dt.month - 1) // 3 + 1}"
+
+        epoch = date(1970, 1, 1).toordinal()
+        days = set(range(0, TIMESTAMP_END_MS // DAY_MS, 9973))  # every 9973rd local day
+        days.update(date(y, m, 1).toordinal() - epoch for y in range(1969, 2101) for m in range(1, 13))
+        checked = 0
+        for offset in (-720, -1, 0, 330, 840):
+            cfg = AnalysisConfig(utc_offset_minutes=offset)
+            stamps = {1, TIMESTAMP_END_MS - 1}
+            for day in days:
+                start = day * DAY_MS - offset * 60_000  # UTC ms of the local midnight
+                stamps.update((start - 1, start, start + 1, start + DAY_MS // 2))
+            for ts in sorted(stamps):
+                if 0 < ts < TIMESTAMP_END_MS:
+                    assert (month_label(ts, cfg), quarter_label(ts, cfg)) == oracle(ts, cfg), (ts, offset)
+                    checked += 1
+        assert checked > 30_000
 
 
 class TestPermutationInvariance:
