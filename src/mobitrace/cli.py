@@ -27,7 +27,8 @@ from .model import (AnalysisConfig, CapabilityCatalog, MeasurementRecord, Scenar
 # The names this module takes from each module that only some stages run. A stage binds them with
 # _bind when it starts, so each stage imports only what it runs.
 _STAGE_NAMES = {
-    "synth": ("ScenarioConfig", "generate"),
+    # generate is not called here; it stays bound because perfbench/tracer.py wraps it on this module.
+    "synth": ("ScenarioConfig", "draw_records", "generate"),
     "congestion": ("classify",),
     "attribution": ("AnalyzedRow", "AssessmentSummary", "attribute"),
     "coverage": ("HandoverEvent", "HandoverImpact", "camping_stats", "detect_handovers", "handover_impact"),
@@ -80,10 +81,6 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_json(obj, path: Path) -> None:
-    write_json([obj], path, indent=2)
-
-
 def _write_csv(header, rows, path: Path) -> None:
     import csv
 
@@ -103,7 +100,7 @@ def _write_manifest(out_dir: Path, command: str, config_obj: dict, inputs, outpu
         "outputs": sorted(outputs),
         "wall_time_s": time.monotonic() - started,
     }
-    _write_json(manifest, out_dir / "manifest.json")
+    write_json([manifest], out_dir / "manifest.json", indent=2)
 
 
 def _load_config(args, cls):
@@ -133,15 +130,17 @@ def cmd_synth(args) -> None:
     started = time.monotonic()
     _bind("synth")
     cfg = _load_config(args, ScenarioConfig)
-    try:
-        records, truth = generate(cfg)
-    except ValueError as exc:  # a record out of the bounds ingest checks
-        raise UsageError(f"scenario makes an invalid record: {exc}") from exc
+    truth = []
+
+    def records():  # each drawn, written and dropped before the next is drawn
+        truth.append((yield from draw_records(cfg)))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_records(records, out_dir / "trace.jsonl")
-    del records  # freed before the ground truth is encoded, so that the two do not peak together
-    _write_json(to_json(truth), out_dir / "ground_truth.json")
+    try:
+        write_records(records(), out_dir / "trace.jsonl")
+    except ValueError as exc:  # a record out of the bounds ingest checks; trace.jsonl is left as it was
+        raise UsageError(f"scenario makes an invalid record: {exc}") from exc
+    write_json([to_json(truth[0])], out_dir / "ground_truth.json", indent=2)
     _write_manifest(out_dir, "synth", to_json(cfg), [], ["trace.jsonl", "ground_truth.json"], started)
 
 
@@ -197,7 +196,7 @@ def cmd_analyze(args) -> None:
     ingest_obj = {"records": to_json(ingest_report)}
     if catalog_report is not None:
         ingest_obj["catalog"] = to_json(catalog_report)
-    _write_json(ingest_obj, out_dir / "ingest_report.json")
+    write_json([ingest_obj], out_dir / "ingest_report.json", indent=2)
     _write_manifest(out_dir, "analyze", to_json(cfg), inputs,
                     ["analyzed.jsonl", "handovers.jsonl", "ingest_report.json"], started)
 
@@ -304,7 +303,7 @@ def cmd_report(args) -> None:
     outputs = []
     for name in names:
         json_obj, header, rows = REPORTS[name](records, analyzed, events, cfg, args)
-        _write_json(json_obj, out_dir / f"{name}.json")
+        write_json([json_obj], out_dir / f"{name}.json", indent=2)
         _write_csv(header, rows, out_dir / f"{name}.csv")
         outputs.extend([f"{name}.json", f"{name}.csv"])
     _write_manifest(out_dir, "report", to_json(cfg), [in_dir / "analyzed.jsonl", in_dir / "handovers.jsonl"],

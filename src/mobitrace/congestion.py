@@ -110,14 +110,16 @@ def filter_spikes(series: SampleSeries, cfg: AnalysisConfig) -> Tuple[SampleSeri
     and returns with spikes left. Returns the filtered series and the count
     of samples replaced.
 
-    Cost: O(n*h + k*h*log n) for n samples, half width h and k
-    replacements. One routine gives exact neighborhood means: it pads the
-    series with h zeros at each end and fsums the tuples of 2h shifted
-    slices. It runs once over all n samples, then once per replacement:
-    replacing sample i by its mean changes the means and ratios of i-h..i+h
-    only, so just those are recomputed. Every spike sits in a max-heap keyed
-    (-ratio, index); an entry whose ratio has changed since its push is
-    stale and skipped when popped (lazy invalidation).
+    Cost: O(n*h + k*h*h) for n samples, half width h and k replacements,
+    plus O(k*h*log(n + k*h)) for the heap. One routine gives exact
+    neighborhood means: it pads the series with h zeros at each end and
+    fsums the tuples of 2h shifted slices. It runs once over all n samples,
+    then once per replacement: replacing sample i by its mean changes the
+    means and ratios of i-h..i+h only, so just those 2h+1 means, each over
+    2h neighbors, are recomputed. Every spike sits in a max-heap keyed
+    (-ratio, index), and a replacement pushes up to 2h+1 entries; an entry
+    whose ratio has changed since its push is stale and skipped when popped
+    (lazy invalidation).
     """
     values, replaced = _despike(series.values, cfg)
     return SampleSeries(interval_ms=series.interval_ms, values=tuple(values)), replaced

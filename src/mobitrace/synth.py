@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Annotated, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Annotated, Dict, Generator, Iterator, List, NamedTuple, Optional, Tuple
 
 from .model import (AnalysisConfig, Dbm, Hour, MeasurementRecord, Pool, RadioTechnology, Range, SampleSeries,
                     Scenario, UtcOffset, check_field_types, is_downgrade, is_finite_number, mean)
@@ -39,7 +39,7 @@ _LANES = _ONES * _MASK64
 # big-endian bytes it is item 2 * (_BLOCK - i) - 1, which [::-2] visits in lane order.
 _LOW_HALVES = slice(None, None, 2 if sys.byteorder == "little" else -2)
 
-# generate holds each record's samples in one list and writes them as one
+# draw_records holds each record's samples in one list, written as one
 # trace line; 100 000 samples make a line of about 2 MB.
 MAX_SAMPLES_PER_RECORD = 100_000
 
@@ -63,7 +63,8 @@ class CounterRng:
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        self._draws = chain.from_iterable(map(self._block, count(1, _BLOCK)))
+        # the next uniform, called without a Python frame of its own
+        self.uniform = chain.from_iterable(map(self._block, count(1, _BLOCK))).__next__
 
     def _block(self, first: int) -> Iterator[float]:
         """The uniforms of counters first .. first + _BLOCK - 1."""
@@ -73,23 +74,6 @@ class CounterRng:
         z = (z ^ (z >> 31)) >> 11  # the low half of each slot now holds its lane's top 53 bits
         # k * 2**-53 is exact for k < 2**53
         return map(_UNIT.__mul__, memoryview(z.to_bytes(16 * _BLOCK, sys.byteorder)).cast("Q")[_LOW_HALVES])
-
-    def uniform(self) -> float:
-        return next(self._draws)
-
-    def normal(self) -> float:
-        u1 = self.uniform()
-        while u1 == 0.0:
-            u1 = self.uniform()
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def lognormal_unit_mean(self, cv: float) -> float:
-        """Multiplicative noise with mean 1 and the given coefficient of variation."""
-        if cv <= 0:
-            return 1.0
-        sigma2 = math.log(1.0 + cv * cv)
-        return math.exp(-0.5 * sigma2 + math.sqrt(sigma2) * self.normal())
 
 
 @dataclass(frozen=True)
@@ -101,7 +85,7 @@ class ScenarioConfig:
     busy_hour_start: Hour = 7
     busy_hour_end: Hour = 17
     cells: Tuple[Tuple[str, RadioTechnology, float], ...] = ()
-    # at most one record per ms: generate spaces them by whole ms
+    # at most one record per ms: draw_records spaces them by whole ms
     records_per_hour: Annotated[int, Range(1, 3_600_000)] = 60
     sample_interval_ms: Annotated[int, Range(1)] = 500
     samples_per_record: Annotated[int, Range(2, MAX_SAMPLES_PER_RECORD)] = 20
@@ -212,15 +196,34 @@ def _choose_pool(mix: Dict[str, float], rng: CounterRng) -> Pool:
     return Pool.HIGH
 
 
+def _nonzero(draw) -> float:
+    """The next draw that is not 0.0, whose log is finite."""
+    u = draw()
+    while u == 0.0:
+        u = draw()
+    return u
+
+
 def _noisy_samples(cfg: ScenarioConfig, mean_kbps: float, rng: CounterRng) -> Tuple[List[float], List[int]]:
-    values = [mean_kbps * rng.lognormal_unit_mean(cfg.noise_cv) for _ in range(cfg.samples_per_record)]
+    """mean_kbps times lognormal noise of mean 1 and coefficient of variation cfg.noise_cv, each
+    factor exp(-sigma2/2 + sigma * z) from one Box-Muller normal z = sqrt(-2 log u1) * cos(2 pi u2),
+    with u1 redrawn while it is 0.0; then a spike draw per sample that does not follow a spike."""
+    draw, n = rng.uniform, cfg.samples_per_record
+    if cfg.noise_cv <= 0:
+        values = [mean_kbps] * n
+    else:
+        sigma2 = math.log(1.0 + cfg.noise_cv * cfg.noise_cv)
+        shift, sigma, tau = -0.5 * sigma2, math.sqrt(sigma2), 2.0 * math.pi
+        exp, sqrt, log, cos = math.exp, math.sqrt, math.log, math.cos
+        values = [mean_kbps * exp(shift + sigma * (sqrt(-2.0 * log(draw() or _nonzero(draw))) * cos(tau * draw())))
+                  for _ in range(n)]
     spike_indices = []
-    for i in range(len(values)):
+    for i in range(n):
         # keep spikes isolated so they read as single reordering outliers
         if spike_indices and spike_indices[-1] == i - 1:
             continue
-        if rng.uniform() < cfg.spike_rate:
-            values[i] *= 3.0 + 2.0 * rng.uniform()
+        if draw() < cfg.spike_rate:
+            values[i] *= 3.0 + 2.0 * draw()
             spike_indices.append(i)
     return values, spike_indices
 
@@ -251,13 +254,13 @@ def _make_record(cfg: ScenarioConfig, index: int, ts: int, cell_id: str,
     )
 
 
-def generate(cfg: ScenarioConfig) -> Tuple[List[MeasurementRecord], GroundTruth]:
-    """Emit the configured scenario's records and their planted labels."""
+def draw_records(cfg: ScenarioConfig) -> Generator[MeasurementRecord, None, GroundTruth]:
+    """Yield the configured scenario's records in trace order, each drawn only when the one before
+    it has been taken, and return their planted labels once the last is taken."""
     rng = CounterRng(cfg.seed)
     analysis_cfg = AnalysisConfig(busy_hour_start=cfg.busy_hour_start, busy_hour_end=cfg.busy_hour_end,
                                   utc_offset_minutes=cfg.utc_offset_minutes)
     spacing = 3_600_000 // cfg.records_per_hour
-    records: List[MeasurementRecord] = []
     labels: List[RecordLabel] = []
     handovers: List[PlantedHandover] = []
     hour_means: Dict[int, float] = {}
@@ -273,10 +276,10 @@ def generate(cfg: ScenarioConfig) -> Tuple[List[MeasurementRecord], GroundTruth]
             values, spike_list = _noisy_samples(cfg, true_mean, rng)
             spikes = tuple(spike_list)
             true_pool = None
-        records.append(_make_record(cfg, index, ts, cell_id, tech, values, rng))
+        record = _make_record(cfg, index, ts, cell_id, tech, values, rng)
         labels.append(
             RecordLabel(
-                record_id=f"r{index:06d}",
+                record_id=record.record_id,
                 local_hour=hour,
                 true_mean_kbps=true_mean,
                 cell_id=cell_id,
@@ -285,6 +288,7 @@ def generate(cfg: ScenarioConfig) -> Tuple[List[MeasurementRecord], GroundTruth]
                 spike_indices=spikes,
             )
         )
+        return record
 
     if cfg.scenario is Scenario.STATIONARY_24H:
         for hour in range(24):
@@ -294,7 +298,7 @@ def generate(cfg: ScenarioConfig) -> Tuple[List[MeasurementRecord], GroundTruth]
             for j in range(cfg.records_per_hour):
                 index = hour * cfg.records_per_hour + j
                 ts = cfg.start_ms() + index * spacing
-                emit(index, ts, "cell-0", cfg.technology, true_mean, hour)
+                yield emit(index, ts, "cell-0", cfg.technology, true_mean, hour)
     else:
         ts = cfg.start_ms()
         index = 0
@@ -314,7 +318,7 @@ def generate(cfg: ScenarioConfig) -> Tuple[List[MeasurementRecord], GroundTruth]
                     )
                 )
             for _ in range(cfg.records_per_hour):
-                emit(index, ts, cell_id, tech, capacity, analysis_cfg.local_hour(ts))
+                yield emit(index, ts, cell_id, tech, capacity, analysis_cfg.local_hour(ts))
                 index += 1
                 ts += spacing
             prev_cell = (cell_id, tech)
@@ -322,7 +326,7 @@ def generate(cfg: ScenarioConfig) -> Tuple[List[MeasurementRecord], GroundTruth]
         # records were emitted starting at that ts, so the planted list is
         # consistent with detection on the emitted trace.
 
-    truth = GroundTruth(
+    return GroundTruth(
         run_id=cfg.run_id,
         scenario=cfg.scenario.value,
         diurnal_dip=cfg.diurnal_dip,
@@ -330,4 +334,13 @@ def generate(cfg: ScenarioConfig) -> Tuple[List[MeasurementRecord], GroundTruth]
         record_labels=tuple(labels),
         handovers=tuple(handovers),
     )
-    return records, truth
+
+
+def generate(cfg: ScenarioConfig) -> Tuple[List[MeasurementRecord], GroundTruth]:
+    """draw_records collected: every record in a list, and the ground truth."""
+    stream, records = draw_records(cfg), []
+    try:
+        while True:
+            records.append(next(stream))
+    except StopIteration as done:
+        return records, done.value

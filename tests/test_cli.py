@@ -25,6 +25,10 @@ def sha(path):
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+# Bytes synth's peak may grow by for each record it writes; 660 under Python 3.11.
+SYNTH_BYTES_PER_RECORD_MAX = 800
+
+
 def run_synth(tmp_path, name="s", *extra):
     out = tmp_path / name
     code = main(["synth", "--scenario", "stationary24h", "--seed", "7",
@@ -66,12 +70,40 @@ class TestSynthCommand:
 
     def test_records_per_hour_above_one_per_ms_exits_2(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "generate", calls.append)
+        monkeypatch.setattr(cli, "draw_records", calls.append)
         code = main(["synth", "--scenario", "stationary24h", "--seed", "1",
                      "--records-per-hour", "3600001", "--out", str(tmp_path / "x")])
         assert code == 2
         assert capsys.readouterr().err == "error: records_per_hour must be at least 1 and at most 3600000\n"
         assert calls == [] and not (tmp_path / "x").exists()
+
+    def test_invalid_record_leaves_the_out_dir_as_it_was(self, tmp_path, capsys):
+        _, out = run_synth(tmp_path)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(before) == {"trace.jsonl", "ground_truth.json", "manifest.json"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"base_capacity_kbps": 2e7}))
+        capsys.readouterr()
+        assert main(["synth", "--scenario", "stationary24h", "--seed", "1", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: scenario makes an invalid record: ")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # no .trace.jsonl.tmp either
+
+    def test_peak_memory_per_record_excludes_the_records(self, tmp_path):
+        # each record is written and dropped before the next is drawn: what grows with the count is
+        # its label and the label's JSON. Holding every record took about 1300 B a record.
+        def synth_peak(records_per_hour):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert run_synth(tmp_path, "s", "--records-per-hour", str(records_per_hour))[0] == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        synth_peak(10)  # fills the caches a first synth fills
+        grown = synth_peak(100) - synth_peak(10)
+        assert grown / (24 * 90) < SYNTH_BYTES_PER_RECORD_MAX
 
 
 class TestAnalyzeCommand:
@@ -242,11 +274,12 @@ def test_each_stage_imports_only_what_it_runs(tmp_path, command, modules):
     assert command != "--version" or out.stdout.splitlines()[-1] == "0"
 
 
-# The names perfbench/tracer.py wraps on mobitrace.cli, and those whose calls are counted below.
+# The names perfbench/tracer.py wraps on mobitrace.cli, plus draw_records, which synth calls where it
+# called generate; and those whose calls are counted below.
 TRACED = ("read_records", "record_from_obj", "write_records", "build_sessions", "classify", "detect_handovers",
           "handover_impact", "camping_stats", "attribute", "generate", "throughput_histogram", "hourly_profile",
-          "quarterly_trend", "operator_summary", "pool_trend", "signal_correlation")
-COUNTED = ("generate", "classify", "attribute", "detect_handovers", "camping_stats", "throughput_histogram")
+          "quarterly_trend", "operator_summary", "pool_trend", "signal_correlation", "draw_records")
+COUNTED = ("draw_records", "classify", "attribute", "detect_handovers", "camping_stats", "throughput_histogram")
 
 
 def test_wrappers_set_on_cli_see_every_call(tmp_path):

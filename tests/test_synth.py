@@ -5,8 +5,8 @@ import pytest
 
 from mobitrace.congestion import Pool, classify
 from mobitrace.model import AnalysisConfig, RadioTechnology, mean
-from mobitrace.synth import (_BLOCK, MAX_SAMPLES_PER_RECORD, CounterRng, Scenario, ScenarioConfig, generate,
-                             plant_pool)
+from mobitrace.synth import (_BLOCK, MAX_SAMPLES_PER_RECORD, CounterRng, Scenario, ScenarioConfig, _noisy_samples,
+                             draw_records, generate, plant_pool)
 
 CFG = AnalysisConfig()
 
@@ -51,17 +51,23 @@ class ScalarRng:
         return math.exp(-0.5 * sigma2 + math.sqrt(sigma2) * self.normal())
 
 
-def noisy_draws(rng, shapes):
-    """The draws synth makes per record, in its order: noisy samples, data-dependent spike draws
-    (a second draw only after a spike), then the signal draw."""
-    out = []
-    for samples, cv, spike_rate in shapes:
-        values = [rng.lognormal_unit_mean(cv) for _ in range(samples)]
-        for i in range(samples):
-            if rng.uniform() < spike_rate:
-                values[i] *= 3.0 + 2.0 * rng.uniform()
-        out.append((values, rng.uniform()))
-    return out
+def oracle_noisy_samples(rng, mean_kbps, samples, cv, spike_rate):
+    """synth's samples and spikes drawn one call per draw, in its order: the noise, then a spike draw
+    per sample that does not follow a spike, and a second draw only after a spike."""
+    values = [mean_kbps * rng.lognormal_unit_mean(cv) for _ in range(samples)]
+    spikes = []
+    for i in range(samples):
+        if spikes and spikes[-1] == i - 1:
+            continue
+        if rng.uniform() < spike_rate:
+            values[i] *= 3.0 + 2.0 * rng.uniform()
+            spikes.append(i)
+    return values, spikes
+
+
+def noise_cfg(samples, cv, spike_rate):
+    return ScenarioConfig(seed=0, scenario=Scenario.STATIONARY_24H, samples_per_record=samples, noise_cv=cv,
+                          spike_rate=spike_rate)
 
 
 class TestCounterRng:
@@ -72,23 +78,32 @@ class TestCounterRng:
                                                          0x06C45D188009454F]
         assert CounterRng(0).uniform() == (0xE220A8397B1DCDAF >> 11) * 2.0 ** -53
 
-    @pytest.mark.parametrize("seed", [0, 1, 42, -1, 2**64 - 1, 2**64 + 5])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, -1, 2**64 - 1, 2**64 + 5])
     def test_block_stream_equals_scalar_oracle(self, seed):
+        # each record's samples, then its signal draw; the 600-sample series crosses a block
         lengths = random.Random(seed)
         shapes = [(lengths.randrange(2, 60), cv, rate)
-                  for cv, rate in [(0.1, 0.05), (0.0, 0.3), (0.5, 0.0), (0.2, 1.0)] * 12]
-        oracle = ScalarRng(seed)
-        assert noisy_draws(CounterRng(seed), shapes) == noisy_draws(oracle, shapes)
-        assert oracle.counter > 3 * _BLOCK
+                  for cv, rate in [(0.1, 0.05), (0.0, 0.3), (0.5, 0.0), (0.2, 1.0)] * 12] + [(600, 0.1, 0.05)]
+        rng, oracle = CounterRng(seed), ScalarRng(seed)
+        for samples, cv, rate in shapes:
+            mean_kbps = 100.0 + samples
+            drawn = _noisy_samples(noise_cfg(samples, cv, rate), mean_kbps, rng)
+            assert drawn == oracle_noisy_samples(oracle, mean_kbps, samples, cv, rate)
+            assert rng.uniform() == oracle.uniform()
+        assert oracle.counter > 6 * _BLOCK
 
-    def test_normal_redraws_a_zero_u1(self):
-        # no seed is known to draw exactly 0.0, so both streams are stubbed with the same draws
+    def test_noisy_samples_redraw_a_zero_u1(self):
+        # no seed is known to draw exactly 0.0, so both streams are stubbed with the same draws:
+        # u1 is redrawn twice for the first sample and once for the second, which the spike skips
+        draws = [0.0, 0.0, 0.25, 0.5, 0.0, 0.125, 0.9, 0.3, 0.6, 0.75]
         rng, oracle = CounterRng(0), ScalarRng(0)
-        rng._draws = iter([0.0, 0.25, 0.5, 0.75])
-        oracle_draws = iter([0.0, 0.25, 0.5, 0.75])
-        oracle.uniform = oracle_draws.__next__
-        assert rng.normal() == oracle.normal() == math.sqrt(-2.0 * math.log(0.25)) * math.cos(math.pi)
-        assert rng.uniform() == next(oracle_draws) == 0.75
+        rng.uniform, oracle.uniform = iter(draws).__next__, iter(draws).__next__
+        values, spikes = _noisy_samples(noise_cfg(2, 0.3, 0.5), 1000.0, rng)
+        assert (values, spikes) == oracle_noisy_samples(oracle, 1000.0, 2, 0.3, 0.5)
+        sigma2 = math.log(1.09)
+        noise = math.exp(-0.5 * sigma2 + math.sqrt(sigma2) * math.sqrt(-2.0 * math.log(0.25)) * math.cos(math.pi))
+        assert spikes == [0] and values[0] == pytest.approx(1000.0 * noise * 4.2, rel=1e-15)
+        assert rng.uniform() == oracle.uniform() == 0.75
 
     def test_uniform_in_unit_interval(self):
         rng = CounterRng(7)
@@ -96,10 +111,9 @@ class TestCounterRng:
         assert all(0.0 <= v < 1.0 for v in values)
         assert 0.4 < sum(values) / len(values) < 0.6
 
-    def test_lognormal_unit_mean(self):
-        rng = CounterRng(9)
-        values = [rng.lognormal_unit_mean(0.2) for _ in range(4000)]
-        assert sum(values) / len(values) == pytest.approx(1.0, abs=0.02)
+    def test_noise_has_unit_mean(self):
+        values, spikes = _noisy_samples(noise_cfg(4000, 0.2, 0.0), 1.0, CounterRng(9))
+        assert spikes == [] and sum(values) / len(values) == pytest.approx(1.0, abs=0.02)
 
 
 class TestScenarioConfig:
@@ -153,6 +167,15 @@ class TestGenerateStationary:
         assert len(records) == 96
         assert truth.hour_means_kbps[8] == pytest.approx(2000.0)
         assert truth.hour_means_kbps[3] == pytest.approx(5000.0)
+
+    def test_generate_collects_the_stream(self):
+        cfg = ScenarioConfig(seed=11, scenario=Scenario.STATIONARY_24H, records_per_hour=3, spike_rate=0.02)
+        records, truth = generate(cfg)
+        stream = draw_records(cfg)
+        assert [next(stream) for _ in records] == records  # one at a time, in trace order
+        with pytest.raises(StopIteration) as done:
+            next(stream)
+        assert done.value.value == truth and len(truth.record_labels) == 72
 
     def test_same_seed_identical(self):
         cfg = ScenarioConfig(seed=11, scenario=Scenario.STATIONARY_24H, records_per_hour=3,
