@@ -160,6 +160,10 @@ def cmd_analyze(args) -> None:
     else:
         catalog, catalog_report = CapabilityCatalog.empty(), None
     if not records:
+        if n := ingest_report.rejected:  # no line was accepted, so each warning is a reject
+            line_no, reason = ingest_report.warnings[0]
+            raise EmptyResult(f"no analyzable records: {n} line{'s' * (n > 1)} rejected, "
+                              f"the first on line {line_no}: {reason}")
         raise EmptyResult("no analyzable records")
 
     sessions = build_sessions(records)

@@ -25,7 +25,6 @@ from .model import AnalysisConfig, Pool, SampleSeries
 # spikes in long series.
 _REPLACEMENTS_PER_SAMPLE = 4
 _MIN_REPLACEMENTS = 1000
-_BLOCK_CELLS = 1 << 16
 
 
 class WindowStats(NamedTuple):
@@ -54,15 +53,10 @@ def _neighbor_counts(n: int, h: int) -> Tuple[int, ...]:
 def _neighborhood_means(padded, h: int, lo: int, hi: int) -> List[float]:
     """The means of the up-to-2*h neighbors (the sample itself excluded) of samples lo..hi-1 of a series
     padded with h zeros at each end. fsum is correctly rounded, so neither the zeros nor the order of the
-    neighbors changes a mean. Blocks of at most _BLOCK_CELLS neighbors bound the shifted copies held."""
+    neighbors changes a mean."""
     counts = _neighbor_counts(len(padded) - 2 * h, h)
-    step = max(1, _BLOCK_CELLS // h)
-    means = []
-    for start in range(lo, hi, step):
-        stop = min(hi, start + step)
-        shifted = [padded[start + s : stop + s] for s in range(2 * h + 1) if s != h]
-        means += map(truediv, map(math.fsum, zip(*shifted)), counts[start:stop])
-    return means
+    shifted = [padded[lo + s : hi + s] for s in range(2 * h + 1) if s != h]
+    return list(map(truediv, map(math.fsum, zip(*shifted)), counts[lo:hi]))
 
 
 def _spike_ratios(values, means) -> List[float]:
@@ -73,7 +67,7 @@ def _spike_ratios(values, means) -> List[float]:
 def _despike(original, cfg: AnalysisConfig) -> Tuple[List[float], int]:
     """The spike filter on at least 2 floats: returns the filtered values and the count of samples replaced."""
     n = len(original)
-    h = min(cfg.smoothing_half_width, n - 1)  # a wider neighborhood holds no more samples
+    h = cfg.smoothing_half_width
     factor = cfg.spike_factor
     padded = [0.0] * h + list(original) + [0.0] * h  # sample i at padded[i + h]
     means = _neighborhood_means(padded, h, 0, n)
@@ -111,7 +105,9 @@ def filter_spikes(series: SampleSeries, cfg: AnalysisConfig) -> Tuple[SampleSeri
     of samples replaced.
 
     Cost: O(n*h + k*h*h) for n samples, half width h and k replacements,
-    plus O(k*h*log(n + k*h)) for the heap. One routine gives exact
+    plus O(k*h*log(n + k*h)) for the heap. The config bounds h to 1..5 and
+    the cap bounds k by max(1000, 4*n), so even a series that never
+    settles costs time linear in n. One routine gives exact
     neighborhood means: it pads the series with h zeros at each end and
     fsums the tuples of 2h shifted slices. It runs once over all n samples,
     then once per replacement: replacing sample i by its mean changes the

@@ -57,8 +57,8 @@ def record_from_obj(obj: dict) -> Tuple[MeasurementRecord, List[str]]:
 
 def read_json_lines(path, parse):
     """Yield (line_no, parse(value), None) for the JSON value on each line of path, or (line_no, None,
-    fault) for a line that does not parse. Blank lines are skipped. The fault reads "invalid JSON",
-    "missing field 'x'" for a KeyError, or the text of the ValueError or TypeError that parse raised.
+    fault) for a line that does not parse. Blank lines are skipped. The fault reads "invalid JSON", or
+    the text of the ValueError or TypeError that parse raised.
     Bytes that are not UTF-8 are read as lone surrogates, which JSON or a record's text check
     rejects. Only a newline ends a line: a bare carriage return is JSON whitespace, and the one of a
     CRLF ending is stripped with the rest. Only JSON's whitespace (space, tab, CR, LF) is stripped, so
@@ -76,8 +76,6 @@ def read_json_lines(path, parse):
                 continue
             try:
                 value, fault = parse(obj), None
-            except KeyError as exc:
-                value, fault = None, f"missing field {exc}"
             except (ValueError, TypeError) as exc:
                 value, fault = None, str(exc)
             yield line_no, value, fault

@@ -497,7 +497,7 @@ class CapabilityCatalog:
 class AnalysisConfig:
     """All analysis tunables with their defaults."""
 
-    smoothing_half_width: Annotated[int, Range(1)] = 2  # 5-sample centered neighborhood
+    smoothing_half_width: Annotated[int, Range(1, 5)] = 2  # 5-sample centered neighborhood
     spike_factor: Annotated[float, Range(above=1)] = 2.0
     window_size: Annotated[int, Range(2)] = 10
     rad_stability_max: Annotated[float, Range(0)] = 0.10

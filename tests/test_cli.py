@@ -178,6 +178,15 @@ class TestAnalyzeCommand:
         assert code == 3
         assert "no analyzable records" in capsys.readouterr().err
 
+    def test_all_lines_rejected_exits_3_with_the_first_reason(self, tmp_path, capsys):
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text('\n{"record_id": "x"}\nnot json\n')
+        an = tmp_path / "an"
+        assert main(["analyze", "--in", str(trace), "--out", str(an)]) == 3
+        assert capsys.readouterr().err == ("error: no analyzable records: 2 lines rejected, "
+                                           "the first on line 2: missing required field 'user_id'\n")
+        assert not an.exists()
+
     def test_bad_config_exits_2(self, tmp_path):
         trace = tmp_path / "t.jsonl"
         write_records([make_record()], trace)

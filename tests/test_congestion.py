@@ -45,24 +45,13 @@ series_strategy = sample_lists(2).map(make_series)
 _MAX_FILTER_PASSES = 1000
 
 
-def _neighborhood_mean(values, i: int, half_width: int):
-    """Mean of the up-to-2*half_width neighbors of i (truncated at edges),
-    excluding i itself."""
-    lo = max(0, i - half_width)
-    hi = min(len(values), i + half_width + 1)
-    neighbors = [values[j] for j in range(lo, hi) if j != i]
-    if not neighbors:
-        return None
-    return math.fsum(neighbors) / len(neighbors)
-
-
 def _worst_outlier(values, cfg):
     """Index and replacement value of the sample deviating most from its
     neighborhood mean, or None when every sample is within bounds."""
     worst = None
     worst_ratio = cfg.spike_factor
     for i, v in enumerate(values):
-        m = _neighborhood_mean(values, i, cfg.smoothing_half_width)
+        m = congestion_oracle._neighborhood_mean(values, i, cfg.smoothing_half_width)
         if m is None or m <= 0:
             continue
         ratio = v / m if v > m else (math.inf if v == 0 else m / v)
@@ -298,11 +287,12 @@ class TestFilterSpikes:
         assert classify(series, CFG).spikes_replaced == 0
         assert covered == [1600, 1600]
 
-    def test_factor_near_one_stops_at_cap(self, monkeypatch):
+    @pytest.mark.parametrize("half_width", [2, 5])
+    def test_factor_near_one_stops_at_cap(self, monkeypatch, half_width):
         # near spike_factor 1 a replacement keeps making new spikes, so the
         # filter stops at its cap and returns with spikes left
         covered = count_mean_calls(monkeypatch)
-        cfg = AnalysisConfig(spike_factor=1.0001)
+        cfg = AnalysisConfig(smoothing_half_width=half_width, spike_factor=1.0001)
         rng = random.Random(6)
         series = make_series([1000.0 * rng.uniform(0.5, 1.5) for _ in range(100)])
         filtered, _ = filter_spikes(series, cfg)
@@ -312,24 +302,23 @@ class TestFilterSpikes:
         assert sum(covered) <= 100 + (2 * cfg.smoothing_half_width + 2) * cap
         assert _worst_outlier(filtered.values, cfg) is not None
 
-    def test_wide_neighborhood_holds_little_memory(self, monkeypatch):
-        # the means are taken in blocks, so that a wide neighborhood over a
-        # long series never holds 2h copies of it at once
-        covered = count_mean_calls(monkeypatch)
-        n, h = 2000, 1000
+    def test_widest_neighborhood_holds_little_memory(self):
+        # the 2h shifted slices are taken whole; at the widest half width the
+        # config accepts they stay a small multiple of the series
+        n, h = 50_000, 5
         values = [1000.0] * n
         values[7] = 5000.0
+        series = make_series(values)
         tracemalloc.start()
         try:
-            filtered, replaced = filter_spikes(make_series(values), AnalysisConfig(smoothing_half_width=h))
+            filtered, replaced = filter_spikes(series, AnalysisConfig(smoothing_half_width=h))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (replaced, filtered.values[7]) == (1, 1000.0)
-        assert covered == [n, 7 + h + 1]
-        assert peak < 4_000_000  # 2h copies of the series take 32 MB
+        assert peak < 160 * n  # about 129 B a sample at h = 5, against 90 at h = 2
         # a half width of n - 1 or more reaches every other sample
-        assert filter_spikes(make_series([10, 100, 10]), AnalysisConfig(smoothing_half_width=10**9))[1] == 1
+        assert filter_spikes(make_series([10, 100, 10]), AnalysisConfig(smoothing_half_width=h))[1] == 1
 
 
 def count_mean_calls(monkeypatch):
