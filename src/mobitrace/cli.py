@@ -28,7 +28,7 @@ from .model import (AnalysisConfig, CapabilityCatalog, MeasurementRecord, Scenar
 # _bind when it starts, so each stage imports only what it runs.
 _STAGE_NAMES = {
     # generate is not called here; it stays bound because perfbench/tracer.py wraps it on this module.
-    "synth": ("ScenarioConfig", "draw_records", "generate"),
+    "synth": ("ScenarioConfig", "draw_records", "generate", "planted_truth"),
     "congestion": ("classify",),
     "attribution": ("AnalyzedRow", "AssessmentSummary", "attribute"),
     "coverage": ("HandoverEvent", "HandoverImpact", "camping_stats", "detect_handovers", "handover_impact"),
@@ -130,17 +130,25 @@ def cmd_synth(args) -> None:
     started = time.monotonic()
     _bind("synth")
     cfg = _load_config(args, ScenarioConfig)
-    truth = []
-
-    def records():  # each drawn, written and dropped before the next is drawn
-        truth.append((yield from draw_records(cfg)))
+    encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode  # write_json's one-line form
+    # JSON escapes every quote inside a string, so this text can occur only as the key itself
+    head, tail = encode(to_json(planted_truth(cfg))).split('"record_labels": []')
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        write_records(records(), out_dir / "trace.jsonl")
-    except ValueError as exc:  # a record out of the bounds ingest checks; trace.jsonl is left as it was
-        raise UsageError(f"scenario makes an invalid record: {exc}") from exc
-    write_json([to_json(truth[0])], out_dir / "ground_truth.json", indent=2)
+    with replacing(out_dir / "ground_truth.json") as truth:
+        truth.write(head + '"record_labels": [')
+
+        def records():  # each record's label is written as it is handed over; both are dropped before the next
+            sep = ""
+            for record, label in draw_records(cfg):
+                truth.write(sep + encode(to_json(label)))
+                sep = ", "
+                yield record
+        try:
+            write_records(records(), out_dir / "trace.jsonl")
+        except ValueError as exc:  # a record out of the bounds ingest checks; both files are left as they were
+            raise UsageError(f"scenario makes an invalid record: {exc}") from exc
+        truth.write("]" + tail + "\n")
     _write_manifest(out_dir, "synth", to_json(cfg), [], ["trace.jsonl", "ground_truth.json"], started)
 
 

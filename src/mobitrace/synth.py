@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Annotated, Dict, Generator, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Annotated, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .model import (AnalysisConfig, Dbm, Hour, MeasurementRecord, Pool, RadioTechnology, Range, SampleSeries,
                     Scenario, UtcOffset, check_field_types, is_downgrade, is_finite_number, mean)
@@ -132,6 +132,11 @@ class ScenarioConfig:
 
     def start_ms(self) -> int:
         return _EPOCH_DAY_MS - self.utc_offset_minutes * 60_000
+
+    def analysis_config(self) -> AnalysisConfig:
+        """The analysis config whose busy hours and local hours this scenario plants."""
+        return AnalysisConfig(busy_hour_start=self.busy_hour_start, busy_hour_end=self.busy_hour_end,
+                              utc_offset_minutes=self.utc_offset_minutes)
 
 
 class RecordLabel(NamedTuple):
@@ -254,16 +259,37 @@ def _make_record(cfg: ScenarioConfig, index: int, ts: int, cell_id: str,
     )
 
 
-def draw_records(cfg: ScenarioConfig) -> Generator[MeasurementRecord, None, GroundTruth]:
-    """Yield the configured scenario's records in trace order, each drawn only when the one before
-    it has been taken, and return their planted labels once the last is taken."""
-    rng = CounterRng(cfg.seed)
-    analysis_cfg = AnalysisConfig(busy_hour_start=cfg.busy_hour_start, busy_hour_end=cfg.busy_hour_end,
-                                  utc_offset_minutes=cfg.utc_offset_minutes)
-    spacing = 3_600_000 // cfg.records_per_hour
-    labels: List[RecordLabel] = []
-    handovers: List[PlantedHandover] = []
+def planted_truth(cfg: ScenarioConfig) -> GroundTruth:
+    """The ground truth the config alone decides, with no record labels: each stationary hour's true
+    mean and each commute handover. It takes no draw, so it is known before the first record is."""
+    analysis_cfg = cfg.analysis_config()
     hour_means: Dict[int, float] = {}
+    handovers: List[PlantedHandover] = []
+    if cfg.scenario is Scenario.STATIONARY_24H:
+        for hour in range(24):
+            busy = analysis_cfg.is_busy_hour(hour)
+            hour_means[hour] = cfg.base_capacity_kbps * (1.0 - cfg.diurnal_dip if busy else 1.0)
+    else:
+        spacing = 3_600_000 // cfg.records_per_hour
+        ts = cfg.start_ms()
+        for (from_cell, from_tech, _), (to_cell, to_tech, _) in zip(cfg.cells, cfg.cells[1:]):
+            # a cell's records are spaced from its first; the next cell's first comes after the gap
+            ts += cfg.records_per_hour * spacing + cfg.boundary_gap_ms
+            handovers.append(PlantedHandover(at_ms=ts, from_cell=from_cell, to_cell=to_cell,
+                                             from_tech=from_tech.value, to_tech=to_tech.value,
+                                             downgrade=is_downgrade(from_tech, to_tech),
+                                             gap_ms=spacing + cfg.boundary_gap_ms))
+    return GroundTruth(run_id=cfg.run_id, scenario=cfg.scenario.value, diurnal_dip=cfg.diurnal_dip,
+                       hour_means_kbps=hour_means, record_labels=(), handovers=tuple(handovers))
+
+
+def draw_records(cfg: ScenarioConfig) -> Iterator[Tuple[MeasurementRecord, RecordLabel]]:
+    """Yield the configured scenario's records in trace order, each with its planted label, each
+    drawn only when the one before it has been taken. Their hours and cells follow planted_truth."""
+    rng = CounterRng(cfg.seed)
+    analysis_cfg = cfg.analysis_config()
+    spacing = 3_600_000 // cfg.records_per_hour
+    truth = planted_truth(cfg)
 
     def emit(index: int, ts: int, cell_id: str, tech: RadioTechnology, true_mean: float, hour: int):
         if cfg.planted_pool_mix is not None:
@@ -277,70 +303,36 @@ def draw_records(cfg: ScenarioConfig) -> Generator[MeasurementRecord, None, Grou
             spikes = tuple(spike_list)
             true_pool = None
         record = _make_record(cfg, index, ts, cell_id, tech, values, rng)
-        labels.append(
-            RecordLabel(
-                record_id=record.record_id,
-                local_hour=hour,
-                true_mean_kbps=true_mean,
-                cell_id=cell_id,
-                technology=tech.value,
-                true_pool=true_pool,
-                spike_indices=spikes,
-            )
+        return record, RecordLabel(
+            record_id=record.record_id,
+            local_hour=hour,
+            true_mean_kbps=true_mean,
+            cell_id=cell_id,
+            technology=tech.value,
+            true_pool=true_pool,
+            spike_indices=spikes,
         )
-        return record
 
+    index = 0
     if cfg.scenario is Scenario.STATIONARY_24H:
-        for hour in range(24):
-            busy = analysis_cfg.is_busy_hour(hour)
-            true_mean = cfg.base_capacity_kbps * (1.0 - cfg.diurnal_dip if busy else 1.0)
-            hour_means[hour] = true_mean
-            for j in range(cfg.records_per_hour):
-                index = hour * cfg.records_per_hour + j
-                ts = cfg.start_ms() + index * spacing
-                yield emit(index, ts, "cell-0", cfg.technology, true_mean, hour)
-    else:
-        ts = cfg.start_ms()
-        index = 0
-        prev_cell = None
-        for cell_id, tech, capacity in cfg.cells:
-            if prev_cell is not None:
-                ts += cfg.boundary_gap_ms
-                handovers.append(
-                    PlantedHandover(
-                        at_ms=ts,
-                        from_cell=prev_cell[0],
-                        to_cell=cell_id,
-                        from_tech=prev_cell[1].value,
-                        to_tech=tech.value,
-                        downgrade=is_downgrade(prev_cell[1], tech),
-                        gap_ms=spacing + cfg.boundary_gap_ms,
-                    )
-                )
+        for hour, true_mean in truth.hour_means_kbps.items():
             for _ in range(cfg.records_per_hour):
+                yield emit(index, cfg.start_ms() + index * spacing, "cell-0", cfg.technology, true_mean, hour)
+                index += 1
+    else:
+        # each cell's first record is at its planted handover's at_ms, so detection on the trace finds it
+        firsts = (cfg.start_ms(), *(h.at_ms for h in truth.handovers))
+        for (cell_id, tech, capacity), first in zip(cfg.cells, firsts):
+            for j in range(cfg.records_per_hour):
+                ts = first + j * spacing
                 yield emit(index, ts, cell_id, tech, capacity, analysis_cfg.local_hour(ts))
                 index += 1
-                ts += spacing
-            prev_cell = (cell_id, tech)
-        # at_ms above is the timestamp of the first record after the gap;
-        # records were emitted starting at that ts, so the planted list is
-        # consistent with detection on the emitted trace.
-
-    return GroundTruth(
-        run_id=cfg.run_id,
-        scenario=cfg.scenario.value,
-        diurnal_dip=cfg.diurnal_dip,
-        hour_means_kbps=hour_means,
-        record_labels=tuple(labels),
-        handovers=tuple(handovers),
-    )
 
 
 def generate(cfg: ScenarioConfig) -> Tuple[List[MeasurementRecord], GroundTruth]:
-    """draw_records collected: every record in a list, and the ground truth."""
-    stream, records = draw_records(cfg), []
-    try:
-        while True:
-            records.append(next(stream))
-    except StopIteration as done:
-        return records, done.value
+    """draw_records collected: every record in a list, and the ground truth with every label."""
+    records, labels = [], []
+    for record, label in draw_records(cfg):
+        records.append(record)
+        labels.append(label)
+    return records, planted_truth(cfg)._replace(record_labels=tuple(labels))

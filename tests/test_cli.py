@@ -16,6 +16,7 @@ from mobitrace.cli import main
 from mobitrace.congestion import classify
 from mobitrace.ingest import write_records
 from mobitrace.model import AnalysisConfig, MeasurementRecord, SampleSeries, from_json, to_json
+from mobitrace.synth import ScenarioConfig, generate
 
 
 def sha(path):
@@ -25,8 +26,9 @@ def sha(path):
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-# Bytes synth's peak may grow by for each record it writes; 660 under Python 3.11.
-SYNTH_BYTES_PER_RECORD_MAX = 800
+# Bytes synth's peak may grow by for each record it writes; about 1 under Python 3.11, against about 500
+# while every label was held until the last record was drawn.
+SYNTH_BYTES_PER_RECORD_MAX = 50
 
 
 def run_synth(tmp_path, name="s", *extra):
@@ -90,13 +92,18 @@ class TestSynthCommand:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # no .trace.jsonl.tmp either
 
     def test_peak_memory_per_record_excludes_the_records(self, tmp_path):
-        # each record is written and dropped before the next is drawn: what grows with the count is
-        # its label and the label's JSON. Holding every record took about 1300 B a record.
+        # each record and its label are written and dropped before the next is drawn, so nothing grows
+        # with the count. Records of 5 samples, since CPython 3.11 keeps up to 2000 freed 20-item tuples
+        # on a free list it never takes them back from: about 400 KB more peak once, for any count.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples_per_record": 5}))
+
         def synth_peak(records_per_hour):
             gc.collect()
             tracemalloc.start()
             try:
-                assert run_synth(tmp_path, "s", "--records-per-hour", str(records_per_hour))[0] == 0
+                assert run_synth(tmp_path, "s", "--records-per-hour", str(records_per_hour),
+                                 "--config", str(cfg))[0] == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -104,6 +111,21 @@ class TestSynthCommand:
         synth_peak(10)  # fills the caches a first synth fills
         grown = synth_peak(100) - synth_peak(10)
         assert grown / (24 * 90) < SYNTH_BYTES_PER_RECORD_MAX
+
+    @pytest.mark.parametrize("scenario", [
+        {"scenario": "stationary24h", "seed": 5, "records_per_hour": 3, "spike_rate": 0.1},
+        {"scenario": "stationary24h", "seed": 6, "records_per_hour": 2,
+         "planted_pool_mix": {"LOW": 0.3, "MEDIUM": 0.3, "HIGH": 0.4}},
+        {"scenario": "commute", "seed": 7, "records_per_hour": 5, "boundary_gap_ms": 90_001,
+         "utc_offset_minutes": -345, "cells": [["a", "LTE", 8000.0], ["b", "EDGE", 200.0], ["c", "HSPA", 3000.0]]},
+    ], ids=["stationary", "pool-mix", "commute"])
+    def test_streamed_ground_truth_is_the_truths_json_line(self, tmp_path, scenario):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+        _, truth = generate(from_json(ScenarioConfig, scenario))
+        expected = json.dumps(to_json(truth), sort_keys=True, allow_nan=False) + "\n"
+        assert (tmp_path / "s" / "ground_truth.json").read_text(encoding="utf-8") == expected
 
 
 class TestAnalyzeCommand:

@@ -131,7 +131,7 @@ GOLDEN = {
     "commute/reports_all/trend.json":
         "de71432cbdc2b210450c3971f0172da37ac182496d82485a0e55fa19465e48df",
     "commute/synth/ground_truth.json":
-        "0e56fe2cc1c1a0ddb5592bce294cea94fb6121154ff0e451f5abfd866669d645",
+        "021674f3f54fba283705c52fcd93470991855ffd8e4ea0744475d944cd23be98",
     "commute/synth/trace.jsonl":
         "9aaf77511e04afd8ee8cdc8a8fb39a8f8b367577beee9d941b1d9595ba0cce01",
     "stationary/analyzed/analyzed.jsonl":
@@ -173,7 +173,7 @@ GOLDEN = {
     "stationary/reports/trend.json":
         "fd0d45d95fd8bf5d065247271379553362f80307a8392214e9bf85ddd3517423",
     "stationary/synth/ground_truth.json":
-        "c988ec580a71a99baf2452bc9a65c2cd2fafc8f30e882ff6f151b6dffee7fbca",
+        "24ed1b7b6f0f515364007336759f5c3fb9e8afc29ba26fb185f2be8c5fd6836c",
     "stationary/synth/trace.jsonl":
         "2cd202e17504d7e64974a4d009ad59d5c2536c5586a2febed719cc85fb6fa6d5",
 }

@@ -6,7 +6,7 @@ import pytest
 from mobitrace.congestion import Pool, classify
 from mobitrace.model import AnalysisConfig, RadioTechnology, mean
 from mobitrace.synth import (_BLOCK, MAX_SAMPLES_PER_RECORD, CounterRng, Scenario, ScenarioConfig, _noisy_samples,
-                             draw_records, generate, plant_pool)
+                             draw_records, generate, plant_pool, planted_truth)
 
 CFG = AnalysisConfig()
 
@@ -172,10 +172,11 @@ class TestGenerateStationary:
         cfg = ScenarioConfig(seed=11, scenario=Scenario.STATIONARY_24H, records_per_hour=3, spike_rate=0.02)
         records, truth = generate(cfg)
         stream = draw_records(cfg)
-        assert [next(stream) for _ in records] == records  # one at a time, in trace order
-        with pytest.raises(StopIteration) as done:
-            next(stream)
-        assert done.value.value == truth and len(truth.record_labels) == 72
+        pairs = [next(stream) for _ in records]  # one at a time, in trace order
+        assert next(stream, None) is None
+        assert [record for record, _ in pairs] == records
+        assert tuple(label for _, label in pairs) == truth.record_labels and len(truth.record_labels) == 72
+        assert truth._replace(record_labels=()) == planted_truth(cfg)
 
     def test_same_seed_identical(self):
         cfg = ScenarioConfig(seed=11, scenario=Scenario.STATIONARY_24H, records_per_hour=3,
@@ -224,6 +225,37 @@ class TestGenerateCommute:
         records, _ = generate(cfg)
         times = [r.timestamp for r in records]
         assert times == sorted(times) and len(set(times)) == len(times)
+
+
+class TestPlantedTruth:
+    """planted_truth is computed from the config before any record is drawn; the drawn trace must
+    bear it out."""
+
+    def test_handovers_match_the_drawn_trace(self):
+        cfg = ScenarioConfig(seed=8, scenario=Scenario.COMMUTE, cells=COMMUTE_CELLS, records_per_hour=7,
+                             boundary_gap_ms=123_457, utc_offset_minutes=-210)
+        records, _ = generate(cfg)
+        truth = planted_truth(cfg)
+        spacing = 3_600_000 // cfg.records_per_hour
+        assert len(truth.handovers) == len(COMMUTE_CELLS) - 1
+        for h in truth.handovers:
+            i = next(i for i, r in enumerate(records) if r.cell_id == h.to_cell)
+            assert records[i].timestamp == h.at_ms
+            assert records[i - 1].cell_id == h.from_cell
+            assert h.at_ms - records[i - 1].timestamp == h.gap_ms == spacing + cfg.boundary_gap_ms
+            assert (h.from_tech, h.to_tech) == (records[i - 1].technology.value, records[i].technology.value)
+
+    def test_hour_means_match_the_drawn_labels(self):
+        cfg = ScenarioConfig(seed=9, scenario=Scenario.STATIONARY_24H, records_per_hour=3, diurnal_dip=0.4,
+                             busy_hour_start=20, busy_hour_end=3, utc_offset_minutes=-480)
+        records, truth = generate(cfg)
+        hour_means = planted_truth(cfg).hour_means_kbps
+        assert list(hour_means) == list(range(24))
+        analysis = AnalysisConfig(utc_offset_minutes=cfg.utc_offset_minutes)
+        for record, label in zip(records, truth.record_labels):
+            assert label.local_hour == analysis.local_hour(record.timestamp)
+            assert label.true_mean_kbps == hour_means[label.local_hour]
+        assert sorted(h for h, kbps in hour_means.items() if kbps == 3000.0) == [0, 1, 2, 3, 20, 21, 22, 23]
 
 
 class TestPlantPool:
