@@ -30,7 +30,7 @@ class Factor(Enum):
 _BINDING_PRIORITY = {Factor.PLAN: 0, Factor.DEVICE: 1, Factor.TECHNOLOGY: 2}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LimitingFactorVerdict:
     factor: Factor
     binding_upper_bound_kbps: Optional[float]
@@ -43,7 +43,7 @@ class LimitingFactorVerdict:
         return self.factor in _BINDING_PRIORITY
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AssessmentSummary:
     """A CongestionAssessment's fields in order, less the per-window stats, which no report reads."""
 
@@ -56,7 +56,7 @@ class AssessmentSummary:
     __post_init__ = check_field_types
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AnalyzedRow:
     """One line of analyzed.jsonl; assessment is None (null) for a record classify did not assess."""
 

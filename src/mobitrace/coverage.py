@@ -18,7 +18,7 @@ from .model import (GROUP_RANK, AnalysisConfig, Dbm, Kbps, RadioTechnology, Rang
                     check_field_types, group_of, is_downgrade, mean)
 
 
-@dataclass(frozen=True)
+@dataclass
 class HandoverEvent:
     user_id: str
     at_ms: int  # timestamp of the later record

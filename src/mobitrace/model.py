@@ -15,8 +15,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
-from types import MemberDescriptorType
-from typing import Annotated, Callable, List, NamedTuple, Optional, Tuple, get_args, get_origin, get_type_hints
+from typing import Annotated, List, NamedTuple, Optional, Tuple, get_args, get_origin, get_type_hints
 
 SIGNAL_DBM_MIN = -140.0  # physical range; ingest warns outside it
 SIGNAL_DBM_MAX = -20.0
@@ -232,12 +231,11 @@ def _kind(hint):
 
 
 def _decoder(cls, hints: dict, ns: dict) -> List[str]:
-    """Source of decode(obj): the key checks, each conversion in declaration order, then
-    cls.__post_init__ on an instance built without __init__."""
+    """Source of decode(obj): the key checks, each conversion in declaration order, then a call of cls,
+    whose __init__ assigns the fields and runs its __post_init__."""
     fs = fields(cls)
     required = [f.name for f in fs if f.default is MISSING and f.default_factory is MISSING]
-    ns.update(_cls=cls, _new=object.__new__, _setattr=object.__setattr__, _key_fault=_key_fault,
-              _names=frozenset(f.name for f in fs), _required=frozenset(required))
+    ns.update(_cls=cls, _key_fault=_key_fault, _names=frozenset(f.name for f in fs), _required=frozenset(required))
     keys = "not obj.keys() <= _names" + (" or not obj.keys() >= _required" if required else "")
     lines = [f"if type(obj) is not dict or {keys}: _key_fault(_cls, obj)"]
     if len(required) > 1:
@@ -245,7 +243,6 @@ def _decoder(cls, hints: dict, ns: dict) -> List[str]:
         lines.append(f"{', '.join(f'v_{name}' for name in required)} = _take(obj)")
     elif required:  # an itemgetter of one name gives the value itself
         lines.append(f"v_{required[0]} = obj[{required[0]!r}]")
-    fill = []
     for f in fs:
         var = f"v_{f.name}"
         convert = _convert(hints[f.name], f.name, var, ns)
@@ -259,14 +256,7 @@ def _decoder(cls, hints: dict, ns: dict) -> List[str]:
         else:
             ns[f"_default_{f.name}"] = f.default
             lines.append(f"{var} = obj.get({f.name!r}{'' if f.default is None else f', _default_{f.name}'})")
-        if isinstance(slot := vars(cls).get(f.name), MemberDescriptorType):
-            # a slot's own setter skips the frozen class's __setattr__ and object's lookup by name
-            ns[f"_set_{f.name}"] = slot.__set__
-            fill.append(f"_set_{f.name}(self, {var})")
-        else:
-            fill.append(f"_setattr(self, {f.name!r}, {var})")
-    post_init = ["self.__post_init__()"] if hasattr(cls, "__post_init__") else []
-    return ["def decode(obj):", *_indent([*lines, "self = _new(_cls)", *fill, *post_init, "return self"])]
+    return ["def decode(obj):", *_indent([*lines, f"return _cls({', '.join(f'v_{f.name}' for f in fs)})"])]
 
 
 def _checker(cls, hints: dict, ns: dict) -> List[str]:
@@ -376,7 +366,7 @@ def is_finite_number(value) -> bool:
     return (type(value) in _REAL_TYPES or _is_real_type(type(value))) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SampleSeries:
     """Intra-measurement throughput samples taken at a fixed interval."""
 
@@ -392,7 +382,7 @@ class SampleSeries:
             raise ValueError("sample values must be numbers")
         if type(self.values) is not tuple or kinds != {float}:  # a tuple of floats is kept as it is
             try:
-                object.__setattr__(self, "values", tuple(map(float, self.values)))
+                self.values = tuple(map(float, self.values))
             except OverflowError:
                 raise ValueError("non-finite or negative sample value") from None
         if len(self.values) < 2:
@@ -404,16 +394,12 @@ class SampleSeries:
             raise ValueError("non-finite or negative sample value")
 
 
-@lru_cache(maxsize=None)
-def _interned_fields(cls) -> Tuple[Tuple[str, Callable], ...]:
-    """(name, setter) of each text field of the slotted class cls but the unique record_id: interned, so
-    that repeats share one string. A slot's own setter skips the frozen class's __setattr__."""
-    hints = get_type_hints(cls)
-    return tuple((f.name, vars(cls)[f.name].__set__) for f in fields(cls)
-                 if _optional(hints[f.name])[0] is str and f.name != "record_id")
+# MeasurementRecord's text fields but the unique record_id: interned, so that repeats share one string.
+_INTERNED = ("user_id", "manufacturer", "model", "os_name", "os_version", "network_operator", "subscriber_operator",
+             "cell_id", "ip_address", "region_tag", "plan_id")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MeasurementRecord:
     """One crowd-sourced measurement with its full parameter set."""
 
@@ -442,9 +428,9 @@ class MeasurementRecord:
 
     def __post_init__(self):
         check_field_types(self)
-        for name, set_slot in _interned_fields(MeasurementRecord):
+        for name in _INTERNED:
             if type(value := getattr(self, name)) is str:  # not None, nor a str subclass, which intern refuses
-                set_slot(self, sys.intern(value))
+                setattr(self, name, sys.intern(value))
         if self.samples is not None:
             m = mean(self.samples.values)
             if m == 0:
@@ -473,7 +459,7 @@ def check_device_cap(cap, tech: RadioTechnology, tech_caps: dict) -> None:
         raise ValueError(f"device cap {cap:g} exceeds {tech.value} standard cap {tech_cap:g}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class CapabilityCatalog:
     """Theoretical upper bounds for the artificial limiting factors."""
 
@@ -493,7 +479,7 @@ class CapabilityCatalog:
         return cls(device_caps={}, tech_caps={}, plan_caps={})
 
 
-@dataclass(frozen=True)
+@dataclass
 class AnalysisConfig:
     """All analysis tunables with their defaults."""
 

@@ -76,7 +76,7 @@ class CounterRng:
         return map(_UNIT.__mul__, memoryview(z.to_bytes(16 * _BLOCK, sys.byteorder)).cast("Q")[_LOW_HALVES])
 
 
-@dataclass(frozen=True)
+@dataclass
 class ScenarioConfig:
     seed: int
     scenario: Scenario
@@ -114,7 +114,7 @@ class ScenarioConfig:
             raise ValueError("cell ids must be strings")
         if not all(isinstance(tech, RadioTechnology) for _, tech, _ in self.cells):
             raise ValueError("cell technologies must be RadioTechnology values")
-        object.__setattr__(self, "cells", tuple((cell, tech, float(cap)) for cell, tech, cap in self.cells))
+        self.cells = tuple((cell, tech, float(cap)) for cell, tech, cap in self.cells)
         if self.planted_pool_mix is not None:
             mix = self.planted_pool_mix
             if not isinstance(mix, dict) or not all(map(is_finite_number, mix.values())):

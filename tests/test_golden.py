@@ -32,7 +32,8 @@ STATIONARY = [
 
 # (b) a commute over four cells with two downgrades (LTE -> HSPA -> EDGE),
 # a spike rate, and a catalog whose device and technology caps make part
-# of the HSPA and EDGE records artificial; reported with and without them.
+# of the HSPA and EDGE records artificial; reported with and without them,
+# and once more keyed by operator with 3G as the subscribed generation.
 COMMUTE_SCENARIO = {
     "scenario": "commute",
     "seed": 23,
@@ -57,6 +58,8 @@ COMMUTE = [
     ["report", "--in", "{root}/analyzed", "--out", "{root}/reports", "--report", "all"],
     ["report", "--in", "{root}/analyzed", "--out", "{root}/reports_all", "--report", "all",
      "--include-artificial"],
+    ["report", "--in", "{root}/analyzed", "--out", "{root}/reports_3g", "--report", "all",
+     "--key", "operator", "--subscription", "3g"],
 ]
 
 GOLDEN = {
@@ -97,6 +100,38 @@ GOLDEN = {
     "commute/reports/trend.csv":
         "efad0a14273c483c0397d43fe95a8f65d31307b9ac1a14ea8b8da5d51d5f8230",
     "commute/reports/trend.json":
+        "3e903ff5c4ac8fa4b8892c2103c9289c54fc09ec915e85125ad64988f54736a7",
+    "commute/reports_3g/camping.csv":
+        "8e06e67786a26ce82edaa2e6dbf5559e569e1ea3386f0364060fe55c38d91b68",
+    "commute/reports_3g/camping.json":
+        "acd00083f1563b40f3cbe7f577e38d324b5de344de3e8446230a2295c6b85a1e",
+    "commute/reports_3g/handovers.csv":
+        "d201bde67b6f3245c240ca5b5afe95efc9dda35fc7ba6375051047e3913985f4",
+    "commute/reports_3g/handovers.json":
+        "a761c0b9f55bf38dd10d597852da45f583fc63551d01958cf59ca46d7270187d",
+    "commute/reports_3g/histogram.csv":
+        "c0cdcc9d9ee44ca5a62cdaea3588b9ff004c3c0ba469f96127fe4cc331d041d4",
+    "commute/reports_3g/histogram.json":
+        "525fa7cbe75966e92187408600e76a826abe254aebe00f8f0c3290986c7fad39",
+    "commute/reports_3g/hourly.csv":
+        "5e397b784a535a3bbf9e69d1670231f99ff88c05dec9bd272961b33fd7b7256b",
+    "commute/reports_3g/hourly.json":
+        "8f36a3c9d9ca4969095ca09d4414f00ee5379d0d1c73a62d0025c88a54ca1f05",
+    "commute/reports_3g/operators.csv":
+        "0b3cef97ad783d9450af5fbc86f39436e27cbaed69a1b0a65b7d4976d1d83a6b",
+    "commute/reports_3g/operators.json":
+        "f8336dcd997f0d6b5e6034fda71dd581d2cd046ba07ea6f855d7397bfc801f9d",
+    "commute/reports_3g/pools.csv":
+        "338014cc6753d146bf52af0d49b4e4c6ef31d060280b99518690541b2a652abf",
+    "commute/reports_3g/pools.json":
+        "e9e59799143b7882c4ca718f7a069ff8811968ceeb5f483fc2157186900d11cb",
+    "commute/reports_3g/signal.csv":
+        "857df6082504c0e7a634b84598395c9b7800ce2a7441b26a8e2b449eb4418747",
+    "commute/reports_3g/signal.json":
+        "1291df4f8f1cd0da21d97a3fd91f706ab76538c717c12dbc5ff3bddc6bf49648",
+    "commute/reports_3g/trend.csv":
+        "efad0a14273c483c0397d43fe95a8f65d31307b9ac1a14ea8b8da5d51d5f8230",
+    "commute/reports_3g/trend.json":
         "3e903ff5c4ac8fa4b8892c2103c9289c54fc09ec915e85125ad64988f54736a7",
     "commute/reports_all/camping.csv":
         "7eae86794259245276c646301f0bec88effb5adc0ad1528549a50d4100d3bfe3",
@@ -227,7 +262,7 @@ def test_every_output_is_strict_json(tmp_path):
     run_digests(tmp_path)
     paths = [p for p in sorted(tmp_path.rglob("*"))
              if p.suffix in (".json", ".jsonl") and p.parent != tmp_path / "commute"]
-    assert len(paths) == 41
+    assert len(paths) == 50
     for path in paths:
         text = path.read_text(encoding="utf-8")
         for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:

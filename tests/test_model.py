@@ -1,5 +1,8 @@
 import math
+import sys
 import tracemalloc
+from dataclasses import fields
+from typing import Optional, get_type_hints
 
 import pytest
 
@@ -113,6 +116,16 @@ class TestMeasurementRecord:
         record = make_record(signal_dbm=-200.0)
         assert not record.signal_in_range()
         assert make_record(signal_dbm=-80.0).signal_in_range()
+
+    def test_every_text_field_but_record_id_is_interned(self):
+        hints = get_type_hints(MeasurementRecord)
+        text = [f.name for f in fields(MeasurementRecord) if hints[f.name] in (str, Optional[str])]
+        assert len(text) == 12
+        canonical = {name: sys.intern("".join(["text-", name])) for name in text}
+        # equal to each canonical string, but other objects
+        record = make_record(**{name: "".join(["text-", name]) for name in text})
+        for name in text:
+            assert (getattr(record, name) is canonical[name]) is (name != "record_id"), name
 
 
 class TestCapabilityCatalog:
