@@ -1,8 +1,10 @@
 """Golden digests: the pipeline's output bytes, pinned.
 
-Two fixed runs go through synth -> analyze -> report, and the sha256 of
+Three fixed runs go through synth -> analyze -> report, and the sha256 of
 every output file except manifest.json (it records wall time) must equal
 the committed value. A change that alters any output byte fails here.
+Run (c) pins analyze and report only: its trace is built here from two
+synth runs, so its synth outputs are inputs, not outputs.
 
 When an output change is intended, print the new digests with
 
@@ -11,6 +13,7 @@ When an output change is intended, print the new digests with
 paste them over GOLDEN below, and give the reason in CHANGES.md.
 """
 
+import csv
 import hashlib
 import json
 import sys
@@ -61,6 +64,54 @@ COMMUTE = [
     ["report", "--in", "{root}/analyzed", "--out", "{root}/reports_3g", "--report", "all",
      "--key", "operator", "--subscription", "3g"],
 ]
+
+# (c) a crowd-shaped trace: two commute users on two operators, merged in time order, every
+# third record without samples, and one line for each way ingest rejects a line; analyzed and
+# reported at a UTC offset other than the default.
+CROWD_USERS = {
+    "a": {"scenario": "commute", "seed": 31, "records_per_hour": 40, "spike_rate": 0.05,
+          "user_id": "user-a", "operator": "OpA",
+          "cells": [["a-1", "LTE", 6000.0], ["a-2", "HSPA", 2500.0], ["a-3", "LTE", 7000.0]]},
+    # 30 an hour: each handover's gap is 120 s, handover_max_gap_ms itself
+    "b": {"scenario": "commute", "seed": 37, "records_per_hour": 30, "noise_cv": 0.2,
+          "user_id": "user-b", "operator": "OpB", "plan_id": "flat",
+          "cells": [["b-1", "UMTS", 1200.0], ["b-2", "EDGE", 180.0], ["b-3", "HSPA", 3000.0]]},
+}
+CROWD_SYNTH = [["synth", "--config", "{root}/" + user + ".json", "--out", "{root}/users/" + user]
+               for user in CROWD_USERS]
+CROWD = [
+    ["analyze", "--in", "{root}/trace.jsonl", "--out", "{root}/analyzed", "--utc-offset-minutes", "-345"],
+    ["report", "--in", "{root}/analyzed", "--out", "{root}/reports", "--report", "all",
+     "--utc-offset-minutes", "-345"],
+]
+# (the reject, as a rewrite of a valid trace object), one for each reason ingest gives
+CROWD_REJECTS = [
+    lambda obj: '{"record_id": "cut-off", ',  # invalid JSON
+    lambda obj: json.dumps([obj["record_id"], obj["timestamp"]]),  # a JSON array
+    lambda obj: json.dumps({k: v for k, v in obj.items() if k != "timestamp"}),  # a missing required field
+    lambda obj: json.dumps({**obj, "technology": "NR5G"}),  # an unknown technology
+    lambda obj: json.dumps({**obj, "download_kbps": -1.0}),  # an out-of-range download_kbps
+    lambda obj: json.dumps({**obj, "samples": {"interval_ms": 500, "values": "900,950"}}),  # values not a list
+]
+
+
+def write_crowd_trace(run: Path) -> None:
+    """run/trace.jsonl: both users' synth traces merged in time order, each record_id prefixed by
+    its user, samples dropped from every third record, and CROWD_REJECTS spread among them."""
+    objs = sorted((json.loads(line) for user in CROWD_USERS
+                   for line in (run / "users" / user / "trace.jsonl").read_text(encoding="utf-8").splitlines()),
+                  key=lambda obj: (obj["timestamp"], obj["user_id"], obj["record_id"]))
+    lines = []
+    for i, obj in enumerate(objs):
+        obj["record_id"] = f"{obj['user_id']}/{obj['record_id']}"
+        if i % 3 == 2:
+            del obj["samples"]
+        lines.append(json.dumps(obj, sort_keys=True))
+    rejects = [reject(json.loads(lines[20 * k])) for k, reject in enumerate(CROWD_REJECTS)]
+    for k, line in enumerate(rejects):
+        lines.insert(5 + 23 * k, line)
+    (run / "trace.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
 
 GOLDEN = {
     "commute/analyzed/analyzed.jsonl":
@@ -169,6 +220,44 @@ GOLDEN = {
         "021674f3f54fba283705c52fcd93470991855ffd8e4ea0744475d944cd23be98",
     "commute/synth/trace.jsonl":
         "9aaf77511e04afd8ee8cdc8a8fb39a8f8b367577beee9d941b1d9595ba0cce01",
+    "crowd/analyzed/analyzed.jsonl":
+        "986a585d47f02264a873a93a13ba45e82e4ccaa2a6aa6fc824202b351ac38679",
+    "crowd/analyzed/handovers.jsonl":
+        "27741469a534d56151cf43bf277a6c7021fda75b033c1b0912b28b6bb30edaa7",
+    "crowd/analyzed/ingest_report.json":
+        "e77aa4f0ff5aa6e9db93cc5b0f8998e41fb6fddb06a80cd0e4b39c4ee0558b69",
+    "crowd/reports/camping.csv":
+        "beb779017fe25b8775608b713e92979a5b7ddf02a44a652e5a6ba8e2d241536e",
+    "crowd/reports/camping.json":
+        "52ecff75e29850f7f607d76958f76af5e7aef6099dbee0f1cec8ff26e36cf6c2",
+    "crowd/reports/handovers.csv":
+        "77ef332431463da22bdc2c9097acc7a8e4a284b522bf8f90d448f3765193c38d",
+    "crowd/reports/handovers.json":
+        "eff1a78d48241696052c66af934fc72317825866a0653a914e26055db7ae942e",
+    "crowd/reports/histogram.csv":
+        "0066f144d4dcb069277ea8b6eae464a00f57a1ae179d7833b7a44f06501f1153",
+    "crowd/reports/histogram.json":
+        "7fb85721da4f6caab419f1046b088cb4befd660acb66ec12c6d6e360f5793bcf",
+    "crowd/reports/hourly.csv":
+        "2d3c3139a56c3fee7c45c2a454c00a2414c1cd42cb1c0714705162d01113a421",
+    "crowd/reports/hourly.json":
+        "9a529212c1556638bdcfa15eacd8fcf271ead1ac3ad69e2accdce7f3f29806bc",
+    "crowd/reports/operators.csv":
+        "92f3120161bd915218bc7c8870e0071c7a5e17c8afe8607d12dd7f88b7e20098",
+    "crowd/reports/operators.json":
+        "42eab04097ef4bf9d1a675107dd9909cb8ee08d04cb8a94b1842c0950a713d96",
+    "crowd/reports/pools.csv":
+        "8be5d4392edafc9b1b7ac1c6d40854dd3c01cb5a049aa2d7de4b18acaa069536",
+    "crowd/reports/pools.json":
+        "161d20c1857de9af3787eee320a7dea46738c3e790f04bc0edf82a5cc90da25a",
+    "crowd/reports/signal.csv":
+        "858af32580ae5764be31a9281aa69c21d47b4f03ec1de019ef41548e41d34884",
+    "crowd/reports/signal.json":
+        "d2bde26adc146e5a6e01f2919f32db4935b52f483e2dc77f326a49b12b201702",
+    "crowd/reports/trend.csv":
+        "a1410fe504c4d9c9b502f5459f5f02487d3bc2c53123b3fd8f38b1ab857963d0",
+    "crowd/reports/trend.json":
+        "42b4eb1be6b178d3321a355859c948a37dc660876805552934ede3efe57c1b37",
     "stationary/analyzed/analyzed.jsonl":
         "b3be94c88f2a4b40b56ac491b07d0748795ca32eb2b1424084872c997014fa75",
     "stationary/analyzed/handovers.jsonl":
@@ -214,20 +303,35 @@ GOLDEN = {
 }
 
 
+def _run(run: Path, steps) -> None:
+    for argv in steps:
+        code = main([a.format(root=run) for a in argv])
+        assert code == 0, (run.name, argv[0], code)
+
+
+def _outputs(root: Path, suffixes):
+    """The files of each run's output directories: root/<run>/<dir>/<file>. A run's inputs sit in
+    the run's own directory, and run (c)'s synth outputs one level deeper, in users/<user>/."""
+    return [p for p in sorted(root.rglob("*"))
+            if p.suffix in suffixes and len(p.relative_to(root).parts) == 3]
+
+
 def run_digests(root: Path) -> dict:
-    """Run both pipelines under root; sha256 per output file but manifests."""
+    """Run the three pipelines under root; sha256 per output file but manifests."""
     (root / "commute").mkdir(parents=True)
     (root / "commute" / "scenario.json").write_text(json.dumps(COMMUTE_SCENARIO))
     (root / "commute" / "caps.csv").write_text(COMMUTE_CATALOG)
-    for name, steps in (("stationary", STATIONARY), ("commute", COMMUTE)):
-        for argv in steps:
-            code = main([a.format(root=root / name) for a in argv])
-            assert code == 0, (name, argv[0], code)
-    return {
-        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(root.rglob("*"))
-        if p.is_file() and p.name != "manifest.json" and p.parent != root / "commute"
-    }
+    _run(root / "stationary", STATIONARY)
+    _run(root / "commute", COMMUTE)
+    crowd = root / "crowd"
+    crowd.mkdir()
+    for user, scenario in CROWD_USERS.items():
+        (crowd / f"{user}.json").write_text(json.dumps(scenario))
+    _run(crowd, CROWD_SYNTH)
+    write_crowd_trace(crowd)
+    _run(crowd, CROWD)
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in _outputs(root, (".json", ".jsonl", ".csv")) if p.name != "manifest.json"}
 
 
 def test_output_digests_match_golden(tmp_path):
@@ -252,17 +356,34 @@ def test_commute_run_exercises_downgrades_and_the_artificial_filter(tmp_path):
     assert everything["total"] == len(verdicts)
 
 
+def test_crowd_run_exercises_rejects_users_and_records_without_samples(tmp_path):
+    run_digests(tmp_path)
+    crowd = tmp_path / "crowd"
+    records = json.loads((crowd / "analyzed" / "ingest_report.json").read_text())["records"]
+    assert records["rejected"] == len(CROWD_REJECTS) and len(records["warnings"]) == len(CROWD_REJECTS)
+    assert len({reason for _, reason in records["warnings"]}) == len(CROWD_REJECTS)
+    rows = [json.loads(line) for line in (crowd / "analyzed" / "analyzed.jsonl").read_text().splitlines()]
+    assert len(rows) == records["accepted"]
+    assert {row["record"]["user_id"] for row in rows} == {s["user_id"] for s in CROWD_USERS.values()}
+    assert sum("samples" not in row["record"] for row in rows) == len(rows) // 3
+    camping = json.loads((crowd / "reports" / "camping.json").read_text())
+    assert [c["subscriber_operator"] for c in camping] == ["OpA", "OpB"]
+    assert json.loads((crowd / "reports" / "handovers.json").read_text())["count"] == 4
+    # the local hours are those of UTC-05:45, not the default UTC+05:30
+    hours = {row[1] for row in csv.reader((crowd / "reports" / "hourly.csv").open()) if row[0] != "key"}
+    assert hours == {"12", "13", "14", "15"}
+
+
 def _refuse(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
 def test_every_output_is_strict_json(tmp_path):
-    """Every JSON output of both runs, manifests included, parses with NaN
+    """Every JSON output of the three runs, manifests included, parses with NaN
     and the infinities refused (RFC 8259 has none of them)."""
     run_digests(tmp_path)
-    paths = [p for p in sorted(tmp_path.rglob("*"))
-             if p.suffix in (".json", ".jsonl") and p.parent != tmp_path / "commute"]
-    assert len(paths) == 50
+    paths = _outputs(tmp_path, (".json", ".jsonl"))
+    assert len(paths) == 63
     for path in paths:
         text = path.read_text(encoding="utf-8")
         for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
@@ -270,11 +391,11 @@ def test_every_output_is_strict_json(tmp_path):
 
 
 def test_rows_decode_and_encode_to_the_same_bytes(tmp_path):
-    """Every analyzed and handovers row of both runs, decoded by from_json and written again by
+    """Every analyzed and handovers row of the three runs, decoded by from_json and written again by
     write_json, is the same line: the row codec loses nothing on real rows."""
     run_digests(tmp_path / "runs")
     for file, cls in (("analyzed.jsonl", AnalyzedRow), ("handovers.jsonl", HandoverEvent)):
-        for name in ("stationary", "commute"):
+        for name in ("stationary", "commute", "crowd"):
             path = tmp_path / "runs" / name / "analyzed" / file
             lines = path.read_text(encoding="utf-8").splitlines()
             write_json((to_json(from_json(cls, json.loads(line))) for line in lines), tmp_path / file)
