@@ -47,8 +47,6 @@ def record_from_obj(obj: dict) -> Tuple[MeasurementRecord, List[str]]:
     if not obj.keys() <= RECORD_FIELDS:
         warnings = [f"unknown field '{name}' ignored" for name in obj if name not in RECORD_FIELDS]
         obj = {name: value for name, value in obj.items() if name in RECORD_FIELDS}
-    if isinstance(samples := obj.get("samples"), dict) and not isinstance(samples.get("values", []), list):
-        raise ValueError("sample values must be a list")
     record = from_json(MeasurementRecord, obj)
     if not record.signal_in_range():
         warnings.append(f"signal_dbm {record.signal_dbm} outside physical range")

@@ -11,7 +11,6 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from datetime import datetime, timezone
 from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
@@ -28,7 +27,7 @@ UTC_OFFSET_MIN_MINUTES = -720
 UTC_OFFSET_MAX_MINUTES = 840
 # Timestamps end a day before the last date datetime can hold, so that a
 # timestamp shifted by any allowed UTC offset is still a valid datetime.
-TIMESTAMP_END_MS = int(datetime(9999, 12, 31, tzinfo=timezone.utc).timestamp()) * 1000
+TIMESTAMP_END_MS = 253_402_214_400_000  # 9999-12-31T00:00:00Z
 
 
 class Range(NamedTuple):

@@ -42,6 +42,7 @@ _LOW_HALVES = slice(None, None, 2 if sys.byteorder == "little" else -2)
 # draw_records holds each record's samples in one list, written as one
 # trace line; 100 000 samples make a line of about 2 MB.
 MAX_SAMPLES_PER_RECORD = 100_000
+SAMPLE_INTERVAL_MS = 500  # of every planted series
 
 
 class CounterRng:
@@ -87,7 +88,6 @@ class ScenarioConfig:
     cells: Tuple[Tuple[str, RadioTechnology, float], ...] = ()
     # at most one record per ms: draw_records spaces them by whole ms
     records_per_hour: Annotated[int, Range(1, 3_600_000)] = 60
-    sample_interval_ms: Annotated[int, Range(1)] = 500
     samples_per_record: Annotated[int, Range(2, MAX_SAMPLES_PER_RECORD)] = 20
     spike_rate: Annotated[float, Range(0, 1)] = 0.0
     noise_cv: Annotated[float, Range(0)] = 0.1
@@ -140,11 +140,11 @@ class ScenarioConfig:
 
 
 class RecordLabel(NamedTuple):
+    """What the trace cannot say about its record; the cell and technology are the record's own."""
+
     record_id: str
     local_hour: int
     true_mean_kbps: float
-    cell_id: str
-    technology: str
     true_pool: Optional[str] = None
     spike_indices: Tuple[int, ...] = ()
 
@@ -188,7 +188,7 @@ def plant_pool(target: Pool, cfg: AnalysisConfig, base_kbps: float) -> SampleSer
     values = [base_kbps * (0.3 + 0.7 * i / (w - 1)) for i in range(w)]
     values += [base_kbps] * w
     values += [base_kbps * (1.0 - d)] * (3 * w)
-    return SampleSeries(interval_ms=500, values=tuple(values))
+    return SampleSeries(interval_ms=SAMPLE_INTERVAL_MS, values=tuple(values))
 
 
 def _choose_pool(mix: Dict[str, float], rng: CounterRng) -> Pool:
@@ -233,32 +233,6 @@ def _noisy_samples(cfg: ScenarioConfig, mean_kbps: float, rng: CounterRng) -> Tu
     return values, spike_indices
 
 
-def _make_record(cfg: ScenarioConfig, index: int, ts: int, cell_id: str,
-                 technology: RadioTechnology, values: List[float], rng: CounterRng) -> MeasurementRecord:
-    series = SampleSeries(interval_ms=cfg.sample_interval_ms, values=tuple(values))
-    download = mean(series.values)
-    signal = cfg.signal_low_dbm + (cfg.signal_high_dbm - cfg.signal_low_dbm) * rng.uniform()
-    return MeasurementRecord(
-        record_id=f"r{index:06d}",
-        user_id=cfg.user_id,
-        timestamp=ts,
-        download_kbps=download,
-        upload_kbps=download / 4.0,
-        manufacturer="Acme",
-        model="One",
-        os_name="android",
-        os_version="6.0",
-        network_operator=cfg.operator,
-        subscriber_operator=cfg.operator,
-        technology=technology,
-        signal_dbm=signal,
-        cell_id=cell_id,
-        samples=series,
-        region_tag=cfg.region_tag,
-        plan_id=cfg.plan_id,
-    )
-
-
 def planted_truth(cfg: ScenarioConfig) -> GroundTruth:
     """The ground truth the config alone decides, with no record labels: each stationary hour's true
     mean and each commute handover. It takes no draw, so it is known before the first record is."""
@@ -292,26 +266,36 @@ def draw_records(cfg: ScenarioConfig) -> Iterator[Tuple[MeasurementRecord, Recor
     truth = planted_truth(cfg)
 
     def emit(index: int, ts: int, cell_id: str, tech: RadioTechnology, true_mean: float, hour: int):
+        record_id = f"r{index:06d}"
         if cfg.planted_pool_mix is not None:
             pool = _choose_pool(cfg.planted_pool_mix, rng)
             series = plant_pool(pool, analysis_cfg, true_mean)
-            values = list(series.values)
-            spikes: Tuple[int, ...] = ()
-            true_pool = pool.value
+            label = RecordLabel(record_id, hour, true_mean, true_pool=pool.value)
         else:
-            values, spike_list = _noisy_samples(cfg, true_mean, rng)
-            spikes = tuple(spike_list)
-            true_pool = None
-        record = _make_record(cfg, index, ts, cell_id, tech, values, rng)
-        return record, RecordLabel(
-            record_id=record.record_id,
-            local_hour=hour,
-            true_mean_kbps=true_mean,
+            values, spikes = _noisy_samples(cfg, true_mean, rng)
+            series = SampleSeries(interval_ms=SAMPLE_INTERVAL_MS, values=tuple(values))
+            label = RecordLabel(record_id, hour, true_mean, spike_indices=tuple(spikes))
+        download = mean(series.values)
+        signal = cfg.signal_low_dbm + (cfg.signal_high_dbm - cfg.signal_low_dbm) * rng.uniform()
+        return MeasurementRecord(
+            record_id=record_id,
+            user_id=cfg.user_id,
+            timestamp=ts,
+            download_kbps=download,
+            upload_kbps=download / 4.0,
+            manufacturer="Acme",
+            model="One",
+            os_name="android",
+            os_version="6.0",
+            network_operator=cfg.operator,
+            subscriber_operator=cfg.operator,
+            technology=tech,
+            signal_dbm=signal,
             cell_id=cell_id,
-            technology=tech.value,
-            true_pool=true_pool,
-            spike_indices=spikes,
-        )
+            samples=series,
+            region_tag=cfg.region_tag,
+            plan_id=cfg.plan_id,
+        ), label
 
     index = 0
     if cfg.scenario is Scenario.STATIONARY_24H:

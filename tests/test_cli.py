@@ -284,6 +284,7 @@ def test_sha256_falls_back_to_hashlib(tmp_path):
     ("report", ("attribution", "coverage", "reports")),
 ])
 def test_each_stage_imports_only_what_it_runs(tmp_path, command, modules):
+    """Each stage loads only the modules it runs; of datetime, only report needs it, for calendar labels."""
     _, synth_out = run_synth(tmp_path)
     an = tmp_path / "an"
     assert main(["analyze", "--in", str(synth_out / "trace.jsonl"), "--out", str(an)]) == 0
@@ -296,11 +297,13 @@ def test_each_stage_imports_only_what_it_runs(tmp_path, command, modules):
               f"try:\n    code = main({argv!r})\n"
               "except SystemExit as exc:  # how argparse ends --version\n    code = exc.code\n"
               "print(code, *sorted(m for m in sys.modules if m.startswith('mobitrace.')))\n"
+              "print('datetime' in sys.modules)\n"
               "from mobitrace.model import _plan; print(_plan.cache_info().currsize)\n")
     out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
-    code, *loaded = out.stdout.splitlines()[-2].split()
+    code, *loaded = out.stdout.splitlines()[-3].split()
     assert code == "0"
     assert loaded == sorted(f"mobitrace.{m}" for m in ("cli", "ingest", "model", *modules))
+    assert out.stdout.splitlines()[-2] == str(command == "report")
     # a codec is compiled when its class is first used, never at import
     assert command != "--version" or out.stdout.splitlines()[-1] == "0"
 

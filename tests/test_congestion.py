@@ -230,7 +230,7 @@ class TestFilterSpikes:
         assert again == 0
 
     @given(
-        st.randoms(use_true_random=False),
+        st.randoms(use_true_random=True),
         st.integers(min_value=2, max_value=600),
         st.floats(min_value=0.0, max_value=0.8),
         st.floats(min_value=0.0, max_value=0.3),
@@ -356,7 +356,7 @@ class TestMatchesOracle:
     by its own slice: the same floats, bit for bit, the same replaced count and the same assessment."""
 
     @given(
-        st.randoms(use_true_random=False),
+        st.randoms(use_true_random=True),
         st.integers(min_value=2, max_value=1600),
         st.floats(min_value=0.0, max_value=0.8),
         st.floats(min_value=0.0, max_value=0.3),
@@ -521,7 +521,7 @@ class TestClassify:
             classify(make_series([10.0] * 19), CFG)
 
     @given(
-        st.randoms(use_true_random=False),
+        st.randoms(use_true_random=True),
         st.integers(min_value=2, max_value=200),
         st.floats(min_value=0.0, max_value=0.8),
         st.floats(min_value=0.0, max_value=0.3),

@@ -66,7 +66,7 @@ COMMUTE = [
 ]
 
 # (c) a crowd-shaped trace: two commute users on two operators, merged in time order, every
-# third record without samples, and one line for each way ingest rejects a line; analyzed and
+# third record without samples, and one line for each of six reject reasons; analyzed and
 # reported at a UTC offset other than the default.
 CROWD_USERS = {
     "a": {"scenario": "commute", "seed": 31, "records_per_hour": 40, "spike_rate": 0.05,
@@ -84,7 +84,7 @@ CROWD = [
     ["report", "--in", "{root}/analyzed", "--out", "{root}/reports", "--report", "all",
      "--utc-offset-minutes", "-345"],
 ]
-# (the reject, as a rewrite of a valid trace object), one for each reason ingest gives
+# each reject line, made from a valid trace object
 CROWD_REJECTS = [
     lambda obj: '{"record_id": "cut-off", ',  # invalid JSON
     lambda obj: json.dumps([obj["record_id"], obj["timestamp"]]),  # a JSON array
@@ -217,7 +217,7 @@ GOLDEN = {
     "commute/reports_all/trend.json":
         "de71432cbdc2b210450c3971f0172da37ac182496d82485a0e55fa19465e48df",
     "commute/synth/ground_truth.json":
-        "021674f3f54fba283705c52fcd93470991855ffd8e4ea0744475d944cd23be98",
+        "cdc049bd6d727114221bee56768e8ba7009a5feba0646a0bfb7b8ebc306d96a8",
     "commute/synth/trace.jsonl":
         "9aaf77511e04afd8ee8cdc8a8fb39a8f8b367577beee9d941b1d9595ba0cce01",
     "crowd/analyzed/analyzed.jsonl":
@@ -225,7 +225,7 @@ GOLDEN = {
     "crowd/analyzed/handovers.jsonl":
         "27741469a534d56151cf43bf277a6c7021fda75b033c1b0912b28b6bb30edaa7",
     "crowd/analyzed/ingest_report.json":
-        "e77aa4f0ff5aa6e9db93cc5b0f8998e41fb6fddb06a80cd0e4b39c4ee0558b69",
+        "8659872d3749df6a506fa5a31f6ccaeb413f8917719f2c46b68d86b3f8b9b67d",
     "crowd/reports/camping.csv":
         "beb779017fe25b8775608b713e92979a5b7ddf02a44a652e5a6ba8e2d241536e",
     "crowd/reports/camping.json":
@@ -297,7 +297,7 @@ GOLDEN = {
     "stationary/reports/trend.json":
         "fd0d45d95fd8bf5d065247271379553362f80307a8392214e9bf85ddd3517423",
     "stationary/synth/ground_truth.json":
-        "24ed1b7b6f0f515364007336759f5c3fb9e8afc29ba26fb185f2be8c5fd6836c",
+        "72dbae7220603c3e04f12b6b743647da053bb38e74f0ada3431435f9d06c481c",
     "stationary/synth/trace.jsonl":
         "2cd202e17504d7e64974a4d009ad59d5c2536c5586a2febed719cc85fb6fa6d5",
 }

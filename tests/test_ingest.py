@@ -107,7 +107,7 @@ class TestReadRecords:
         ("latency_ms", "5", "latency_ms must be a number"),
         ("samples", {"interval_ms": 500, "values": ["900", "950"]}, "sample values must be numbers"),
         ("samples", {"interval_ms": 500, "values": [True, True]}, "sample values must be numbers"),
-        ("samples", {"interval_ms": 500, "values": "ab"}, "sample values must be a list"),
+        ("samples", {"interval_ms": 500, "values": "ab"}, "values must be a list"),
         ("samples", {"interval_ms": 1.5, "values": [900.0, 1100.0]}, "interval_ms must be an integer"),
         ("samples", {"interval_ms": True, "values": [900.0, 1100.0]}, "interval_ms must be an integer"),
         ("samples", {"interval_ms": "500", "values": [900.0, 1100.0]}, "interval_ms must be an integer"),

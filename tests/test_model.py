@@ -2,6 +2,7 @@ import math
 import sys
 import tracemalloc
 from dataclasses import fields
+from datetime import datetime, timezone
 from typing import Optional, get_type_hints
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import make_record, make_series
 from mobitrace.model import (
     MAX_THROUGHPUT_KBPS,
+    TIMESTAMP_END_MS,
     AnalysisConfig,
     CapabilityCatalog,
     MeasurementRecord,
@@ -19,6 +21,10 @@ from mobitrace.model import (
     group_of,
 )
 from mobitrace.synth import ScenarioConfig
+
+
+def test_timestamp_end_is_a_day_before_the_last_datetime():
+    assert TIMESTAMP_END_MS == int(datetime(9999, 12, 31, tzinfo=timezone.utc).timestamp()) * 1000
 
 
 class TestGroupOf:
@@ -208,6 +214,8 @@ class TestFromJson:
         (AnalysisConfig, {"window_size": 5, "bogus": 1, "other": 2}, "unknown field 'bogus'"),
         (AnalysisConfig, [], "AnalysisConfig must be a JSON object"),
         (SampleSeries, {"interval_ms": 500, "values": {}}, "values must be a list"),
+        (ScenarioConfig, {"seed": 1, "scenario": "stationary24h", "sample_interval_ms": 500},
+         "unknown field 'sample_interval_ms'"),
     ])
     def test_fault_reasons(self, cls, obj, reason):
         with pytest.raises(ValueError) as exc:

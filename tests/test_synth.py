@@ -1,10 +1,12 @@
+import json
 import math
 import random
 
 import pytest
 
+from mobitrace.cli import main
 from mobitrace.congestion import Pool, classify
-from mobitrace.model import AnalysisConfig, RadioTechnology, mean
+from mobitrace.model import AnalysisConfig, RadioTechnology, SampleSeries, mean
 from mobitrace.synth import (_BLOCK, MAX_SAMPLES_PER_RECORD, CounterRng, Scenario, ScenarioConfig, _noisy_samples,
                              draw_records, generate, plant_pool, planted_truth)
 
@@ -274,3 +276,40 @@ class TestPlantPool:
         records, truth = generate(cfg)
         for record, label in zip(records, truth.record_labels):
             assert classify(record.samples, CFG).pool.value == label.true_pool
+
+
+class TestEachFactOnce:
+    """A label holds only what its trace line cannot say, and each record's series is built once."""
+
+    RUNS = {
+        "stationary": {"scenario": "stationary24h", "seed": 3, "records_per_hour": 2, "spike_rate": 0.05},
+        "commute": {"scenario": "commute", "seed": 4, "records_per_hour": 6,
+                    "cells": [["A", "UMTS", 4000.0], ["B", "EDGE", 400.0], ["C", "LTE", 9000.0]]},
+        "pool-mix": {"scenario": "stationary24h", "seed": 6, "records_per_hour": 2,
+                     "planted_pool_mix": {"LOW": 0.3, "MEDIUM": 0.3, "HIGH": 0.4}},
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_labels_leave_cell_and_technology_to_the_trace(self, tmp_path, name):
+        (tmp_path / "scenario.json").write_text(json.dumps(self.RUNS[name]))
+        assert main(["synth", "--config", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "s")]) == 0
+        labels = json.loads((tmp_path / "s" / "ground_truth.json").read_text())["record_labels"]
+        trace = [json.loads(line) for line in (tmp_path / "s" / "trace.jsonl").read_text().splitlines()]
+        assert [label["record_id"] for label in labels] == [record["record_id"] for record in trace]
+        for label in labels:
+            assert label.keys() == {"record_id", "local_hour", "true_mean_kbps", "true_pool", "spike_indices"}
+        assert {record["samples"]["interval_ms"] for record in trace} == {500}
+
+    def test_pool_mix_builds_one_series_per_record(self, monkeypatch):
+        built = []
+        post_init = SampleSeries.__post_init__
+
+        def counting(series):
+            built.append(series)
+            post_init(series)
+        monkeypatch.setattr(SampleSeries, "__post_init__", counting)
+        cfg = ScenarioConfig(seed=6, scenario=Scenario.STATIONARY_24H, records_per_hour=2,
+                             planted_pool_mix={"LOW": 0.3, "MEDIUM": 0.3, "HIGH": 0.4})
+        records, _ = generate(cfg)
+        assert len(built) == len(records) == 48
+        assert all(record.samples is series for record, series in zip(records, built))
