@@ -1,10 +1,10 @@
 """Golden digests: the pipeline's output bytes, pinned.
 
-Three fixed runs go through synth -> analyze -> report, and the sha256 of
+Four fixed runs go through synth -> analyze -> report, and the sha256 of
 every output file except manifest.json (it records wall time) must equal
 the committed value. A change that alters any output byte fails here.
-Run (c) pins analyze and report only: its trace is built here from two
-synth runs, so its synth outputs are inputs, not outputs.
+Runs (c) and (d) pin analyze and report only: each builds its trace here
+from two synth runs, so their synth outputs are inputs, not outputs.
 
 When an output change is intended, print the new digests with
 
@@ -110,6 +110,35 @@ def write_crowd_trace(run: Path) -> None:
     rejects = [reject(json.loads(lines[20 * k])) for k, reject in enumerate(CROWD_REJECTS)]
     for k, line in enumerate(rejects):
         lines.insert(5 + 23 * k, line)
+    (run / "trace.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# (d) long series: a stationary day of 400-sample records at a 5% spike rate, then a two-cell
+# commute of 1600-sample records, so classify sees many windows and the spike filter's heap many
+# entries (every other run's series has 20 samples, two windows).
+LONG_USERS = {
+    "day": {"scenario": "stationary24h", "seed": 41, "records_per_hour": 1, "samples_per_record": 400,
+            "spike_rate": 0.05, "user_id": "long-day"},
+    "tail": {"scenario": "commute", "seed": 43, "records_per_hour": 1, "samples_per_record": 1600,
+             "spike_rate": 0.05, "user_id": "long-tail",
+             "cells": [["t-1", "LTE", 6000.0], ["t-2", "LTE", 6000.0]]},
+}
+LONG_SYNTH = [["synth", "--config", "{root}/" + user + ".json", "--out", "{root}/users/" + user]
+              for user in LONG_USERS]
+LONG = [
+    ["analyze", "--in", "{root}/trace.jsonl", "--out", "{root}/analyzed"],
+    ["report", "--in", "{root}/analyzed", "--out", "{root}/reports", "--report", "all"],
+]
+
+
+def write_long_trace(run: Path) -> None:
+    """run/trace.jsonl: the day's synth trace, then the tail's, each record_id prefixed by its user."""
+    lines = []
+    for user in LONG_USERS:
+        for line in (run / "users" / user / "trace.jsonl").read_text(encoding="utf-8").splitlines():
+            obj = json.loads(line)
+            obj["record_id"] = f"{obj['user_id']}/{obj['record_id']}"
+            lines.append(json.dumps(obj, sort_keys=True))
     (run / "trace.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -258,6 +287,44 @@ GOLDEN = {
         "a1410fe504c4d9c9b502f5459f5f02487d3bc2c53123b3fd8f38b1ab857963d0",
     "crowd/reports/trend.json":
         "42b4eb1be6b178d3321a355859c948a37dc660876805552934ede3efe57c1b37",
+    "long/analyzed/analyzed.jsonl":
+        "ccd051d26ce9b5f213367e9564a7c6b80aa523f103ee435f8be75246e4c214e9",
+    "long/analyzed/handovers.jsonl":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "long/analyzed/ingest_report.json":
+        "ca4e4de6abd4e35f31c2a9a1202933253038617c14ec6a1b2904d40acd6cb3e9",
+    "long/reports/camping.csv":
+        "dcf1a3946d9d520665e73887e5fa87f26b26f184691d66fc4af8a6bc11e75bdd",
+    "long/reports/camping.json":
+        "0c6b9ca8616b620d022c807a4161a015cc8d59cb7506d5752f3ddc81c088bdac",
+    "long/reports/handovers.csv":
+        "b447856c466fc6a770187017664a5cc79938cca701fbde1b33251ba7dbd152bb",
+    "long/reports/handovers.json":
+        "e050bd21dd9a928a8a82b510c48aeda3b076d3deb5572b41a2dedeab3484e8f2",
+    "long/reports/histogram.csv":
+        "47a458dee8db6ec73d27fd19dc6523d00847b0a0f0709ca2cbb04371f80daa2d",
+    "long/reports/histogram.json":
+        "3c8faabcb68afc22852187d13d63e3d33b8014ff4354a4b66d850f77e4df2b2e",
+    "long/reports/hourly.csv":
+        "a2f2d87bf040b68a68518d10d6d21e2771c081eb57c9c4faeeef0e346d4566d1",
+    "long/reports/hourly.json":
+        "1691768b2382cc8c4e0e07aab11a5e0680423dd967b0c7791042b8d50a9df09d",
+    "long/reports/operators.csv":
+        "75118cc3e82f46a8ebcdfdd78c03ef7f8888766b69bb71080d4edce0e42435f7",
+    "long/reports/operators.json":
+        "b0dbef31fe67a4e863faa283697deebf3bb7594738ffe504d4a708886dc3484a",
+    "long/reports/pools.csv":
+        "f72c42bd8a9f3eed5a49fc3ef2e017159bb2bdc7cff6c5dac1ddacd112c7ecb1",
+    "long/reports/pools.json":
+        "d61771fe69bb894ba52a1485db5edb00fa0f2d45c202e2aa61c6c132dc6f27aa",
+    "long/reports/signal.csv":
+        "c7a3de732151dfc5acab3a237da7657b9ba3c5485789ce3a50aba5172e4fe17f",
+    "long/reports/signal.json":
+        "b55d1055fcd4187a6974d8263141f2260f4b91bd19d4e96dcfd5b821f7900a5f",
+    "long/reports/trend.csv":
+        "02aae5bae29c93cb74f158ce44bfcc015f208674e16ad74a5a7c7fad18701624",
+    "long/reports/trend.json":
+        "5ccbc8a8df84a76a3c3b4997b9a195f646a4a5364fe8b8d8456f51390ab4480b",
     "stationary/analyzed/analyzed.jsonl":
         "b3be94c88f2a4b40b56ac491b07d0748795ca32eb2b1424084872c997014fa75",
     "stationary/analyzed/handovers.jsonl":
@@ -317,7 +384,7 @@ def _outputs(root: Path, suffixes):
 
 
 def run_digests(root: Path) -> dict:
-    """Run the three pipelines under root; sha256 per output file but manifests."""
+    """Run the four pipelines under root; sha256 per output file but manifests."""
     (root / "commute").mkdir(parents=True)
     (root / "commute" / "scenario.json").write_text(json.dumps(COMMUTE_SCENARIO))
     (root / "commute" / "caps.csv").write_text(COMMUTE_CATALOG)
@@ -330,6 +397,13 @@ def run_digests(root: Path) -> dict:
     _run(crowd, CROWD_SYNTH)
     write_crowd_trace(crowd)
     _run(crowd, CROWD)
+    long = root / "long"
+    long.mkdir()
+    for user, scenario in LONG_USERS.items():
+        (long / f"{user}.json").write_text(json.dumps(scenario))
+    _run(long, LONG_SYNTH)
+    write_long_trace(long)
+    _run(long, LONG)
     return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in _outputs(root, (".json", ".jsonl", ".csv")) if p.name != "manifest.json"}
 
@@ -374,16 +448,26 @@ def test_crowd_run_exercises_rejects_users_and_records_without_samples(tmp_path)
     assert hours == {"12", "13", "14", "15"}
 
 
+def test_long_run_exercises_many_windows_and_spikes(tmp_path):
+    run_digests(tmp_path)
+    rows = [json.loads(line) for line in (tmp_path / "long" / "analyzed" / "analyzed.jsonl").read_text().splitlines()]
+    assert [len(row["record"]["samples"]["values"]) for row in rows] == [400] * 24 + [1600] * 2
+    assessments = [row["assessment"] for row in rows]
+    assert all(a is not None for a in assessments)
+    assert max(a["upper_bound_window"] for a in assessments) > 1  # beyond any 20-sample series' windows
+    assert sum(a["spikes_replaced"] for a in assessments) > 20 * len(rows)
+
+
 def _refuse(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
 def test_every_output_is_strict_json(tmp_path):
-    """Every JSON output of the three runs, manifests included, parses with NaN
+    """Every JSON output of the four runs, manifests included, parses with NaN
     and the infinities refused (RFC 8259 has none of them)."""
     run_digests(tmp_path)
     paths = _outputs(tmp_path, (".json", ".jsonl"))
-    assert len(paths) == 63
+    assert len(paths) == 76
     for path in paths:
         text = path.read_text(encoding="utf-8")
         for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
@@ -391,15 +475,16 @@ def test_every_output_is_strict_json(tmp_path):
 
 
 def test_rows_decode_and_encode_to_the_same_bytes(tmp_path):
-    """Every analyzed and handovers row of the three runs, decoded by from_json and written again by
+    """Every analyzed and handovers row of the four runs, decoded by from_json and written again by
     write_json, is the same line: the row codec loses nothing on real rows."""
     run_digests(tmp_path / "runs")
     for file, cls in (("analyzed.jsonl", AnalyzedRow), ("handovers.jsonl", HandoverEvent)):
-        for name in ("stationary", "commute", "crowd"):
+        for name in ("stationary", "commute", "crowd", "long"):
             path = tmp_path / "runs" / name / "analyzed" / file
             lines = path.read_text(encoding="utf-8").splitlines()
             write_json((to_json(from_json(cls, json.loads(line))) for line in lines), tmp_path / file)
-            assert lines or (name, file) == ("stationary", "handovers.jsonl")  # a day on one cell
+            # no handover: a day on one cell, and a commute an hour between records
+            assert lines or (file == "handovers.jsonl" and name in ("stationary", "long"))
             assert (tmp_path / file).read_text(encoding="utf-8").splitlines() == lines, (name, file)
 
 
