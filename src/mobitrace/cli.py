@@ -202,6 +202,7 @@ def cmd_analyze(args) -> None:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)  # written last: a run cut short leaves none
     write_json(rows(), out_dir / "analyzed.jsonl")
     write_json(map(to_json, all_events), out_dir / "handovers.jsonl")
     ingest_obj = {"records": to_json(ingest_report)}
@@ -310,6 +311,7 @@ def cmd_report(args) -> None:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "manifest.json").unlink(missing_ok=True)  # written last: a run cut short leaves none
     outputs = []
     for name in names:
         json_obj, header, rows = REPORTS[name](records, analyzed, events, cfg, args)

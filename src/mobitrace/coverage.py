@@ -118,13 +118,11 @@ def handover_impact(events: List[HandoverEvent]) -> HandoverImpact:
 
 
 def camping_stats(session: Session, subscription_group: TechnologyGroup) -> CampingStats:
-    """Count how often the session camps below its subscribed generation.
+    """Count how often the session camps below its subscribed generation, G3 or G4.
 
     WLAN and UNKNOWN records are excluded from the total; records above
     the subscription group count as on_subscribed.
     """
-    if subscription_group not in (TechnologyGroup.G3, TechnologyGroup.G4):
-        raise ValueError("subscription group must be G3 or G4")
     sub_rank = GROUP_RANK[subscription_group]
     total = 0
     on_lower = 0

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Tuple
 
-from .model import (CapabilityCatalog, MeasurementRecord, RadioTechnology, check_cap, check_device_cap,
-                    from_json, to_json)
+from .model import CapabilityCatalog, MeasurementRecord, RadioTechnology, from_json, to_json
 
 RECORD_FIELDS = frozenset(f.name for f in fields(MeasurementRecord))
 
@@ -167,7 +167,8 @@ def _catalog_row(kind: str, row: dict, tech_caps: dict) -> Tuple[float, Optional
         cap = float(row.get("cap_kbps") or "")
     except ValueError:
         raise ValueError("bad cap_kbps") from None
-    check_cap(cap)
+    if not 0 < cap < math.inf:  # also false for NaN
+        raise ValueError("cap must be finite and positive")
     if kind == "plan":
         return cap, None, (row.get("operator") or "", row.get("plan_id") or "")
     try:
@@ -176,7 +177,9 @@ def _catalog_row(kind: str, row: dict, tech_caps: dict) -> Tuple[float, Optional
         raise ValueError(f"unknown technology '{row.get('technology')}'") from None
     if kind == "tech":
         return cap, tech, tech
-    check_device_cap(cap, tech, tech_caps)
+    tech_cap = tech_caps.get(tech)
+    if tech_cap is not None and cap > tech_cap:
+        raise ValueError(f"device cap {cap:g} exceeds {tech.value} standard cap {tech_cap:g}")
     return cap, tech, (row.get("manufacturer") or "", row.get("model") or "", tech)
 
 

@@ -445,19 +445,6 @@ class MeasurementRecord:
         return SIGNAL_DBM_MIN <= self.signal_dbm <= SIGNAL_DBM_MAX
 
 
-def check_cap(cap) -> None:
-    """Raise ValueError unless a capability cap is finite and positive."""
-    if not 0 < cap < math.inf:  # also false for NaN
-        raise ValueError("cap must be finite and positive")
-
-
-def check_device_cap(cap, tech: RadioTechnology, tech_caps: dict) -> None:
-    """Raise ValueError if a device cap exceeds the standard cap tech_caps holds for tech."""
-    tech_cap = tech_caps.get(tech)
-    if tech_cap is not None and cap > tech_cap:
-        raise ValueError(f"device cap {cap:g} exceeds {tech.value} standard cap {tech_cap:g}")
-
-
 @dataclass
 class CapabilityCatalog:
     """Theoretical upper bounds for the artificial limiting factors."""
@@ -465,13 +452,6 @@ class CapabilityCatalog:
     device_caps: dict  # (manufacturer, model, RadioTechnology) -> kbps
     tech_caps: dict  # RadioTechnology -> kbps
     plan_caps: dict  # (subscriber_operator, plan_id) -> kbps
-
-    def __post_init__(self):
-        for caps in (self.device_caps, self.tech_caps, self.plan_caps):
-            for cap in caps.values():
-                check_cap(cap)
-        for (_, _, tech), cap in self.device_caps.items():
-            check_device_cap(cap, tech, self.tech_caps)
 
     @classmethod
     def empty(cls) -> "CapabilityCatalog":

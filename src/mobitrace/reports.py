@@ -20,15 +20,11 @@ from .model import AnalysisConfig, Pool, TechnologyGroup, group_of, mean
 
 
 def quantile(values, q: float) -> float:
-    """Inclusive linear-interpolation quantile over all data points.
+    """Inclusive linear-interpolation quantile over all data points; values is non-empty, 0 <= q <= 1.
 
     With sorted values x_0..x_{n-1}, the q-quantile sits at rank
     h = (n-1)*q and interpolates linearly between floor(h) and ceil(h).
     """
-    if not 0 <= q <= 1:
-        raise ValueError("quantile must be in [0, 1]")
-    if not values:
-        raise ValueError("quantile of empty data")
     ordered = sorted(values)
     h = (len(ordered) - 1) * q
     lo = math.floor(h)
@@ -118,8 +114,6 @@ def hourly_profile(records, key: str, cfg: AnalysisConfig) -> List[HourlyProfile
     only when both the busy and off-peak means exist and off-peak is
     positive.
     """
-    if key not in ("cell", "operator"):
-        raise ValueError("key must be 'cell' or 'operator'")
     grouped: Dict[str, Dict[int, List[float]]] = {}
     for r in records:
         k = r.cell_id if key == "cell" else r.network_operator

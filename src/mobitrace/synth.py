@@ -182,8 +182,6 @@ def plant_pool(target: Pool, cfg: AnalysisConfig, base_kbps: float) -> SampleSer
     }
     # overall MAPE = 3 * 100d / 4 over the UB window plus 3 deviated windows
     d = targets[target] * 4.0 / 300.0
-    if not 0 < d < 1:
-        raise ValueError("target deviation out of range for this config")
     w = cfg.window_size
     values = [base_kbps * (0.3 + 0.7 * i / (w - 1)) for i in range(w)]
     values += [base_kbps] * w

@@ -29,17 +29,26 @@ def make_series(values, interval_ms=500) -> SampleSeries:
     return SampleSeries(interval_ms=interval_ms, values=tuple(values))
 
 
-_ACCEPTANCE_RESULTS = []
+_ACCEPTANCE_RESULTS = {}  # test name -> PASS, FAIL or SKIP, one per criterion
 
 
 def pytest_runtest_logreport(report):
-    if report.when == "call" and "test_acceptance.py" in report.nodeid:
-        _ACCEPTANCE_RESULTS.append((report.nodeid.split("::")[-1], report.passed))
+    """A criterion fails if its setup, call or teardown fails, and is skipped if its setup or call
+    skips; it passes only by its call."""
+    if "test_acceptance.py" not in report.nodeid:
+        return
+    name = report.nodeid.split("::")[-1]
+    if report.failed:
+        _ACCEPTANCE_RESULTS[name] = "FAIL"
+    elif report.skipped:
+        _ACCEPTANCE_RESULTS[name] = "SKIP"
+    elif report.when == "call":
+        _ACCEPTANCE_RESULTS[name] = "PASS"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _ACCEPTANCE_RESULTS:
         return
     terminalreporter.write_sep("-", "acceptance criteria")
-    for name, ok in _ACCEPTANCE_RESULTS:
-        terminalreporter.write_line(f"{'PASS' if ok else 'FAIL'}  {name}")
+    for name, outcome in _ACCEPTANCE_RESULTS.items():
+        terminalreporter.write_line(f"{outcome}  {name}")

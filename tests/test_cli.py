@@ -237,6 +237,16 @@ class TestAnalyzeCommand:
         inputs = json.loads((an / "manifest.json").read_text())["inputs"]
         assert inputs == {str(trace): sha(trace), str(catalog): hashlib.sha256(b"").hexdigest()}
 
+    def test_interrupted_run_leaves_no_manifest(self, tmp_path):
+        traces = [run_synth(tmp_path, name, "--records-per-hour", rph)[1] / "trace.jsonl"
+                  for name, rph in (("a", "2"), ("b", "3"))]
+        x = tmp_path / "x"
+        assert main(["analyze", "--in", str(traces[0]), "--out", str(x)]) == 0
+        (x / ".handovers.jsonl.tmp").mkdir()  # the second output cannot be written
+        assert main(["analyze", "--in", str(traces[1]), "--out", str(x)]) == 1
+        assert len((x / "analyzed.jsonl").read_text().splitlines()) == 72  # b's rows, under no manifest
+        assert not (x / "manifest.json").exists()
+
 
 def test_no_stage_loads_openssl(tmp_path):
     s, a, r, caps = (str(tmp_path / name) for name in ("s", "a", "r", "caps.csv"))
@@ -388,6 +398,34 @@ class TestReportCommand:
         assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep"), "--report", "a\nb"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: unknown report 'a\\nb';") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value", [("--key", "bogus"), ("--subscription", "2g")])
+    def test_flag_outside_its_choices_exits_2(self, tmp_path, capsys, flag, value):
+        an = self.analyzed_dir(tmp_path)
+        rep = tmp_path / "rep"
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--in", str(an), "--out", str(rep), flag, value])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{value}'" in capsys.readouterr().err
+        assert not rep.exists()
+
+    def test_interrupted_run_leaves_no_manifest(self, tmp_path):
+        dirs = []
+        for name, rph in (("a", "2"), ("b", "3")):
+            _, synth_out = run_synth(tmp_path, name, "--records-per-hour", rph)
+            dirs.append(tmp_path / f"an-{name}")
+            assert main(["analyze", "--in", str(synth_out / "trace.jsonl"), "--out", str(dirs[-1])]) == 0
+        r = tmp_path / "r"
+        assert main(["report", "--in", str(dirs[0]), "--out", str(r)]) == 0
+        manifest = (r / "manifest.json").read_bytes()
+        # a run that stops at a usage check has written nothing, and keeps the manifest
+        assert main(["report", "--in", str(dirs[1]), "--out", str(r), "--report", "bogus"]) == 2
+        assert (r / "manifest.json").read_bytes() == manifest
+        (r / ".pools.json.tmp").mkdir()  # the fifth report cannot be written
+        assert main(["report", "--in", str(dirs[1]), "--out", str(r)]) == 1
+        assert json.loads((r / "histogram.json").read_text())["total"] == 72  # b's
+        assert [c["total"] for c in json.loads((r / "camping.json").read_text())] == [48]  # still a's
+        assert not (r / "manifest.json").exists()
 
     def test_hourly_by_operator(self, tmp_path):
         an = self.analyzed_dir(tmp_path)

@@ -160,11 +160,6 @@ class TestCampingStats:
         stats = camping_stats(session, TechnologyGroup.G3)
         assert stats.on_subscribed == 1
 
-    def test_invalid_subscription_group(self):
-        session = session_from(["A"])
-        with pytest.raises(ValueError):
-            camping_stats(session, TechnologyGroup.G2)
-
     def test_reorder_invariant(self):
         techs = [RadioTechnology.LTE, RadioTechnology.EDGE, RadioTechnology.UMTS]
         a = camping_stats(session_from(["A"] * 3, techs=techs), TechnologyGroup.G4)

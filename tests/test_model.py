@@ -1,4 +1,3 @@
-import math
 import sys
 import tracemalloc
 from dataclasses import fields
@@ -12,7 +11,6 @@ from mobitrace.model import (
     MAX_THROUGHPUT_KBPS,
     TIMESTAMP_END_MS,
     AnalysisConfig,
-    CapabilityCatalog,
     MeasurementRecord,
     RadioTechnology,
     SampleSeries,
@@ -132,25 +130,6 @@ class TestMeasurementRecord:
         record = make_record(**{name: "".join(["text-", name]) for name in text})
         for name in text:
             assert (getattr(record, name) is canonical[name]) is (name != "record_id"), name
-
-
-class TestCapabilityCatalog:
-    def test_device_cap_cannot_exceed_standard(self):
-        with pytest.raises(ValueError):
-            CapabilityCatalog(
-                device_caps={("A", "B", RadioTechnology.HSPA): 42000.0},
-                tech_caps={RadioTechnology.HSPA: 21000.0},
-                plan_caps={},
-            )
-
-    def test_nonpositive_cap_rejected(self):
-        with pytest.raises(ValueError):
-            CapabilityCatalog(device_caps={}, tech_caps={RadioTechnology.LTE: 0.0}, plan_caps={})
-
-    @pytest.mark.parametrize("cap", [math.inf, math.nan])
-    def test_non_finite_cap_rejected(self, cap):
-        with pytest.raises(ValueError, match="finite and positive"):
-            CapabilityCatalog(device_caps={}, tech_caps={}, plan_caps={("OpA", "p1"): cap})
 
 
 class TestAnalysisConfig:

@@ -92,10 +92,6 @@ class TestHourlyProfile:
         profiles = hourly_profile(records, "operator", CFG)
         assert [p.key for p in profiles] == ["OpA", "OpB"]
 
-    def test_bad_key_rejected(self):
-        with pytest.raises(ValueError):
-            hourly_profile([], "bogus", CFG)
-
 
 class TestQuarterlyTrend:
     def test_quarter_arithmetic(self):
