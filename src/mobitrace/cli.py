@@ -89,7 +89,8 @@ def _write_csv(header, rows, path: Path) -> None:
         writer.writerows(rows)
 
 
-def _write_manifest(out_dir: Path, command: str, config_obj: dict, inputs, outputs, started: float) -> None:
+def _write_manifest(out_dir: Path, command: str, config_obj: dict, inputs, outputs, started: float,
+                    **extra) -> None:
     manifest = {
         "tool": "mobitrace",
         "version": __version__,
@@ -98,6 +99,7 @@ def _write_manifest(out_dir: Path, command: str, config_obj: dict, inputs, outpu
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": sorted(outputs),
         "wall_time_s": time.monotonic() - started,
+        **extra,
     }
     write_json([manifest], out_dir / "manifest.json", indent=2)
 
@@ -318,8 +320,9 @@ def cmd_report(args) -> None:
         write_json([json_obj], out_dir / f"{name}.json", indent=2)
         _write_csv(header, rows, out_dir / f"{name}.csv")
         outputs.extend([f"{name}.json", f"{name}.csv"])
+    options = {name: getattr(args, name) for name in ("report", "key", "subscription", "include_artificial")}
     _write_manifest(out_dir, "report", to_json(cfg), [in_dir / "analyzed.jsonl", in_dir / "handovers.jsonl"],
-                    outputs, started)
+                    outputs, started, options=options)
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,16 @@ class HandoverEvent:
     to_tech: RadioTechnology
     from_kbps: Kbps
     to_kbps: Kbps
-    downgrade: bool
     gap_ms: Annotated[int, Range(0)]
     from_dbm: Optional[Dbm] = None
     to_dbm: Optional[Dbm] = None
 
     __post_init__ = check_field_types
+
+    @property
+    def downgrade(self) -> bool:
+        """A lower cellular generation after the handover than before it."""
+        return is_downgrade(self.from_tech, self.to_tech)
 
 
 class HandoverImpact(NamedTuple):
@@ -77,7 +81,6 @@ def detect_handovers(session: Session, cfg: AnalysisConfig) -> List[HandoverEven
                 to_tech=cur.technology,
                 from_kbps=prev.download_kbps,
                 to_kbps=cur.download_kbps,
-                downgrade=is_downgrade(prev.technology, cur.technology),
                 gap_ms=gap,
                 from_dbm=prev.signal_dbm,
                 to_dbm=cur.signal_dbm,

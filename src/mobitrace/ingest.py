@@ -184,7 +184,7 @@ def _catalog_row(kind: str, row: dict, tech_caps: dict) -> Tuple[float, Optional
 
 
 def read_catalog(path) -> Tuple[CapabilityCatalog, IngestReport]:
-    """Parse a capability catalog CSV (kinds: device, tech, plan).
+    """Parse a capability catalog CSV (kinds: device, tech, plan); a leading byte order mark is skipped.
 
     Duplicate keys take the last value with a warning. A row is rejected for a cell beyond the csv
     module's field limit or a byte that is not UTF-8 (a header so rejected reads as none), a cap that
@@ -206,7 +206,7 @@ def read_catalog(path) -> Tuple[CapabilityCatalog, IngestReport]:
         report.accepted += 1
 
     deferred = []  # (line_no, kind, row) of the device and plan rows
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         rows = _csv_rows(csv.reader(fh), report)
         _, header = next(rows, (1, []))
         for line_no, cells in rows:

@@ -237,11 +237,9 @@ def _decoder(cls, hints: dict, ns: dict) -> List[str]:
     ns.update(_cls=cls, _key_fault=_key_fault, _names=frozenset(f.name for f in fs), _required=frozenset(required))
     keys = "not obj.keys() <= _names" + (" or not obj.keys() >= _required" if required else "")
     lines = [f"if type(obj) is not dict or {keys}: _key_fault(_cls, obj)"]
-    if len(required) > 1:
+    if required:  # for one name, itemgetter gives the value itself and the line is a plain assignment
         ns["_take"] = itemgetter(*required)
         lines.append(f"{', '.join(f'v_{name}' for name in required)} = _take(obj)")
-    elif required:  # an itemgetter of one name gives the value itself
-        lines.append(f"v_{required[0]} = obj[{required[0]!r}]")
     for f in fs:
         var = f"v_{f.name}"
         convert = _convert(hints[f.name], f.name, var, ns)
@@ -445,8 +443,7 @@ class MeasurementRecord:
         return SIGNAL_DBM_MIN <= self.signal_dbm <= SIGNAL_DBM_MAX
 
 
-@dataclass
-class CapabilityCatalog:
+class CapabilityCatalog(NamedTuple):
     """Theoretical upper bounds for the artificial limiting factors."""
 
     device_caps: dict  # (manufacturer, model, RadioTechnology) -> kbps

@@ -106,14 +106,10 @@ class ScenarioConfig:
         check_field_types(self)
         if self.scenario is Scenario.COMMUTE and len(self.cells) < 2:
             raise ValueError("commute scenario needs at least 2 cells")
-        if not all(isinstance(cell, tuple) and len(cell) == 3 for cell in self.cells):
-            raise ValueError("cells must be (cell id, technology, capacity) triples")
         if not all(is_finite_number(cap) and cap > 0 for _, _, cap in self.cells):
             raise ValueError("cell capacities must be positive and finite")
         if any(not isinstance(cell_id, str) for cell_id, _, _ in self.cells):
             raise ValueError("cell ids must be strings")
-        if not all(isinstance(tech, RadioTechnology) for _, tech, _ in self.cells):
-            raise ValueError("cell technologies must be RadioTechnology values")
         self.cells = tuple((cell, tech, float(cap)) for cell, tech, cap in self.cells)
         if self.planted_pool_mix is not None:
             mix = self.planted_pool_mix

@@ -536,6 +536,21 @@ class TestReportCommand:
         assert inputs == {str(an / name): hashlib.sha256((an / name).read_bytes()).hexdigest()
                           for name in ("analyzed.jsonl", "handovers.jsonl")}
 
+    def test_manifest_records_the_report_flags(self, tmp_path):
+        an = self.analyzed_dir(tmp_path)
+        runs = {"default": [], "chosen": ["--report", "hourly", "--key", "operator", "--subscription", "3g",
+                                          "--include-artificial"]}
+        manifests = {}
+        for name, flags in runs.items():
+            assert main(["report", "--in", str(an), "--out", str(tmp_path / name), *flags]) == 0
+            manifests[name] = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifests["default"]["options"] == {"report": "all", "key": "cell", "subscription": "4g",
+                                                   "include_artificial": False}
+        assert manifests["chosen"]["options"] == {"report": "hourly", "key": "operator", "subscription": "3g",
+                                                  "include_artificial": True}
+        # the config holds the analysis config alone, the same for both runs
+        assert manifests["default"]["config"] == manifests["chosen"]["config"] == to_json(AnalysisConfig())
+
     def test_carriage_return_inside_a_row_is_whitespace(self, tmp_path):
         an = self.analyzed_dir(tmp_path)
         assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep")]) == 0
@@ -557,7 +572,7 @@ class TestReportCommand:
     def test_bad_handovers_row_exits_2(self, tmp_path, capsys):
         an = self.analyzed_dir(tmp_path)
         event = {"user_id": "u", "at_ms": "x", "from_cell": "a", "to_cell": "b", "from_tech": "LTE",
-                 "to_tech": "UMTS", "from_kbps": 1.0, "to_kbps": 1.0, "downgrade": True, "gap_ms": 1}
+                 "to_tech": "UMTS", "from_kbps": 1.0, "to_kbps": 1.0, "gap_ms": 1}
         self.assert_bad_row_exits_2(tmp_path, capsys, an, "handovers.jsonl", [
             ("{not json", "invalid JSON"),
             (json.dumps(event), "at_ms must be an integer"),
@@ -565,6 +580,8 @@ class TestReportCommand:
             (json.dumps({**event, "at_ms": 1, "from_dbm": -1e308}), "from_dbm must be at least -1000 and at most 1000"),
             (json.dumps({**event, "at_ms": 1, "to_kbps": -5000}), "to_kbps must be at least 0 and at most 10000000"),
             (json.dumps({**event, "at_ms": 1, "gap_ms": -7}), "gap_ms must be at least 0"),
+            # a row written while the event stored its downgrade flag
+            (json.dumps({**event, "at_ms": 1, "downgrade": True}), "unknown field 'downgrade'"),
             ('{"at_ms": ' + "9" * 5000 + "}", "invalid JSON"),  # beyond int's digit limit
         ])
 
@@ -579,7 +596,7 @@ class TestReportCommand:
     def test_handovers_row_not_utf8_exits_2(self, tmp_path, capsys):
         an = self.analyzed_dir(tmp_path)
         event = {"user_id": "u", "at_ms": 1, "from_cell": "a", "to_cell": "b", "from_tech": "LTE",
-                 "to_tech": "UMTS", "from_kbps": 1.0, "to_kbps": 1.0, "downgrade": True, "gap_ms": 1}
+                 "to_tech": "UMTS", "from_kbps": 1.0, "to_kbps": 1.0, "gap_ms": 1}
         self.assert_bad_row_exits_2(tmp_path, capsys, an, "handovers.jsonl", [
             (b"\xff", "invalid JSON"),
             (json.dumps(event).encode().replace(b'"a"', b'"\xfe"'), "from_cell must be UTF-8 text"),

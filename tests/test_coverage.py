@@ -8,7 +8,7 @@ from mobitrace.coverage import (
     handover_impact,
 )
 from mobitrace.ingest import build_sessions
-from mobitrace.model import AnalysisConfig, RadioTechnology, TechnologyGroup
+from mobitrace.model import AnalysisConfig, RadioTechnology, TechnologyGroup, to_json
 
 CFG = AnalysisConfig()
 
@@ -22,11 +22,11 @@ def session_from(cells, gap_ms=30_000, techs=None, start=1_000_000):
 
 
 def event(from_tech=RadioTechnology.UMTS, to_tech=RadioTechnology.UMTS,
-          from_kbps=1000.0, to_kbps=1000.0, from_dbm=None, to_dbm=None, downgrade=False):
+          from_kbps=1000.0, to_kbps=1000.0, from_dbm=None, to_dbm=None):
     return HandoverEvent(
         user_id="u1", at_ms=1, from_cell="A", to_cell="B",
         from_tech=from_tech, to_tech=to_tech, from_kbps=from_kbps, to_kbps=to_kbps,
-        downgrade=downgrade, gap_ms=30_000, from_dbm=from_dbm, to_dbm=to_dbm,
+        gap_ms=30_000, from_dbm=from_dbm, to_dbm=to_dbm,
     )
 
 
@@ -118,8 +118,18 @@ class TestHandoverImpact:
         assert impact.throughput_excluded == 0
 
     def test_downgrades_counted(self):
-        impact = handover_impact([event(downgrade=True), event(), event(downgrade=True)])
+        down = event(from_tech=RadioTechnology.LTE, to_tech=RadioTechnology.HSPA)
+        impact = handover_impact([down, event(), down])
         assert (impact.count, impact.downgrades) == (3, 2)
+
+    def test_downgrade_read_off_the_two_technologies(self):
+        # no event stores the flag: the same generation, or one up, is no downgrade
+        assert event(from_tech=RadioTechnology.LTE, to_tech=RadioTechnology.HSPA).downgrade
+        assert not event(from_tech=RadioTechnology.LTE, to_tech=RadioTechnology.LTE).downgrade
+        assert not event(from_tech=RadioTechnology.HSPA, to_tech=RadioTechnology.LTE).downgrade
+        assert "downgrade" not in to_json(event())
+        with pytest.raises(TypeError, match="downgrade"):
+            HandoverEvent(**{**vars(event()), "downgrade": False})
 
     def test_empty_input(self):
         impact = handover_impact([])

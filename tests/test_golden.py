@@ -19,6 +19,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from mobitrace.attribution import AnalyzedRow, LimitingFactorVerdict
 from mobitrace.cli import main
 from mobitrace.coverage import HandoverEvent
@@ -146,7 +148,7 @@ GOLDEN = {
     "commute/analyzed/analyzed.jsonl":
         "89d01bee1a3e263c88086026f88f50b99d32f468c2532a21935abbf32c0ad693",
     "commute/analyzed/handovers.jsonl":
-        "2c4615bfe32637f8a06638402674b56cc9b22c39bee54d002dbf7981970d7457",
+        "bcc8ef1a32808fd5292cb6ac851230e10827b4a84bd03566e922dfa4ed99a902",
     "commute/analyzed/ingest_report.json":
         "0fb00075adfb4640550b79e26441993469d42f31e1ad86171102a127c98c5021",
     "commute/reports/camping.csv":
@@ -252,7 +254,7 @@ GOLDEN = {
     "crowd/analyzed/analyzed.jsonl":
         "986a585d47f02264a873a93a13ba45e82e4ccaa2a6aa6fc824202b351ac38679",
     "crowd/analyzed/handovers.jsonl":
-        "27741469a534d56151cf43bf277a6c7021fda75b033c1b0912b28b6bb30edaa7",
+        "4cbb78d4c4c6017d7dd0eba5c3ca39fac6acd95d18ef261c21e2caab9408fb55",
     "crowd/analyzed/ingest_report.json":
         "8659872d3749df6a506fa5a31f6ccaeb413f8917719f2c46b68d86b3f8b9b67d",
     "crowd/reports/camping.csv":
@@ -408,16 +410,23 @@ def run_digests(root: Path) -> dict:
             for p in _outputs(root, (".json", ".jsonl", ".csv")) if p.name != "manifest.json"}
 
 
-def test_output_digests_match_golden(tmp_path):
-    got = run_digests(tmp_path)
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """(root, digests): the four pipelines, run once for every test of this module."""
+    root = tmp_path_factory.mktemp("golden")
+    return root, run_digests(root)
+
+
+def test_output_digests_match_golden(runs):
+    _, got = runs
     assert got.keys() == GOLDEN.keys()
     changed = [name for name in GOLDEN if got[name] != GOLDEN[name]]
     assert not changed, f"outputs changed: {changed}"
 
 
-def test_commute_run_exercises_downgrades_and_the_artificial_filter(tmp_path):
-    run_digests(tmp_path)
-    commute = tmp_path / "commute"
+def test_commute_run_exercises_downgrades_and_the_artificial_filter(runs):
+    root, _ = runs
+    commute = root / "commute"
     handovers = json.loads((commute / "reports" / "handovers.json").read_text())
     assert handovers["downgrades"] >= 1
     verdicts = [json.loads(line)["verdict"]
@@ -430,9 +439,9 @@ def test_commute_run_exercises_downgrades_and_the_artificial_filter(tmp_path):
     assert everything["total"] == len(verdicts)
 
 
-def test_crowd_run_exercises_rejects_users_and_records_without_samples(tmp_path):
-    run_digests(tmp_path)
-    crowd = tmp_path / "crowd"
+def test_crowd_run_exercises_rejects_users_and_records_without_samples(runs):
+    root, _ = runs
+    crowd = root / "crowd"
     records = json.loads((crowd / "analyzed" / "ingest_report.json").read_text())["records"]
     assert records["rejected"] == len(CROWD_REJECTS) and len(records["warnings"]) == len(CROWD_REJECTS)
     assert len({reason for _, reason in records["warnings"]}) == len(CROWD_REJECTS)
@@ -448,9 +457,9 @@ def test_crowd_run_exercises_rejects_users_and_records_without_samples(tmp_path)
     assert hours == {"12", "13", "14", "15"}
 
 
-def test_long_run_exercises_many_windows_and_spikes(tmp_path):
-    run_digests(tmp_path)
-    rows = [json.loads(line) for line in (tmp_path / "long" / "analyzed" / "analyzed.jsonl").read_text().splitlines()]
+def test_long_run_exercises_many_windows_and_spikes(runs):
+    root, _ = runs
+    rows = [json.loads(line) for line in (root / "long" / "analyzed" / "analyzed.jsonl").read_text().splitlines()]
     assert [len(row["record"]["samples"]["values"]) for row in rows] == [400] * 24 + [1600] * 2
     assessments = [row["assessment"] for row in rows]
     assert all(a is not None for a in assessments)
@@ -462,11 +471,11 @@ def _refuse(constant):
     raise ValueError(f"{constant} is not JSON")
 
 
-def test_every_output_is_strict_json(tmp_path):
+def test_every_output_is_strict_json(runs):
     """Every JSON output of the four runs, manifests included, parses with NaN
     and the infinities refused (RFC 8259 has none of them)."""
-    run_digests(tmp_path)
-    paths = _outputs(tmp_path, (".json", ".jsonl"))
+    root, _ = runs
+    paths = _outputs(root, (".json", ".jsonl"))
     assert len(paths) == 76
     for path in paths:
         text = path.read_text(encoding="utf-8")
@@ -474,13 +483,13 @@ def test_every_output_is_strict_json(tmp_path):
             json.loads(doc, parse_constant=_refuse)
 
 
-def test_rows_decode_and_encode_to_the_same_bytes(tmp_path):
+def test_rows_decode_and_encode_to_the_same_bytes(runs, tmp_path):
     """Every analyzed and handovers row of the four runs, decoded by from_json and written again by
     write_json, is the same line: the row codec loses nothing on real rows."""
-    run_digests(tmp_path / "runs")
+    root, _ = runs
     for file, cls in (("analyzed.jsonl", AnalyzedRow), ("handovers.jsonl", HandoverEvent)):
         for name in ("stationary", "commute", "crowd", "long"):
-            path = tmp_path / "runs" / name / "analyzed" / file
+            path = root / name / "analyzed" / file
             lines = path.read_text(encoding="utf-8").splitlines()
             write_json((to_json(from_json(cls, json.loads(line))) for line in lines), tmp_path / file)
             # no handover: a day on one cell, and a commute an hour between records

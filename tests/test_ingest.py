@@ -244,6 +244,14 @@ class TestReadCatalog:
         assert catalog.device_caps == {}
         assert report.rejected == 1
 
+    def test_byte_order_mark_before_the_header_is_skipped(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with one; read as text, the first column is '\ufeffkind'
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (self.HEADER + "\ntech,,,HSPA,,,100\n").encode())
+        catalog, report = read_catalog(path)
+        assert catalog.tech_caps == {RadioTechnology.HSPA: 100.0}
+        assert (report.accepted, report.rejected, report.warnings) == (1, 0, [])
+
     def test_empty_catalog(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text(self.HEADER + "\n")

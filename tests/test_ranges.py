@@ -28,7 +28,7 @@ MAKERS = {
     SampleSeries: partial(SampleSeries, interval_ms=500, values=(1.0, 2.0)),
     HandoverEvent: partial(HandoverEvent, user_id="u", at_ms=1, from_cell="a", to_cell="b",
                            from_tech=RadioTechnology.LTE, to_tech=RadioTechnology.UMTS, from_kbps=1.0,
-                           to_kbps=1.0, downgrade=True, gap_ms=1),
+                           to_kbps=1.0, gap_ms=1),
     AnalysisConfig: AnalysisConfig,
     ScenarioConfig: partial(ScenarioConfig, seed=1, scenario=Scenario.STATIONARY_24H),
 }

@@ -311,7 +311,7 @@ _EXAMPLES = {
     HandoverEvent: st.builds(HandoverEvent, user_id=_plain_text, at_ms=st.integers(), from_cell=_plain_text,
                              to_cell=_plain_text, from_tech=st.sampled_from(RadioTechnology),
                              to_tech=st.sampled_from(RadioTechnology), from_kbps=_kbps, to_kbps=_kbps,
-                             downgrade=st.booleans(), gap_ms=st.integers(0, 10**9), from_dbm=_dbm, to_dbm=_dbm),
+                             gap_ms=st.integers(0, 10**9), from_dbm=_dbm, to_dbm=_dbm),
     LimitingFactorVerdict: _verdicts,
     AnalysisConfig: st.builds(AnalysisConfig, window_size=st.integers(2, 100), spike_factor=st.floats(1.5, 10),
                               handover_max_gap_ms=st.integers(0, 10**9), histogram_bin_kbps=st.floats(100, 1e6),

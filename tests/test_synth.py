@@ -131,8 +131,6 @@ class TestScenarioConfig:
         (("c9", RadioTechnology.LTE, float("nan")), "cell capacities"),
         (("c9", RadioTechnology.LTE, float("inf")), "cell capacities"),
         ((9, RadioTechnology.LTE, 1000.0), "cell ids"),
-        (("c9", "UMTS", 1000.0), "cell technologies must be RadioTechnology values"),
-        (("c9", RadioTechnology.LTE), r"cells must be \(cell id, technology, capacity\) triples"),
     ])
     def test_bad_commute_cell_rejected(self, cell, message):
         with pytest.raises(ValueError, match=message):
