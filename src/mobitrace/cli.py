@@ -89,13 +89,12 @@ def _write_csv(header, rows, path: Path) -> None:
         writer.writerows(rows)
 
 
-def _write_manifest(out_dir: Path, command: str, config_obj: dict, inputs, outputs, started: float,
-                    **extra) -> None:
+def _write_manifest(out_dir: Path, command: str, config: dict, inputs, outputs, started: float, **extra) -> None:
     manifest = {
         "tool": "mobitrace",
         "version": __version__,
         "command": command,
-        "config": config_obj,
+        "config": config,
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": sorted(outputs),
         "wall_time_s": time.monotonic() - started,
