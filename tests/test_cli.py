@@ -172,6 +172,25 @@ class TestAnalyzeCommand:
                 "spikes_replaced": a.spikes_replaced,
             }
 
+    def test_nearby_handover_window_includes_both_ends(self, tmp_path):
+        # a handover at t0 from cell x to y; records without a cell id do not break the adjacency
+        gap = AnalysisConfig().handover_max_gap_ms
+        t0 = 1_451_865_600_000 + 10 * gap
+        at = {"from": (t0 - 1000, "x"), "to": (t0, "y"), "gap_before": (t0 - gap, None),
+              "gap_after": (t0 + gap, None), "gap_before_1": (t0 - gap - 1, None),
+              "gap_after_1": (t0 + gap + 1, None)}
+        records = [make_record(record_id=name, timestamp=ts, cell_id=cell) for name, (ts, cell) in at.items()]
+        records.append(make_record(record_id="other_user", user_id="u2", timestamp=t0))
+        trace = tmp_path / "t.jsonl"
+        write_records(records, trace)
+        an = tmp_path / "an"
+        assert main(["analyze", "--in", str(trace), "--out", str(an)]) == 0
+        factors = {row["record"]["record_id"]: row["verdict"]["factor"]
+                   for row in map(json.loads, (an / "analyzed.jsonl").read_text().splitlines())}
+        assert factors == {"from": "COVERAGE", "to": "COVERAGE", "gap_before": "COVERAGE", "gap_after": "COVERAGE",
+                           "gap_before_1": "UNDETERMINED", "gap_after_1": "UNDETERMINED",
+                           "other_user": "UNDETERMINED"}
+
     def test_bad_catalog_rows_rejected_with_reason(self, tmp_path):
         _, synth_out = run_synth(tmp_path)
         catalog = tmp_path / "caps.csv"

@@ -1,10 +1,10 @@
 """Golden digests: the pipeline's output bytes, pinned.
 
-Four fixed runs go through synth -> analyze -> report, and the sha256 of
+Five fixed runs go through synth -> analyze -> report, and the sha256 of
 every output file except manifest.json (it records wall time) must equal
 the committed value. A change that alters any output byte fails here.
-Runs (c) and (d) pin analyze and report only: each builds its trace here
-from two synth runs, so their synth outputs are inputs, not outputs.
+Runs (c), (c2) and (d) pin analyze and report only: each builds its trace
+here from two synth runs, so their synth outputs are inputs, not outputs.
 
 When an output change is intended, print the new digests with
 
@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,37 @@ def write_crowd_trace(run: Path) -> None:
     rejects = [reject(json.loads(lines[20 * k])) for k, reject in enumerate(CROWD_REJECTS)]
     for k, line in enumerate(rejects):
         lines.insert(5 + 23 * k, line)
+    (run / "trace.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# (c2) run (c)'s trace with a second line for each reject reason, analyzed with a catalog whose
+# device, technology and plan caps each bind some of the crowd's records; reported as (c) is, and
+# once more keyed by operator with 3G as the subscribed generation.
+CROWD_CAPS_CATALOG = (
+    "kind,manufacturer,model,technology,operator,plan_id,cap_kbps\n"
+    "device,Acme,One,LTE,,,8000\n"
+    "tech,,,HSPA,,,3200\n"
+    "tech,,,EDGE,,,250\n"
+    "tech,,,LTE,,,100000\n"
+    "plan,,,,OpB,flat,1500\n"
+)
+CROWD_CAPS = [
+    ["analyze", "--in", "{root}/trace.jsonl", "--out", "{root}/analyzed", "--catalog", "{root}/caps.csv",
+     "--utc-offset-minutes", "-345"],
+    ["report", "--in", "{root}/analyzed", "--out", "{root}/reports", "--report", "all",
+     "--utc-offset-minutes", "-345"],
+    ["report", "--in", "{root}/analyzed", "--out", "{root}/reports_3g", "--report", "all",
+     "--key", "operator", "--subscription", "3g", "--utc-offset-minutes", "-345"],
+]
+
+
+def write_crowd_caps_trace(run: Path, crowd: Path) -> None:
+    """run/trace.jsonl: crowd/trace.jsonl with a second line for each of CROWD_REJECTS, each made
+    from a record after run (c)'s last reject line and inserted among those records."""
+    lines = (crowd / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+    rejects = [reject(json.loads(lines[130 + 11 * k])) for k, reject in enumerate(CROWD_REJECTS)]
+    for k, line in enumerate(rejects):
+        lines.insert(135 + 13 * k, line)
     (run / "trace.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -289,6 +321,76 @@ GOLDEN = {
         "a1410fe504c4d9c9b502f5459f5f02487d3bc2c53123b3fd8f38b1ab857963d0",
     "crowd/reports/trend.json":
         "42b4eb1be6b178d3321a355859c948a37dc660876805552934ede3efe57c1b37",
+    "crowd_caps/analyzed/analyzed.jsonl":
+        "5aa8968af7cd46d3bb41e323ea5e2f6f0ad2dfa910f53d8f4a960b73ce574ea5",
+    "crowd_caps/analyzed/handovers.jsonl":
+        "4cbb78d4c4c6017d7dd0eba5c3ca39fac6acd95d18ef261c21e2caab9408fb55",
+    "crowd_caps/analyzed/ingest_report.json":
+        "5d816e97df428d1bbf511b387cb2cb736c89f6a9f0f465d5a27e20a94bdc2d91",
+    "crowd_caps/reports/camping.csv":
+        "4b2948c9327cbba6207b5d98f909b9a73c35d49c56cc4c52df0be9032413593a",
+    "crowd_caps/reports/camping.json":
+        "895ebe6fcb0c65b477356742389d41c19ff6bbbe0ec330b7f07ea854bd9d99c5",
+    "crowd_caps/reports/handovers.csv":
+        "77ef332431463da22bdc2c9097acc7a8e4a284b522bf8f90d448f3765193c38d",
+    "crowd_caps/reports/handovers.json":
+        "eff1a78d48241696052c66af934fc72317825866a0653a914e26055db7ae942e",
+    "crowd_caps/reports/histogram.csv":
+        "3177c9476870485034f8bf5b666579350c0b631be73bf3a5cdfc93a9366acc82",
+    "crowd_caps/reports/histogram.json":
+        "6b7cc98ea2e394661d8e870b0808b684c25ac6d1084698f3e942926c67775566",
+    "crowd_caps/reports/hourly.csv":
+        "1d9fa9ba956fbdb8449739d42965b6cc6174c21c02e2ffedd947823b8a3529fd",
+    "crowd_caps/reports/hourly.json":
+        "6b68b9a50ac5cc239a00b3ed3c896d3f8b1754094b46ab31eefb2d1b7aa67603",
+    "crowd_caps/reports/operators.csv":
+        "2f71fcc22fc413613a9260d4d9dcb103631967a0c04e77cf0c4887f088f7e787",
+    "crowd_caps/reports/operators.json":
+        "3d107fb22fc71027a00d9439749f8cd6dbeef6e816dff4dccecab619d47065b2",
+    "crowd_caps/reports/pools.csv":
+        "4b9b077a4479d040f6a1c24e4e32bd339935fec0eb5250c08b29a2d5874f55a8",
+    "crowd_caps/reports/pools.json":
+        "566b061528cb80d408c3d76d319dd789480ebbb316c3cd6fd4aeafda639048e6",
+    "crowd_caps/reports/signal.csv":
+        "de2b042261d4ba5ae8fc2ee6647057c2691bb91ac6ded6553d3d604214614b4c",
+    "crowd_caps/reports/signal.json":
+        "4ef0ae838622a6fa0aa2ac260c3013d0484b7dd23c65604c9873cac10c3082ca",
+    "crowd_caps/reports/trend.csv":
+        "82d6ec31662f5b887fab6068c42e34a5e84bbad17552467c726c75d5ba5d06e7",
+    "crowd_caps/reports/trend.json":
+        "071eca1a3bff7a8efd11399e0699847752eb7cb3cabb1efbf109136a69bb91bd",
+    "crowd_caps/reports_3g/camping.csv":
+        "a9dcce8c46fb2a64db1e92e87f306f470abdbf61923c0b195c9300b79d986434",
+    "crowd_caps/reports_3g/camping.json":
+        "8a1bbef81bafca1e84e372f3ab4f0d2a996e5493bec058a14843ba5899483a4b",
+    "crowd_caps/reports_3g/handovers.csv":
+        "77ef332431463da22bdc2c9097acc7a8e4a284b522bf8f90d448f3765193c38d",
+    "crowd_caps/reports_3g/handovers.json":
+        "eff1a78d48241696052c66af934fc72317825866a0653a914e26055db7ae942e",
+    "crowd_caps/reports_3g/histogram.csv":
+        "3177c9476870485034f8bf5b666579350c0b631be73bf3a5cdfc93a9366acc82",
+    "crowd_caps/reports_3g/histogram.json":
+        "6b7cc98ea2e394661d8e870b0808b684c25ac6d1084698f3e942926c67775566",
+    "crowd_caps/reports_3g/hourly.csv":
+        "10b3a125c3eb5758a2ff64d231950f7e9722b189c97cfdfd3bf625e1b05a50ed",
+    "crowd_caps/reports_3g/hourly.json":
+        "9f5ec5ed3402c768c98ef3b446eb1c569cc771d09ae24b7a10b5749760758773",
+    "crowd_caps/reports_3g/operators.csv":
+        "2f71fcc22fc413613a9260d4d9dcb103631967a0c04e77cf0c4887f088f7e787",
+    "crowd_caps/reports_3g/operators.json":
+        "3d107fb22fc71027a00d9439749f8cd6dbeef6e816dff4dccecab619d47065b2",
+    "crowd_caps/reports_3g/pools.csv":
+        "4b9b077a4479d040f6a1c24e4e32bd339935fec0eb5250c08b29a2d5874f55a8",
+    "crowd_caps/reports_3g/pools.json":
+        "566b061528cb80d408c3d76d319dd789480ebbb316c3cd6fd4aeafda639048e6",
+    "crowd_caps/reports_3g/signal.csv":
+        "de2b042261d4ba5ae8fc2ee6647057c2691bb91ac6ded6553d3d604214614b4c",
+    "crowd_caps/reports_3g/signal.json":
+        "4ef0ae838622a6fa0aa2ac260c3013d0484b7dd23c65604c9873cac10c3082ca",
+    "crowd_caps/reports_3g/trend.csv":
+        "82d6ec31662f5b887fab6068c42e34a5e84bbad17552467c726c75d5ba5d06e7",
+    "crowd_caps/reports_3g/trend.json":
+        "071eca1a3bff7a8efd11399e0699847752eb7cb3cabb1efbf109136a69bb91bd",
     "long/analyzed/analyzed.jsonl":
         "ccd051d26ce9b5f213367e9564a7c6b80aa523f103ee435f8be75246e4c214e9",
     "long/analyzed/handovers.jsonl":
@@ -386,7 +488,7 @@ def _outputs(root: Path, suffixes):
 
 
 def run_digests(root: Path) -> dict:
-    """Run the four pipelines under root; sha256 per output file but manifests."""
+    """Run the five pipelines under root; sha256 per output file but manifests."""
     (root / "commute").mkdir(parents=True)
     (root / "commute" / "scenario.json").write_text(json.dumps(COMMUTE_SCENARIO))
     (root / "commute" / "caps.csv").write_text(COMMUTE_CATALOG)
@@ -399,6 +501,11 @@ def run_digests(root: Path) -> dict:
     _run(crowd, CROWD_SYNTH)
     write_crowd_trace(crowd)
     _run(crowd, CROWD)
+    crowd_caps = root / "crowd_caps"
+    crowd_caps.mkdir()
+    (crowd_caps / "caps.csv").write_text(CROWD_CAPS_CATALOG)
+    write_crowd_caps_trace(crowd_caps, crowd)
+    _run(crowd_caps, CROWD_CAPS)
     long = root / "long"
     long.mkdir()
     for user, scenario in LONG_USERS.items():
@@ -412,7 +519,7 @@ def run_digests(root: Path) -> dict:
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """(root, digests): the four pipelines, run once for every test of this module."""
+    """(root, digests): the five pipelines, run once for every test of this module."""
     root = tmp_path_factory.mktemp("golden")
     return root, run_digests(root)
 
@@ -457,6 +564,25 @@ def test_crowd_run_exercises_rejects_users_and_records_without_samples(runs):
     assert hours == {"12", "13", "14", "15"}
 
 
+def test_crowd_caps_run_exercises_every_cap_and_repeated_rejects(runs):
+    root, _ = runs
+    run = root / "crowd_caps"
+    records = json.loads((run / "analyzed" / "ingest_report.json").read_text())["records"]
+    assert records["rejected"] == 2 * len(CROWD_REJECTS)
+    assert set(Counter(reason for _, reason in records["warnings"]).values()) == {2}
+    rows = [json.loads(line) for line in (run / "analyzed" / "analyzed.jsonl").read_text().splitlines()]
+    crowd = (root / "crowd" / "analyzed" / "analyzed.jsonl").read_text().splitlines()
+    assert [row["record"] for row in rows] == [json.loads(line)["record"] for line in crowd]
+    factors = Counter(row["verdict"]["factor"] for row in rows)
+    assert factors.keys() == {"DEVICE", "TECHNOLOGY", "PLAN", "CONGESTION", "COVERAGE", "UNDETERMINED"}
+    natural = json.loads((run / "reports" / "histogram.json").read_text())["total"]
+    assert natural == factors["CONGESTION"] + factors["COVERAGE"] + factors["UNDETERMINED"]
+    camping = json.loads((run / "reports_3g" / "camping.json").read_text())
+    assert {c["subscription_group"] for c in camping} == {"3G"}
+    hourly = json.loads((run / "reports_3g" / "hourly.json").read_text())
+    assert [p["key"] for p in hourly] == ["OpA", "OpB"]
+
+
 def test_long_run_exercises_many_windows_and_spikes(runs):
     root, _ = runs
     rows = [json.loads(line) for line in (root / "long" / "analyzed" / "analyzed.jsonl").read_text().splitlines()]
@@ -472,11 +598,11 @@ def _refuse(constant):
 
 
 def test_every_output_is_strict_json(runs):
-    """Every JSON output of the four runs, manifests included, parses with NaN
+    """Every JSON output of the five runs, manifests included, parses with NaN
     and the infinities refused (RFC 8259 has none of them)."""
     root, _ = runs
     paths = _outputs(root, (".json", ".jsonl"))
-    assert len(paths) == 76
+    assert len(paths) == 98
     for path in paths:
         text = path.read_text(encoding="utf-8")
         for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
@@ -484,11 +610,11 @@ def test_every_output_is_strict_json(runs):
 
 
 def test_rows_decode_and_encode_to_the_same_bytes(runs, tmp_path):
-    """Every analyzed and handovers row of the four runs, decoded by from_json and written again by
+    """Every analyzed and handovers row of the five runs, decoded by from_json and written again by
     write_json, is the same line: the row codec loses nothing on real rows."""
     root, _ = runs
     for file, cls in (("analyzed.jsonl", AnalyzedRow), ("handovers.jsonl", HandoverEvent)):
-        for name in ("stationary", "commute", "crowd", "long"):
+        for name in ("stationary", "commute", "crowd", "crowd_caps", "long"):
             path = root / name / "analyzed" / file
             lines = path.read_text(encoding="utf-8").splitlines()
             write_json((to_json(from_json(cls, json.loads(line))) for line in lines), tmp_path / file)
