@@ -183,12 +183,9 @@ def cmd_analyze(args) -> None:
         event_times[(session.user_id, session.subscriber_operator)] = sorted(e.at_ms for e in events)
 
     def handover_nearby(record) -> bool:
-        times = event_times.get((record.user_id, record.subscriber_operator), [])
-        i = bisect.bisect_left(times, record.timestamp)
-        for j in (i - 1, i):
-            if 0 <= j < len(times) and abs(times[j] - record.timestamp) <= cfg.handover_max_gap_ms:
-                return True
-        return False
+        times = event_times[record.user_id, record.subscriber_operator]
+        t, gap = record.timestamp, cfg.handover_max_gap_ms
+        return bisect.bisect_left(times, t - gap) < bisect.bisect_right(times, t + gap)
 
     def rows():
         for record in records:
@@ -291,14 +288,13 @@ REPORTS = {
     "camping": _camping,
     "handovers": _handovers,
 }
-REPORT_NAMES = tuple(REPORTS)
 
 
 def cmd_report(args) -> None:
     started = time.monotonic()
-    names = REPORT_NAMES if args.report == "all" else (args.report,)
+    names = REPORTS if args.report == "all" else (args.report,)
     if any(n not in REPORTS for n in names):
-        raise UsageError(f"unknown report {args.report!r}; valid: all, {', '.join(REPORT_NAMES)}")
+        raise UsageError(f"unknown report {args.report!r}; valid: all, {', '.join(REPORTS)}")
     _bind("attribution", "coverage", "reports")
     cfg = _load_config(args, AnalysisConfig)
     in_dir = Path(args.indir)

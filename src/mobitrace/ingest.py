@@ -10,7 +10,7 @@ import csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -21,9 +21,9 @@ RECORD_FIELDS = frozenset(f.name for f in fields(MeasurementRecord))
 
 @dataclass
 class IngestReport:
+    warnings: List[Tuple[int, str]]  # (line_no, reason) of each reject and warning
     accepted: int = 0
     rejected: int = 0
-    warnings: List[Tuple[int, str]] = field(default_factory=list)
 
     def reject(self, line_no: int, reason: str) -> None:
         self.rejected += 1
@@ -87,7 +87,7 @@ def read_records(path) -> Tuple[List[MeasurementRecord], IngestReport]:
     a warning that names the line of the first.
     """
     records = []
-    report = IngestReport()
+    report = IngestReport(warnings=[])
     first_line = {}  # record_id -> line of the first accepted record
     for line_no, parsed, fault in read_json_lines(path, record_from_obj):
         if fault is not None:
@@ -190,7 +190,7 @@ def read_catalog(path) -> Tuple[CapabilityCatalog, IngestReport]:
     module's field limit or a byte that is not UTF-8 (a header so rejected reads as none), a cap that
     is not finite and positive, or a device cap above its technology's. Device and plan rows are
     taken after every tech row, so row order does not matter."""
-    report = IngestReport()
+    report = IngestReport(warnings=[])
     caps = {"tech": {}, "device": {}, "plan": {}}
 
     def take(line_no: int, kind: str, row: dict) -> None:

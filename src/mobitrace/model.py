@@ -113,7 +113,7 @@ def is_downgrade(from_tech: RadioTechnology, to_tech: RadioTechnology) -> bool:
 
 
 _PLAIN = frozenset({str, int, float, bool, type(None)})
-_CHECKED = (str, int, float, bool)  # the kinds check_field_types checks; from_json takes them as they are
+_CHECKED = (str, int, float)  # the kinds check_field_types checks; from_json takes them as they are
 _Codec = namedtuple("_Codec", "decode check encode")
 
 
@@ -167,8 +167,6 @@ def _passes(kind, rng: Optional[Range]) -> str:
     The checker's fast path."""
     if kind is str:
         return "type(v) is str and v.isascii()"
-    if kind is bool:
-        return "type(v) is bool"
     rng = rng or Range()
     low = [f"{b!r} {op} v" for b, op in ((rng.at_least, "<="), (rng.above, "<")) if b is not None]
     high = [f"v {op} {b!r}" for b, op in ((rng.at_most, "<="), (rng.below, "<")) if b is not None]
@@ -190,9 +188,6 @@ def _check_field(name: str, kind, rng: Optional[Range], value) -> None:
             value.encode("utf-8")
         except UnicodeEncodeError:  # a lone surrogate, which no UTF-8 file can hold
             raise ValueError(f"{name} must be UTF-8 text") from None
-    elif kind is bool:
-        if type(value) is not bool:
-            raise ValueError(f"{name} must be true or false")
     elif kind is float and type(value) not in _REAL_TYPES and not _is_real_type(type(value)):
         raise ValueError(f"{name} must be a number")
     # type() rather than isinstance() keeps out bool, an int subclass
@@ -219,7 +214,7 @@ def _key_fault(cls, obj) -> None:
     names = [f.name for f in fields(cls)]
     if unknown := [name for name in obj if name not in names]:
         raise ValueError(f"unknown field {unknown[0]!r}")
-    required = (f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+    required = (f.name for f in fields(cls) if f.default is MISSING)
     raise ValueError(f"missing required field '{next(name for name in required if name not in obj)}'")
 
 
@@ -233,7 +228,7 @@ def _decoder(cls, hints: dict, ns: dict) -> List[str]:
     """Source of decode(obj): the key checks, each conversion in declaration order, then a call of cls,
     whose __init__ assigns the fields and runs its __post_init__."""
     fs = fields(cls)
-    required = [f.name for f in fs if f.default is MISSING and f.default_factory is MISSING]
+    required = [f.name for f in fs if f.default is MISSING]
     ns.update(_cls=cls, _key_fault=_key_fault, _names=frozenset(f.name for f in fs), _required=frozenset(required))
     keys = "not obj.keys() <= _names" + (" or not obj.keys() >= _required" if required else "")
     lines = [f"if type(obj) is not dict or {keys}: _key_fault(_cls, obj)"]
@@ -245,11 +240,10 @@ def _decoder(cls, hints: dict, ns: dict) -> List[str]:
         convert = _convert(hints[f.name], f.name, var, ns)
         if f.name in required:
             lines += convert
-        elif convert or f.default_factory is not MISSING:  # a default is not converted; a factory is called
-            ns[f"_default_{f.name}"] = f.default if f.default_factory is MISSING else f.default_factory
-            default = f"_default_{f.name}" + ("" if f.default_factory is MISSING else "()")
+        elif convert:  # a default is not converted
+            ns[f"_default_{f.name}"] = f.default
             lines += [f"if {f.name!r} in obj:", f"    {var} = obj[{f.name!r}]", *_indent(convert),
-                      f"else: {var} = {default}"]
+                      f"else: {var} = _default_{f.name}"]
         else:
             ns[f"_default_{f.name}"] = f.default
             lines.append(f"{var} = obj.get({f.name!r}{'' if f.default is None else f', _default_{f.name}'})")
@@ -342,7 +336,7 @@ _REAL_TYPES = frozenset({int, float})
 
 def check_field_types(obj) -> None:
     """Raise ValueError for the first field of the dataclass obj, in declaration order, whose value does
-    not match its int, float, bool or str annotation, or Optional[] of one of them, or lies outside the
+    not match its int, float or str annotation, or Optional[] of one of them, or lies outside the
     field's Range, as _check_field tells it."""
     _plan(type(obj)).check(obj)
 

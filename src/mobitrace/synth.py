@@ -149,10 +149,14 @@ class PlantedHandover(NamedTuple):
     at_ms: int
     from_cell: str
     to_cell: str
-    from_tech: str
-    to_tech: str
-    downgrade: bool
+    from_tech: RadioTechnology
+    to_tech: RadioTechnology
     gap_ms: int
+
+    @property
+    def downgrade(self) -> bool:
+        """A lower cellular generation after the handover than before it."""
+        return is_downgrade(self.from_tech, self.to_tech)
 
 
 class GroundTruth(NamedTuple):
@@ -243,10 +247,8 @@ def planted_truth(cfg: ScenarioConfig) -> GroundTruth:
         for (from_cell, from_tech, _), (to_cell, to_tech, _) in zip(cfg.cells, cfg.cells[1:]):
             # a cell's records are spaced from its first; the next cell's first comes after the gap
             ts += cfg.records_per_hour * spacing + cfg.boundary_gap_ms
-            handovers.append(PlantedHandover(at_ms=ts, from_cell=from_cell, to_cell=to_cell,
-                                             from_tech=from_tech.value, to_tech=to_tech.value,
-                                             downgrade=is_downgrade(from_tech, to_tech),
-                                             gap_ms=spacing + cfg.boundary_gap_ms))
+            handovers.append(PlantedHandover(at_ms=ts, from_cell=from_cell, to_cell=to_cell, from_tech=from_tech,
+                                             to_tech=to_tech, gap_ms=spacing + cfg.boundary_gap_ms))
     return GroundTruth(run_id=cfg.run_id, scenario=cfg.scenario.value, diurnal_dip=cfg.diurnal_dip,
                        hour_means_kbps=hour_means, record_labels=(), handovers=tuple(handovers))
 

@@ -280,7 +280,7 @@ GOLDEN = {
     "commute/reports_all/trend.json":
         "de71432cbdc2b210450c3971f0172da37ac182496d82485a0e55fa19465e48df",
     "commute/synth/ground_truth.json":
-        "cdc049bd6d727114221bee56768e8ba7009a5feba0646a0bfb7b8ebc306d96a8",
+        "a880f865997c83ad257e11a4b870828aa61888a33bfe666360d8a14c566a908f",
     "commute/synth/trace.jsonl":
         "9aaf77511e04afd8ee8cdc8a8fb39a8f8b367577beee9d941b1d9595ba0cce01",
     "crowd/analyzed/analyzed.jsonl":

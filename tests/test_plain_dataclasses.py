@@ -1,9 +1,15 @@
 """Every dataclass of the package is built through its own __init__ and written by plain assignment:
 no module declares a frozen dataclass, gets round one with object.__setattr__ or object.__new__, or
-reads a slot's __set__."""
+reads a slot's __set__. Every field is of a kind the generated codec checks, with no default factory."""
 
 import ast
+import pkgutil
+from dataclasses import MISSING, fields, is_dataclass
+from importlib import import_module
 from pathlib import Path
+from typing import Annotated, Union, get_args, get_origin, get_type_hints
+
+import mobitrace
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mobitrace"
 
@@ -23,4 +29,34 @@ def bypasses(path: Path):
 
 def test_no_module_bypasses_init_or_assignment():
     found = [line for path in sorted(SRC.glob("*.py")) for line in bypasses(path)]
+    assert found == []
+
+
+def package_dataclasses():
+    """Each dataclass that a module of the package defines."""
+    for info in pkgutil.iter_modules(mobitrace.__path__):
+        module = import_module(f"mobitrace.{info.name}")
+        yield from (obj for obj in vars(module).values()
+                    if isinstance(obj, type) and is_dataclass(obj) and obj.__module__ == module.__name__)
+
+
+def bare(hint):
+    """hint without the Optional[] and Annotated[] around it."""
+    while True:
+        if get_origin(hint) is Union:
+            hint, = (arg for arg in get_args(hint) if arg is not type(None))
+        elif get_origin(hint) is Annotated:
+            hint = get_args(hint)[0]
+        else:
+            return hint
+
+
+def test_every_field_is_a_kind_the_codec_checks():
+    # the codec checks str, int and float only; a bool field would be decoded and encoded unchecked,
+    # and a default factory would make a field required to the decoder
+    classes = list(package_dataclasses())
+    assert {"MeasurementRecord", "AnalysisConfig", "IngestReport", "HandoverEvent"} <= {c.__name__ for c in classes}
+    found = [f"{cls.__name__}.{f.name}" for cls in classes
+             for f in fields(cls) for hint in [get_type_hints(cls, include_extras=True)[f.name]]
+             if bare(hint) is bool or f.default_factory is not MISSING]
     assert found == []

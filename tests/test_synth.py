@@ -243,7 +243,7 @@ class TestPlantedTruth:
             assert records[i].timestamp == h.at_ms
             assert records[i - 1].cell_id == h.from_cell
             assert h.at_ms - records[i - 1].timestamp == h.gap_ms == spacing + cfg.boundary_gap_ms
-            assert (h.from_tech, h.to_tech) == (records[i - 1].technology.value, records[i].technology.value)
+            assert (h.from_tech, h.to_tech) == (records[i - 1].technology, records[i].technology)
 
     def test_hour_means_match_the_drawn_labels(self):
         cfg = ScenarioConfig(seed=9, scenario=Scenario.STATIONARY_24H, records_per_hour=3, diurnal_dip=0.4,
