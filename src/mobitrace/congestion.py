@@ -118,7 +118,7 @@ def filter_spikes(series: SampleSeries, cfg: AnalysisConfig) -> Tuple[SampleSeri
     (lazy invalidation).
     """
     values, replaced = _despike(series.values, cfg)
-    return SampleSeries(interval_ms=series.interval_ms, values=tuple(values)), replaced
+    return SampleSeries(interval_ms=series.interval_ms, values=values), replaced
 
 
 def pool_of(overall_mape_pct: float, cfg: AnalysisConfig) -> Pool:

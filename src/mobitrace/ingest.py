@@ -6,7 +6,6 @@ whole file; only an unreadable file is fatal.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from contextlib import contextmanager
@@ -137,10 +136,13 @@ def write_records(records, path) -> None:
     write_json(map(to_json, records), path)
 
 
-def _csv_rows(reader, report: IngestReport):
-    """(line_no, cells) per row of a csv reader, line_no being the line it starts on (a quoted cell may
-    hold a newline). A row with a cell beyond the csv module's field limit, or with a byte that is not
+def _csv_rows(fh, report: IngestReport):
+    """(line_no, cells) per row of the CSV text in fh, line_no being the line it starts on (a quoted cell
+    may hold a newline). A row with a cell beyond the csv module's field limit, or with a byte that is not
     UTF-8 (read as a lone surrogate, as in read_json_lines), is rejected with no cells."""
+    import csv  # here, so that only a stage that reads a catalog loads it
+
+    reader = csv.reader(fh)
     line_no = 1
     while True:
         try:
@@ -207,7 +209,7 @@ def read_catalog(path) -> Tuple[CapabilityCatalog, IngestReport]:
 
     deferred = []  # (line_no, kind, row) of the device and plan rows
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-        rows = _csv_rows(csv.reader(fh), report)
+        rows = _csv_rows(fh, report)
         _, header = next(rows, (1, []))
         for line_no, cells in rows:
             if not cells:  # a blank or rejected line

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from collections import namedtuple
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
-from typing import Annotated, List, NamedTuple, Optional, Tuple, get_args, get_origin, get_type_hints
+from typing import Annotated, List, NamedTuple, Optional, get_args, get_origin, get_type_hints
 
 SIGNAL_DBM_MIN = -140.0  # physical range; ingest warns outside it
 SIGNAL_DBM_MAX = -20.0
@@ -138,12 +139,13 @@ def _convert(tp, name: str, var: str, ns: dict) -> List[str]:
     elif is_dataclass(tp):
         ns[f"_d_{var}"] = _plan(tp).decode
         lines = [f"{var} = _d_{var}({var})"]
+    elif tp is array:  # the list itself: the class packs it
+        lines = [f"if type({var}) is not list: raise ValueError({f'{name} must be a list'!r})"]
     elif get_origin(tp) is tuple and Ellipsis in get_args(tp):  # Tuple[X, ...]
         item = _convert(get_args(tp)[0], name, f"{var}_i", ns)
-        lines = [f"if type({var}) is not list: raise ValueError({f'{name} must be a list'!r})"]
-        lines += [f"{var} = tuple({var})"] if not item else [
-            f"{var}_t = []", f"for {var}_i in {var}:", *_indent(item), f"    {var}_t.append({var}_i)",
-            f"{var} = tuple({var}_t)"]
+        lines = [f"if type({var}) is not list: raise ValueError({f'{name} must be a list'!r})",
+                 f"{var}_t = []", f"for {var}_i in {var}:", *_indent(item), f"    {var}_t.append({var}_i)",
+                 f"{var} = tuple({var}_t)"]
     elif get_origin(tp) is tuple:  # exactly Tuple[X, Y]
         items = [f"{var}_{i}" for i in range(len(get_args(tp)))]
         lines = [f"if type({var}) is not list or len({var}) != {len(items)}:",
@@ -266,12 +268,13 @@ def _checker(cls, hints: dict, ns: dict) -> List[str]:
 
 
 def _encoder(cls, hints: dict, ns: dict) -> List[str]:
-    """Source of encode(obj): a _CHECKED value as it is, any other through to_json, and a field that
-    is None by default left out while None. Keys in declaration order."""
+    """Source of encode(obj): a _CHECKED value as it is, an array as a list, any other through to_json,
+    and a field that is None by default left out while None. Keys in declaration order."""
     ns["_to_json"] = to_json
     display, lines = [], []
     for f in fields(cls):
-        value = "{}" if _kind(hints[f.name])[0] in _CHECKED else "_to_json({})"
+        kind = _kind(hints[f.name])[0]
+        value = "{}" if kind in _CHECKED else "{}.tolist()" if kind is array else "_to_json({})"
         if f.default is None:
             lines.append(f"if (v := obj.{f.name}) is not None: d[{f.name!r}] = {value.format('v')}")
         elif lines:
@@ -317,7 +320,8 @@ def to_json(obj):
 
 def from_json(cls, obj):
     """to_json's inverse: the dataclass cls from obj, a parsed JSON object. Enum, dataclass, Tuple and
-    Optional fields convert by annotation; a fault in obj or in cls.__post_init__ raises ValueError."""
+    Optional fields convert by annotation, and an array field takes a list; a fault in obj or in
+    cls.__post_init__ raises ValueError."""
     return _plan(cls).decode(obj)
 
 
@@ -362,7 +366,7 @@ class SampleSeries:
     """Intra-measurement throughput samples taken at a fixed interval."""
 
     interval_ms: Annotated[int, Range(1)]
-    values: Tuple[float, ...]
+    values: array  # of typecode 'd': 8 B a sample, packed from any sequence of numbers
 
     def __post_init__(self):
         check_field_types(self)
@@ -371,11 +375,13 @@ class SampleSeries:
         kinds = set(map(type, self.values))
         if not kinds <= _REAL_TYPES and not all(map(_is_real_type, kinds)):
             raise ValueError("sample values must be numbers")
-        if type(self.values) is not tuple or kinds != {float}:  # a tuple of floats is kept as it is
-            try:
-                self.values = tuple(map(float, self.values))
-            except OverflowError:
-                raise ValueError("non-finite or negative sample value") from None
+        # array() packs a list's plain ints and floats in C, each as float() converts it; any other
+        # sequence goes through float() (bytes, say, array() would read as raw doubles)
+        given = self.values if type(self.values) is list and kinds <= _REAL_TYPES else map(float, self.values)
+        try:
+            self.values = array("d", given)
+        except OverflowError:
+            raise ValueError("non-finite or negative sample value") from None
         if len(self.values) < 2:
             raise ValueError("sample series needs at least 2 values")
         top = float(MAX_THROUGHPUT_KBPS)  # float against float is the fast compare

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from datetime import date
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -49,14 +48,20 @@ def pearson_r(xs, ys) -> Optional[float]:
 
 
 _DAY_MS = 86_400_000
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
 @lru_cache(maxsize=4096)
 def _day_labels(local_day: int) -> Tuple[str, str]:
-    """The month and quarter labels of a local day, counted in days from 1970-01-01."""
-    d = date.fromordinal(local_day + _EPOCH_ORDINAL)
-    return f"{d.year}-{d.month:02d}", f"{d.year}-Q{(d.month - 1) // 3 + 1}"
+    """The month and quarter labels of a local day, counted in days from 1970-01-01. The Gregorian
+    date comes by integer arithmetic (H. Hinnant's civil_from_days), in years counted from March 1st,
+    so that the leap day ends a year."""
+    era, day = divmod(local_day + 719_468, 146_097)  # 400-year eras from 0000-03-01; day 0..146 096
+    year = (day - day // 1460 + day // 36_524 - day // 146_096) // 365  # 0..399 within the era
+    day -= 365 * year + year // 4 - year // 100  # 0..365 within the year
+    month = (5 * day + 2) // 153 + 3  # 3..14: 13 and 14 are January and February of the next year
+    year += era * 400 + (month > 12)
+    month -= 12 * (month > 12)
+    return f"{year}-{month:02d}", f"{year}-Q{(month - 1) // 3 + 1}"
 
 
 def quarter_label(timestamp_ms: int, cfg: AnalysisConfig) -> str:

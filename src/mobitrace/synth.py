@@ -186,7 +186,7 @@ def plant_pool(target: Pool, cfg: AnalysisConfig, base_kbps: float) -> SampleSer
     values = [base_kbps * (0.3 + 0.7 * i / (w - 1)) for i in range(w)]
     values += [base_kbps] * w
     values += [base_kbps * (1.0 - d)] * (3 * w)
-    return SampleSeries(interval_ms=SAMPLE_INTERVAL_MS, values=tuple(values))
+    return SampleSeries(interval_ms=SAMPLE_INTERVAL_MS, values=values)
 
 
 def _choose_pool(mix: Dict[str, float], rng: CounterRng) -> Pool:
@@ -269,7 +269,7 @@ def draw_records(cfg: ScenarioConfig) -> Iterator[Tuple[MeasurementRecord, Recor
             label = RecordLabel(record_id, hour, true_mean, true_pool=pool.value)
         else:
             values, spikes = _noisy_samples(cfg, true_mean, rng)
-            series = SampleSeries(interval_ms=SAMPLE_INTERVAL_MS, values=tuple(values))
+            series = SampleSeries(interval_ms=SAMPLE_INTERVAL_MS, values=values)
             label = RecordLabel(record_id, hour, true_mean, spike_indices=tuple(spikes))
         download = mean(series.values)
         signal = cfg.signal_low_dbm + (cfg.signal_high_dbm - cfg.signal_low_dbm) * rng.uniform()

@@ -3,6 +3,7 @@ encode must agree with. Each walks a dataclass's fields at run time, from annota
 
 import math
 import sys
+from array import array
 from collections import namedtuple
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
@@ -12,7 +13,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 from mobitrace.model import Range
 
 _PLAIN = frozenset({str, int, float, bool, type(None)})
-_CHECKED = (str, int, float, bool)
+_CHECKED = (str, int, float)
 _FLOAT_MAX = sys.float_info.max
 _REAL_TYPES = frozenset({int, float})
 _Plan = namedtuple("_Plan", "names required kinds converts")
@@ -39,6 +40,12 @@ def _converter(tp, name: str):
                 raise ValueError(f"unknown {name} {value!r}") from None
     elif is_dataclass(tp):
         convert = partial(from_json, tp)
+    elif tp is array:  # the class packs the list itself
+
+        def convert(value):
+            if type(value) is not list:
+                raise ValueError(f"{name} must be a list")
+            return value
     elif get_origin(tp) is tuple:  # Tuple[X, ...], or exactly Tuple[X, Y]
         items = [_converter(a, name) for a in get_args(tp) if a is not Ellipsis]
         size = None if Ellipsis in get_args(tp) else len(items)
@@ -46,8 +53,6 @@ def _converter(tp, name: str):
         def convert(value):
             if type(value) is not list or size not in (None, len(value)):
                 raise ValueError(f"{name} must be a list" + (f" of {size} values" if size else ""))
-            if not any(items):
-                return tuple(value)
             return tuple(c(v) if c else v for c, v in zip(items * (size or len(value)), value))
     else:
         return None
@@ -79,7 +84,7 @@ def _plan(cls) -> Optional[_Plan]:
     rng = {f.name: next((m for m in getattr(_optional(extras[f.name])[0], "__metadata__", ())
                          if isinstance(m, Range)), None) for f in fs}
     return _Plan(names={f.name: f.default is None for f in fs},
-                 required={f.name: None for f in fs if f.default is MISSING and f.default_factory is MISSING},
+                 required={f.name: None for f in fs if f.default is MISSING},
                  kinds=tuple((f.name, kind, optional, _bounds(f.name, kind, rng[f.name]))
                              for f in fs for kind, optional in [_optional(hints[f.name])] if kind in _CHECKED),
                  converts=tuple((f.name, c) for f in fs if (c := _converter(hints[f.name], f.name))))
@@ -88,6 +93,8 @@ def _plan(cls) -> Optional[_Plan]:
 def to_json(obj):
     if isinstance(obj, Enum):
         return obj.value
+    if isinstance(obj, array):
+        return obj.tolist()
     if isinstance(obj, (tuple, list)):
         values = [v if type(v) in _PLAIN else to_json(v) for v in obj]
         names = getattr(obj, "_fields", None)
@@ -137,9 +144,6 @@ def check_field_types(obj) -> None:
             lo, hi, open_ends, text = bounds
             if not lo <= value <= hi or value in open_ends:
                 raise ValueError(text if -_FLOAT_MAX <= value <= _FLOAT_MAX else f"{name} must be finite")
-        elif kind is bool:
-            if type(value) is not bool:
-                raise ValueError(f"{name} must be true or false")
         elif type(value) is not int:
             raise ValueError(f"{name} must be an integer")
         elif bounds is not None:

@@ -30,6 +30,10 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 # while every label was held until the last record was drawn.
 SYNTH_BYTES_PER_RECORD_MAX = 50
 
+# Bytes analyze may hold more, when it writes its first row, for each sample of the records it holds:
+# a sample packed as a double takes 8, one held as a float object in a tuple 32.
+ANALYZE_BYTES_PER_SAMPLE_MAX = 10
+
 
 def run_synth(tmp_path, name="s", *extra):
     out = tmp_path / name
@@ -93,17 +97,12 @@ class TestSynthCommand:
 
     def test_peak_memory_per_record_excludes_the_records(self, tmp_path):
         # each record and its label are written and dropped before the next is drawn, so nothing grows
-        # with the count. Records of 5 samples, since CPython 3.11 keeps up to 2000 freed 20-item tuples
-        # on a free list it never takes them back from: about 400 KB more peak once, for any count.
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"samples_per_record": 5}))
-
+        # with the count
         def synth_peak(records_per_hour):
             gc.collect()
             tracemalloc.start()
             try:
-                assert run_synth(tmp_path, "s", "--records-per-hour", str(records_per_hour),
-                                 "--config", str(cfg))[0] == 0
+                assert run_synth(tmp_path, "s", "--records-per-hour", str(records_per_hour))[0] == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -266,6 +265,39 @@ class TestAnalyzeCommand:
         assert len((x / "analyzed.jsonl").read_text().splitlines()) == 72  # b's rows, under no manifest
         assert not (x / "manifest.json").exists()
 
+    def test_held_memory_per_sample_is_the_packed_double(self, tmp_path, monkeypatch):
+        # every record is held with its samples until handovers are known and the rows are written
+        _, synth_out = run_synth(tmp_path)
+        objs = [json.loads(line) for line in (synth_out / "trace.jsonl").read_text().splitlines()]
+        for obj in objs:
+            assert len(obj["samples"]["values"]) == 20
+            obj["samples"]["values"] *= 20  # 400 samples with the same mean
+        long = tmp_path / "long.jsonl"
+        long.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+
+        held = []
+        attribute = cli.attribute
+
+        def wrapper(*args):  # called once a row, after its record is classified
+            held.append(tracemalloc.get_traced_memory()[0])
+            return attribute(*args)
+        monkeypatch.setattr(cli, "attribute", wrapper)
+
+        def analyze_holds(trace):
+            held.clear()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(["analyze", "--in", str(trace), "--out", str(tmp_path / "an")]) == 0
+            finally:
+                tracemalloc.stop()
+            return held[0]
+
+        short = synth_out / "trace.jsonl"
+        analyze_holds(short)  # fills the caches a first analyze fills
+        grown = analyze_holds(long) - analyze_holds(short)
+        assert grown / (len(objs) * 380) < ANALYZE_BYTES_PER_SAMPLE_MAX
+
 
 def test_no_stage_loads_openssl(tmp_path):
     s, a, r, caps = (str(tmp_path / name) for name in ("s", "a", "r", "caps.csv"))
@@ -280,6 +312,22 @@ def test_no_stage_loads_openssl(tmp_path):
               f"run('report', '--in', {a!r}, '--out', {r!r})\n")
     out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False"] * 6
+
+
+def test_no_stage_loads_datetime_and_only_a_catalog_loads_csv(tmp_path):
+    s, a, a2, r, caps = (str(tmp_path / name) for name in ("s", "a", "a2", "r", "caps.csv"))
+    trace = str(tmp_path / "s" / "trace.jsonl")
+    script = (f"import sys; sys.path.insert(0, {SRC!r}); from mobitrace.cli import main\n"
+              "def run(*argv):\n"
+              "    assert main(list(argv)) == 0\n"
+              "    print('datetime' in sys.modules, '_csv' in sys.modules)\n"
+              f"run('synth', '--scenario', 'stationary24h', '--seed', '7', '--records-per-hour', '2', '--out', {s!r})\n"
+              f"run('analyze', '--in', {trace!r}, '--out', {a!r})\n"
+              f"open({caps!r}, 'w').close()\n"
+              f"run('analyze', '--in', {trace!r}, '--out', {a2!r}, '--catalog', {caps!r})\n"
+              f"run('report', '--in', {a!r}, '--out', {r!r})\n")
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "False"] * 2 + ["False", "True"] * 2
 
 
 @pytest.mark.parametrize("size", [0, 65536, 3 * 65536 + 1])
@@ -313,7 +361,7 @@ def test_sha256_falls_back_to_hashlib(tmp_path):
     ("report", ("attribution", "coverage", "reports")),
 ])
 def test_each_stage_imports_only_what_it_runs(tmp_path, command, modules):
-    """Each stage loads only the modules it runs; of datetime, only report needs it, for calendar labels."""
+    """Each stage loads only the modules it runs."""
     _, synth_out = run_synth(tmp_path)
     an = tmp_path / "an"
     assert main(["analyze", "--in", str(synth_out / "trace.jsonl"), "--out", str(an)]) == 0
@@ -326,13 +374,11 @@ def test_each_stage_imports_only_what_it_runs(tmp_path, command, modules):
               f"try:\n    code = main({argv!r})\n"
               "except SystemExit as exc:  # how argparse ends --version\n    code = exc.code\n"
               "print(code, *sorted(m for m in sys.modules if m.startswith('mobitrace.')))\n"
-              "print('datetime' in sys.modules)\n"
               "from mobitrace.model import _plan; print(_plan.cache_info().currsize)\n")
     out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
-    code, *loaded = out.stdout.splitlines()[-3].split()
+    code, *loaded = out.stdout.splitlines()[-2].split()
     assert code == "0"
     assert loaded == sorted(f"mobitrace.{m}" for m in ("cli", "ingest", "model", *modules))
-    assert out.stdout.splitlines()[-2] == str(command == "report")
     # a codec is compiled when its class is first used, never at import
     assert command != "--version" or out.stdout.splitlines()[-1] == "0"
 
