@@ -27,7 +27,7 @@ MAX_THROUGHPUT_KBPS = 10_000_000  # 10 Gbit/s
 UTC_OFFSET_MIN_MINUTES = -720
 UTC_OFFSET_MAX_MINUTES = 840
 # Timestamps end a day before the last date datetime can hold, so that a
-# timestamp shifted by any allowed UTC offset is still a valid datetime.
+# timestamp shifted by any allowed UTC offset still falls in a four-digit year.
 TIMESTAMP_END_MS = 253_402_214_400_000  # 9999-12-31T00:00:00Z
 
 
