@@ -14,7 +14,6 @@ from functools import lru_cache
 from operator import ne, truediv
 from typing import List, NamedTuple, Optional, Tuple
 
-# Pool is defined in model and re-exported here, so `from mobitrace.congestion import Pool` still works.
 from .model import AnalysisConfig, Pool, SampleSeries
 
 # Safety bound on spike replacements: 4 per sample, and never fewer than

@@ -158,85 +158,30 @@ def _convert(tp, name: str, var: str, ns: dict) -> List[str]:
     return [f"if {var} is not None:", *_indent(lines)] if optional else lines
 
 
-def _range(tp) -> Optional[Range]:
-    """The Range in the Annotated[] metadata of tp, or of X for tp Optional[X]; None without one."""
-    return next((m for m in getattr(_optional(tp)[0], "__metadata__", ()) if isinstance(m, Range)), None)
-
-
-def _passes(kind, rng: Optional[Range]) -> str:
-    """A test of v, the value of a field of kind (one of _CHECKED) and Range rng (None without one), that
-    passes only values that _check_field passes: exact types, ASCII text, and the bounds as literals.
-    The checker's fast path."""
-    if kind is str:
-        return "type(v) is str and v.isascii()"
-    rng = rng or Range()
-    low = [f"{b!r} {op} v" for b, op in ((rng.at_least, "<="), (rng.above, "<")) if b is not None]
-    high = [f"v {op} {b!r}" for b, op in ((rng.at_most, "<="), (rng.below, "<")) if b is not None]
-    if kind is int:
-        return " and ".join(["type(v) is int", *low, *high])
-    # a float must be finite
-    return " and ".join(["(type(v) is float or type(v) is int)", *(low or [f"{-_FLOAT_MAX!r} <= v"]),
-                         *(high or [f"v <= {_FLOAT_MAX!r}"])])
-
-
-def _check_field(name: str, kind, rng: Optional[Range], value) -> None:
-    """Raise ValueError unless value, the value of the field name, is of kind (one of _CHECKED) and lies
-    within rng, the field's Range (None without one). Floats must be finite and text must be encodable as
-    UTF-8. A fault names the bounds in words, as "window_size must be at least 2"."""
-    if kind is str:
-        if not isinstance(value, str):
-            raise ValueError(f"{name} must be a string")
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:  # a lone surrogate, which no UTF-8 file can hold
-            raise ValueError(f"{name} must be UTF-8 text") from None
-    elif kind is float and type(value) not in _REAL_TYPES and not _is_real_type(type(value)):
-        raise ValueError(f"{name} must be a number")
-    # type() rather than isinstance() keeps out bool, an int subclass
-    elif kind is int and type(value) is not int:
-        raise ValueError(f"{name} must be an integer")
-    elif rng is not None or kind is float:  # a float without a Range need only be finite
-        edge = _FLOAT_MAX if kind is float else math.inf
-        rng = rng or Range()
-        lo = next((b for b in (rng.at_least, rng.above) if b is not None), -edge)
-        hi = next((b for b in (rng.at_most, rng.below) if b is not None), edge)
-        if not lo <= value <= hi or value in (rng.above, rng.below):
-            if kind is float and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-                raise ValueError(f"{name} must be finite")
-            words = (f"{word.replace('_', ' ')} {getattr(rng, word)}"
-                     for word in ("at_least", "above", "at_most", "below") if getattr(rng, word) is not None)
-            raise ValueError(f"{name} must be {' and '.join(words)}")
-
-
-def _key_fault(cls, obj) -> None:
-    """Raise the ValueError for obj, which is no JSON object, or has a key that the dataclass cls has no
-    field for, or lacks a field cls requires: the first such key in obj, the first such field in cls."""
-    if type(obj) is not dict:
-        raise ValueError(f"{cls.__name__} must be a JSON object")
-    names = [f.name for f in fields(cls)]
-    if unknown := [name for name in obj if name not in names]:
-        raise ValueError(f"unknown field {unknown[0]!r}")
-    required = (f.name for f in fields(cls) if f.default is MISSING)
-    raise ValueError(f"missing required field '{next(name for name in required if name not in obj)}'")
-
-
 def _kind(hint):
-    """(kind, optional) of a field annotated hint: kind is X for Optional[X], without its Annotated[] metadata."""
+    """(kind, optional, rng) of a field annotated hint: kind is X for Optional[X], without its Annotated[]
+    metadata, and rng the Range in that metadata (None without one)."""
     kind, optional = _optional(hint)
-    return get_args(kind)[0] if get_origin(kind) is Annotated else kind, optional
+    rng = next((m for m in getattr(kind, "__metadata__", ()) if isinstance(m, Range)), None)
+    return get_args(kind)[0] if get_origin(kind) is Annotated else kind, optional, rng
 
 
 def _decoder(cls, hints: dict, ns: dict) -> List[str]:
     """Source of decode(obj): the key checks, each conversion in declaration order, then a call of cls,
-    whose __init__ assigns the fields and runs its __post_init__."""
+    whose __init__ assigns the fields and runs its __post_init__. A key fault names the first such key in
+    obj, or the first such field in cls."""
     fs = fields(cls)
-    required = [f.name for f in fs if f.default is MISSING]
-    ns.update(_cls=cls, _key_fault=_key_fault, _names=frozenset(f.name for f in fs), _required=frozenset(required))
-    keys = "not obj.keys() <= _names" + (" or not obj.keys() >= _required" if required else "")
-    lines = [f"if type(obj) is not dict or {keys}: _key_fault(_cls, obj)"]
+    required = tuple(f.name for f in fs if f.default is MISSING)
+    ns.update(_cls=cls, _names=frozenset(f.name for f in fs), _required=frozenset(required))
+    lines = [f"if type(obj) is not dict: raise ValueError({f'{cls.__name__} must be a JSON object'!r})",
+             "if not obj.keys() <= _names:",
+             "    raise ValueError('unknown field ' + repr(next(k for k in obj if k not in _names)))"]
     if required:  # for one name, itemgetter gives the value itself and the line is a plain assignment
         ns["_take"] = itemgetter(*required)
-        lines.append(f"{', '.join(f'v_{name}' for name in required)} = _take(obj)")
+        first = f"next(k for k in {required} if k not in obj)"
+        lines += ["if not obj.keys() >= _required:",
+                  f"    raise ValueError('missing required field ' + repr({first}))",
+                  f"{', '.join(f'v_{name}' for name in required)} = _take(obj)"]
     for f in fs:
         var = f"v_{f.name}"
         convert = _convert(hints[f.name], f.name, var, ns)
@@ -253,17 +198,37 @@ def _decoder(cls, hints: dict, ns: dict) -> List[str]:
 
 
 def _checker(cls, hints: dict, ns: dict) -> List[str]:
-    """Source of check(obj): each _CHECKED field in declaration order, through _check_field unless
-    its value passes the fast test."""
-    ns["_check"] = _check_field
+    """Source of check(obj): for each _CHECKED field in declaration order, a test of each fault its value v
+    can have, in the order they are reported, each raising its own text, worked out here once."""
+    ns["_REAL_TYPES"], ns["_is_real_type"] = _REAL_TYPES, _is_real_type
     lines = []
     for f in fields(cls):
-        kind, optional = _kind(hints[f.name])
-        if kind in _CHECKED:
-            rng = ns[f"_range_{f.name}"] = _range(hints[f.name])
-            lines += [f"v = obj.{f.name}",
-                      f"if not ({'v is None or ' if optional else ''}{_passes(kind, rng)}):",
-                      f"    _check({f.name!r}, {kind.__name__}, {rng and f'_range_{f.name}'}, v)"]
+        kind, optional, rng = _kind(hints[f.name])
+        if kind not in _CHECKED:
+            continue
+        must = f"{f.name} must be "
+        if kind is str:  # of non-ASCII text, only a lone surrogate, which no UTF-8 file can hold, fails to encode
+            checks = [f"if not isinstance(v, str): raise ValueError({must + 'a string'!r})",
+                      "if not v.isascii():", "    try: v.encode('utf-8')",
+                      f"    except UnicodeEncodeError: raise ValueError({must + 'UTF-8 text'!r}) from None"]
+        elif kind is int:  # type() rather than isinstance() keeps out bool, an int subclass
+            checks = [f"if type(v) is not int: raise ValueError({must + 'an integer'!r})"]
+        else:
+            checks = ["if type(v) not in _REAL_TYPES and not _is_real_type(type(v)):",
+                      f"    raise ValueError({must + 'a number'!r})"]
+        if rng or kind is float:
+            rng = rng or Range()
+            low = [f"{b!r} {op} v" for b, op in ((rng.at_least, "<="), (rng.above, "<")) if b is not None]
+            high = [f"v {op} {b!r}" for b, op in ((rng.at_most, "<="), (rng.below, "<")) if b is not None]
+            words = [f"{word.replace('_', ' ')} {b}" for word in ("at_least", "above", "at_most", "below")
+                     if (b := getattr(rng, word)) is not None]
+            text = repr(must + " and ".join(words))
+            if kind is float:  # a float must be finite: a side without a bound is held to the float range
+                low, high = low or [f"{-_FLOAT_MAX!r} <= v"], high or [f"v <= {_FLOAT_MAX!r}"]
+                finite = repr(must + "finite")
+                text = f"{text} if {-_FLOAT_MAX!r} <= v <= {_FLOAT_MAX!r} else {finite}" if words else finite
+            checks.append(f"if not ({' and '.join(low + high)}): raise ValueError({text})")
+        lines += [f"v = obj.{f.name}", *(["if v is not None:", *_indent(checks)] if optional else checks)]
     return ["def check(obj):", *_indent(lines or ["pass"])]
 
 
@@ -341,7 +306,9 @@ _REAL_TYPES = frozenset({int, float})
 def check_field_types(obj) -> None:
     """Raise ValueError for the first field of the dataclass obj, in declaration order, whose value does
     not match its int, float or str annotation, or Optional[] of one of them, or lies outside the
-    field's Range, as _check_field tells it."""
+    field's Range. A str field takes a str subclass, and a float field an int, or a subclass of either
+    but bool. Floats must be finite and text encodable as UTF-8. A fault names the bounds in words, as
+    "window_size must be at least 2"."""
     _plan(type(obj)).check(obj)
 
 

@@ -13,6 +13,7 @@ import copy
 import csv
 import io
 import json
+import math
 import shutil
 import tempfile
 from dataclasses import fields
@@ -393,6 +394,10 @@ class _Count(int):
     pass
 
 
+class _Real(float):
+    pass
+
+
 def _bound_edges(cls, name):
     """Each bound in the Range of the field name of cls, as it is, as a float, and either side of it."""
     hint = get_type_hints(cls, include_extras=True)[name]
@@ -401,8 +406,9 @@ def _bound_edges(cls, name):
     return sorted({v for b in bounds for v in (b, float(b), b - 1, b + 1, b - 0.5, b + 0.5)})
 
 
-# beyond JSON: a bool where an int goes, and str and int subclasses, which the checks take as they are
-_PYTHON_ONLY = [True, _Text("a"), _Text("\ud800"), _Count(5), _Count(-5)]
+# beyond JSON: a bool where an int goes, and str, int and float subclasses, which the checks take as they are
+_PYTHON_ONLY = [True, _Text("a"), _Text("\ud800"), _Count(5), _Count(-5), _Real(0.5), _Real(math.inf),
+                _Real(math.nan)]
 
 
 @pytest.mark.parametrize("cls", list(_EXAMPLES), ids=lambda cls: cls.__name__)
