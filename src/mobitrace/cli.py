@@ -31,7 +31,7 @@ _STAGE_NAMES = {
     "congestion": ("classify",),
     "attribution": ("AnalyzedRow", "AssessmentSummary", "attribute"),
     "coverage": ("HandoverEvent", "HandoverImpact", "camping_stats", "detect_handovers", "handover_impact"),
-    "reports": ("HistogramBin", "OperatorSummary", "PoolPoint", "SignalBin", "TrendPoint", "hourly_profile",
+    "reports": ("Columns", "HistogramBin", "OperatorSummary", "PoolPoint", "SignalBin", "TrendPoint", "hourly_profile",
                 "operator_summary", "pool_trend", "quarterly_trend", "signal_correlation", "throughput_histogram"),
 }
 
@@ -103,6 +103,21 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs, outputs, 
     write_json([manifest], out_dir / "manifest.json", indent=2)
 
 
+def _out_dir(args, command: str) -> Path:
+    """args.out, made if missing; UsageError, before any write, if it holds another command's manifest.json."""
+    out_dir = Path(args.out)
+    try:
+        written_by = json.loads((out_dir / "manifest.json").read_bytes())["command"]
+    except FileNotFoundError:
+        written_by = command
+    except (ValueError, TypeError, KeyError, RecursionError):  # not a manifest this program writes
+        written_by = None
+    if written_by != command:
+        raise UsageError(f"{out_dir} holds another command's manifest.json; give each stage its own --out")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _load_config(args, cls):
     """The config dataclass cls: the --config JSON object ({} without --config), with each flag whose
     dest is a field of cls set over it. A bad value raises UsageError, an unreadable file OSError."""
@@ -133,8 +148,7 @@ def cmd_synth(args) -> None:
     encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode  # write_json's one-line form
     # JSON escapes every quote inside a string, so this text can occur only as the key itself
     head, tail = encode(to_json(planted_truth(cfg))).split('"record_labels": []')
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, "synth")
     with replacing(out_dir / "ground_truth.json") as truth:
         truth.write(head + '"record_labels": [')
 
@@ -198,8 +212,7 @@ def cmd_analyze(args) -> None:
             verdict = attribute(record, catalog, pool, handover_nearby(record), cfg)
             yield to_json(AnalyzedRow(record, verdict, summary))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, "analyze")
     (out_dir / "manifest.json").unlink(missing_ok=True)  # written last: a run cut short leaves none
     write_json(rows(), out_dir / "analyzed.jsonl")
     write_json(map(to_json, all_events), out_dir / "handovers.jsonl")
@@ -224,56 +237,58 @@ def _read_rows(path: Path, parse):
         yield row
 
 
-# Each report maps (records, analyzed, events, cfg, args) to its JSON object,
-# CSV header and CSV rows. They call the analysis functions through this
-# module's globals when a report runs, so a wrapper set on this module
-# after import (perfbench/tracer.py sets one per function) sees every call.
+# Each report maps (columns, events, cfg, args) to its JSON object, CSV header
+# and CSV rows, columns being the reports.Columns of the rows it covers. They call
+# the analysis functions through this module's globals when a report runs, so a
+# wrapper set on this module (perfbench/tracer.py sets one per function) sees every call.
 
 
-def _histogram(records, analyzed, events, cfg, args):
-    h = throughput_histogram(records, cfg)
+def _histogram(columns, events, cfg, args):
+    h = throughput_histogram(columns, cfg)
     return to_json(h), HistogramBin._fields, h.bins
 
 
-def _hourly(records, analyzed, events, cfg, args):
-    profiles = hourly_profile(records, args.key, cfg)
+def _hourly(columns, events, cfg, args):
+    profiles = hourly_profile(columns, args.key, cfg)
     rows = [(p.key, hour, mean) for p in profiles
             for hour, mean in enumerate(p.hour_means_kbps) if mean is not None]
     return to_json(profiles), ("key", "hour", "mean_kbps"), rows
 
 
-def _trend(records, analyzed, events, cfg, args):
-    t = quarterly_trend(records, cfg)
+def _trend(columns, events, cfg, args):
+    t = quarterly_trend(columns, cfg)
     header = ("technology_group", "region_tag", "network_type", *TrendPoint._fields)
     rows = [(s.technology_group, s.region_tag, s.network_type, *p) for s in t.series for p in s.points]
     return to_json(t), header, rows
 
 
-def _operators(records, analyzed, events, cfg, args):
-    summaries = operator_summary(records)
+def _operators(columns, events, cfg, args):
+    summaries = operator_summary(columns)
     return to_json(summaries), OperatorSummary._fields, summaries
 
 
-def _pools(records, analyzed, events, cfg, args):
-    t = pool_trend([(r, p) for r, p in analyzed if p is not None], cfg)
+def _pools(columns, events, cfg, args):
+    t = pool_trend(columns, cfg)
     return to_json(t), PoolPoint._fields, t.points
 
 
-def _signal(records, analyzed, events, cfg, args):
-    s = signal_correlation(records, cfg)
+def _signal(columns, events, cfg, args):
+    s = signal_correlation(columns, cfg)
     return to_json(s), SignalBin._fields, s.bins
 
 
-def _camping(records, analyzed, events, cfg, args):
+def _camping(columns, events, cfg, args):
     group = TechnologyGroup.G4 if args.subscription == "4g" else TechnologyGroup.G3
-    objs = [{"user_id": session.user_id, "subscriber_operator": session.subscriber_operator,
-             **to_json(camping_stats(session, group))}
-            for session in build_sessions(records)]
+    technologies = {}  # (user, subscriber operator) -> the technology of each of its rows
+    for user, operator, technology in zip(columns.users, columns.subscriber_operators, columns.technologies):
+        technologies.setdefault((user, operator), []).append(technology)
+    objs = [{"user_id": user, "subscriber_operator": operator, **to_json(camping_stats(techs, group))}
+            for (user, operator), techs in sorted(technologies.items())]
     header = ("user_id", "subscriber_operator", "total", "on_subscribed", "on_lower", "fraction_lower")
     return objs, header, [[o[k] for k in header] for o in objs]
 
 
-def _handovers(records, analyzed, events, cfg, args):
+def _handovers(columns, events, cfg, args):
     impact = handover_impact(events)
     return to_json(impact), HandoverImpact._fields, [impact]
 
@@ -298,20 +313,18 @@ def cmd_report(args) -> None:
     _bind("attribution", "coverage", "reports")
     cfg = _load_config(args, AnalysisConfig)
     in_dir = Path(args.indir)
-    analyzed = []
+    columns = Columns.empty()  # each row is checked whole, and only what the reports read is kept
     for row in _read_rows(in_dir / "analyzed.jsonl", lambda obj: from_json(AnalyzedRow, obj)):
-        row.record.samples = None  # checked with the row, and no report reads them
         if args.include_artificial or not row.verdict.artificial:
-            analyzed.append((row.record, None if row.assessment is None else row.assessment.pool))
-    records = [record for record, _ in analyzed]
+            columns.append(row.record, None if row.assessment is None else row.assessment.pool)
+    row = None  # nor is the last row held while the reports run
     events = list(_read_rows(in_dir / "handovers.jsonl", lambda obj: from_json(HandoverEvent, obj)))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, "report")
     (out_dir / "manifest.json").unlink(missing_ok=True)  # written last: a run cut short leaves none
     outputs = []
     for name in names:
-        json_obj, header, rows = REPORTS[name](records, analyzed, events, cfg, args)
+        json_obj, header, rows = REPORTS[name](columns, events, cfg, args)
         write_json([json_obj], out_dir / f"{name}.json", indent=2)
         _write_csv(header, rows, out_dir / f"{name}.csv")
         outputs.extend([f"{name}.json", f"{name}.csv"])

@@ -120,26 +120,13 @@ def handover_impact(events: List[HandoverEvent]) -> HandoverImpact:
     )
 
 
-def camping_stats(session: Session, subscription_group: TechnologyGroup) -> CampingStats:
-    """Count how often the session camps below its subscribed generation, G3 or G4.
+def camping_stats(technologies, subscription_group: TechnologyGroup) -> CampingStats:
+    """Count how often a session, given by its records' technologies, camps below its subscribed G3 or G4.
 
     WLAN and UNKNOWN records are excluded from the total; records above
     the subscription group count as on_subscribed.
     """
     sub_rank = GROUP_RANK[subscription_group]
-    total = 0
-    on_lower = 0
-    for record in session.records:
-        rank = GROUP_RANK.get(group_of(record.technology))
-        if rank is None:
-            continue
-        total += 1
-        if rank < sub_rank:
-            on_lower += 1
-    return CampingStats(
-        subscription_group=subscription_group,
-        total=total,
-        on_subscribed=total - on_lower,
-        on_lower=on_lower,
-        fraction_lower=on_lower / total if total else 0.0,
-    )
+    ranks = [rank for rank in map(GROUP_RANK.get, map(group_of, technologies)) if rank is not None]
+    total, on_lower = len(ranks), sum(rank < sub_rank for rank in ranks)
+    return CampingStats(subscription_group, total, total - on_lower, on_lower, on_lower / total if total else 0.0)

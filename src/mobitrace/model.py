@@ -220,6 +220,8 @@ def _checker(cls, hints: dict, ns: dict) -> List[str]:
             rng = rng or Range()
             low = [f"{b!r} {op} v" for b, op in ((rng.at_least, "<="), (rng.above, "<")) if b is not None]
             high = [f"v {op} {b!r}" for b, op in ((rng.at_most, "<="), (rng.below, "<")) if b is not None]
+            if len(low) > 1 or len(high) > 1:
+                raise TypeError(f"{cls.__name__}.{f.name}: a Range takes at most one bound a side")
             words = [f"{word.replace('_', ' ')} {b}" for word in ("at_least", "above", "at_most", "below")
                      if (b := getattr(rng, word)) is not None]
             text = repr(must + " and ".join(words))

@@ -11,8 +11,9 @@ fields are also the CSV columns.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter, defaultdict
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .model import AnalysisConfig, Pool, TechnologyGroup, group_of, mean
@@ -45,6 +46,31 @@ def pearson_r(xs, ys) -> Optional[float]:
     sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     # the product underflows to 0 for tiny variances; the roots do not
     return sxy / (math.sqrt(sxx * syy) or math.sqrt(sxx) * math.sqrt(syy))
+
+
+class Columns(NamedTuple):
+    """What the reports read of each analyzed row, one column a field, in row order: timestamps and
+    downloads packed, the other fields as references to the record's own (interned) values."""
+
+    timestamps: array  # 'q'
+    downloads: array  # 'd'
+    signals: list
+    cells: list
+    network_operators: list
+    technologies: list
+    regions: list
+    users: list
+    subscriber_operators: list
+    pools: list  # None for a row without an assessment
+
+    @classmethod
+    def empty(cls) -> "Columns":
+        return cls(array("q"), array("d"), *([] for _ in range(8)))
+
+    def append(self, r, pool) -> None:
+        for column, value in zip(self, (r.timestamp, r.download_kbps, r.signal_dbm, r.cell_id, r.network_operator,
+                                        r.technology, r.region_tag, r.user_id, r.subscriber_operator, pool)):
+            column.append(value)
 
 
 _DAY_MS = 86_400_000
@@ -88,13 +114,13 @@ class Histogram(NamedTuple):
     fraction_below_1mbps: Optional[float]
 
 
-def throughput_histogram(records, cfg: AnalysisConfig) -> Histogram:
+def throughput_histogram(rows: Columns, cfg: AnalysisConfig) -> Histogram:
     width = cfg.histogram_bin_kbps
-    counts = Counter(int(r.download_kbps // width) for r in records)
+    counts = Counter(int(v // width) for v in rows.downloads)
     if not counts:
         return Histogram(width, (), 0, None)
-    total = len(records)
-    below = sum(1 for r in records if r.download_kbps < 1000.0)
+    total = len(rows.downloads)
+    below = sum(1 for v in rows.downloads if v < 1000.0)
     top = max(counts)
     bins = tuple(HistogramBin(k * width, counts[k]) for k in range(top + 1))
     return Histogram(width, bins, total, below / total)
@@ -112,19 +138,17 @@ class HourlyProfile(NamedTuple):
     dip_fraction: Optional[float]  # 1 - busy/offpeak
 
 
-def hourly_profile(records, key: str, cfg: AnalysisConfig) -> List[HourlyProfile]:
+def hourly_profile(rows: Columns, key: str, cfg: AnalysisConfig) -> List[HourlyProfile]:
     """Per-key mean throughput by local hour; key is 'cell' or 'operator'.
 
-    Records lacking the key field are skipped. dip_fraction is defined
+    Rows lacking the key field are skipped. dip_fraction is defined
     only when both the busy and off-peak means exist and off-peak is
     positive.
     """
-    grouped: Dict[str, Dict[int, List[float]]] = {}
-    for r in records:
-        k = r.cell_id if key == "cell" else r.network_operator
-        if k is None:
-            continue
-        grouped.setdefault(k, {}).setdefault(cfg.local_hour(r.timestamp), []).append(r.download_kbps)
+    grouped: Dict[str, Dict[int, array]] = defaultdict(lambda: defaultdict(partial(array, "d")))
+    for k, t, v in zip(rows.cells if key == "cell" else rows.network_operators, rows.timestamps, rows.downloads):
+        if k is not None:
+            grouped[k][cfg.local_hour(t)].append(v)
     profiles = []
     for k in sorted(grouped):
         by_hour = grouped[k]
@@ -163,20 +187,18 @@ class TrendReport(NamedTuple):
     excluded_unknown: int
 
 
-def quarterly_trend(records, cfg: AnalysisConfig) -> TrendReport:
+def quarterly_trend(rows: Columns, cfg: AnalysisConfig) -> TrendReport:
     """Per (technology group, region, network type) quarterly mean/max/count."""
-    grouped: Dict[Tuple[str, str, str], Dict[str, List[float]]] = {}
+    grouped: Dict[Tuple[str, str, str], Dict[str, array]] = defaultdict(lambda: defaultdict(partial(array, "d")))
     excluded = 0
-    for r in records:
-        grp = group_of(r.technology)
+    for technology, region, timestamp, v in zip(rows.technologies, rows.regions, rows.timestamps, rows.downloads):
+        grp = group_of(technology)
         if grp is None:
             excluded += 1
             continue
         network_type = "wlan" if grp is TechnologyGroup.WLAN else "cellular"
-        key = (grp.value, r.region_tag or "", network_type)
-        grouped.setdefault(key, {}).setdefault(quarter_label(r.timestamp, cfg), []).append(
-            r.download_kbps
-        )
+        key = (grp.value, region or "", network_type)
+        grouped[key][quarter_label(timestamp, cfg)].append(v)
     series = []
     for key in sorted(grouped):
         points = tuple(
@@ -201,11 +223,11 @@ class OperatorSummary(NamedTuple):
     mean_kbps: float
 
 
-def operator_summary(records) -> List[OperatorSummary]:
+def operator_summary(rows: Columns) -> List[OperatorSummary]:
     """Five-number summary plus mean of download speed per network operator."""
-    grouped: Dict[str, List[float]] = {}
-    for r in records:
-        grouped.setdefault(r.network_operator, []).append(r.download_kbps)
+    grouped: Dict[str, array] = defaultdict(partial(array, "d"))
+    for operator, v in zip(rows.network_operators, rows.downloads):
+        grouped[operator].append(v)
     summaries = []
     for op in sorted(grouped):
         vs = grouped[op]
@@ -250,18 +272,20 @@ class PoolTrend(NamedTuple):
 URBAN_TAG = "urban"
 
 
-def pool_trend(assessed, cfg: AnalysisConfig) -> PoolTrend:
-    """Monthly pool fractions over (record, Pool) pairs.
+def pool_trend(rows: Columns, cfg: AnalysisConfig) -> PoolTrend:
+    """Monthly pool fractions over the rows that have a pool.
 
-    Also reports the combined MEDIUM+HIGH fraction per month for records
+    Also reports the combined MEDIUM+HIGH fraction per month for rows
     whose region_tag is URBAN_TAG.
     """
     by_month: Dict[str, Dict[Pool, int]] = defaultdict(lambda: dict.fromkeys(Pool, 0))
     urban: Dict[str, List[int]] = {}  # month -> [medium_high, total]
-    for record, pool in assessed:
-        month = month_label(record.timestamp, cfg)
+    for timestamp, region, pool in zip(rows.timestamps, rows.regions, rows.pools):
+        if pool is None:
+            continue
+        month = month_label(timestamp, cfg)
         by_month[month][pool] += 1
-        if record.region_tag == URBAN_TAG:
+        if region == URBAN_TAG:
             acc = urban.setdefault(month, [0, 0])
             acc[0] += pool in (Pool.MEDIUM, Pool.HIGH)
             acc[1] += 1
@@ -298,19 +322,17 @@ class SignalCorrelation(NamedTuple):
     excluded_missing_signal: int
 
 
-def signal_correlation(records, cfg: AnalysisConfig) -> SignalCorrelation:
+def signal_correlation(rows: Columns, cfg: AnalysisConfig) -> SignalCorrelation:
     """Binned mean throughput by signal strength plus overall Pearson r."""
     width = cfg.signal_bin_dbm
-    binned: Dict[float, List[float]] = {}
-    xs = []
-    ys = []
-    excluded = 0
-    for r in records:
-        if r.signal_dbm is None:
+    binned: Dict[float, array] = defaultdict(partial(array, "d"))
+    xs, ys, excluded = array("d"), array("d"), 0
+    for signal, v in zip(rows.signals, rows.downloads):
+        if signal is None:
             excluded += 1
             continue
-        binned.setdefault(math.floor(r.signal_dbm / width) * width, []).append(r.download_kbps)
-        xs.append(r.signal_dbm)
-        ys.append(r.download_kbps)
+        binned[math.floor(signal / width) * width].append(v)
+        xs.append(signal)
+        ys.append(v)
     bins = tuple(SignalBin(edge, mean(binned[edge]), len(binned[edge])) for edge in sorted(binned))
     return SignalCorrelation(bins, pearson_r(xs, ys), excluded)

@@ -63,7 +63,7 @@ class CounterRng:
     """
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK64
+        self.seed = seed
         # the next uniform, called without a Python frame of its own
         self.uniform = chain.from_iterable(map(self._block, count(1, _BLOCK))).__next__
 
@@ -79,7 +79,7 @@ class CounterRng:
 
 @dataclass
 class ScenarioConfig:
-    seed: int
+    seed: Annotated[int, Range(0, 2**64 - 1)]
     scenario: Scenario
     base_capacity_kbps: Annotated[float, Range(above=0)] = 5000.0
     diurnal_dip: Annotated[float, Range(0, below=1)] = 0.0
@@ -124,7 +124,7 @@ class ScenarioConfig:
 
     @property
     def run_id(self) -> str:
-        return f"{self.scenario.value}-{self.seed & _MASK64:016x}"
+        return f"{self.scenario.value}-{self.seed:016x}"
 
     def start_ms(self) -> int:
         return _EPOCH_DAY_MS - self.utc_offset_minutes * 60_000

@@ -1,6 +1,7 @@
 import itertools
 
 from mobitrace.model import MeasurementRecord, RadioTechnology, SampleSeries
+from mobitrace.reports import Columns
 
 _counter = itertools.count()
 
@@ -27,6 +28,14 @@ def make_record(**overrides) -> MeasurementRecord:
 
 def make_series(values, interval_ms=500) -> SampleSeries:
     return SampleSeries(interval_ms=interval_ms, values=tuple(values))
+
+
+def columns(records, pools=None) -> Columns:
+    """The report columns of records, in order; pools[i], when given, is the pool of records[i]."""
+    packed = Columns.empty()
+    for record, pool in zip(records, pools or [None] * len(records)):
+        packed.append(record, pool)
+    return packed
 
 
 _ACCEPTANCE_RESULTS = {}  # test name -> PASS, FAIL or SKIP, one per criterion

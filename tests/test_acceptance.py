@@ -24,7 +24,7 @@ from mobitrace.model import (
 from mobitrace.reports import hourly_profile, pearson_r, pool_trend, quantile, signal_correlation
 from mobitrace.synth import Scenario, ScenarioConfig, generate, plant_pool
 
-from conftest import make_record, make_series
+from conftest import columns, make_record, make_series
 
 CFG = AnalysisConfig()
 
@@ -106,7 +106,7 @@ def test_c04_busy_hour_dip_recovered():
         diurnal_dip=0.60, noise_cv=0.1, records_per_hour=100,
     )
     records, _ = generate(cfg)
-    (profile,) = hourly_profile(records, "cell", CFG)
+    (profile,) = hourly_profile(columns(records), "cell", CFG)
     assert profile.dip_fraction == pytest.approx(0.60, abs=0.05)
 
 
@@ -144,7 +144,7 @@ def test_c05_handover_precision_recall():
 def test_c06_camping_fraction_recovered():
     records, _ = commute_records(seed=6)
     (session,) = build_sessions(records)
-    stats = camping_stats(session, TechnologyGroup.G4)
+    stats = camping_stats(columns(session.records).technologies, TechnologyGroup.G4)
     assert stats.total == 240
     assert stats.fraction_lower == pytest.approx(0.50, abs=0.02)
 
@@ -156,7 +156,7 @@ def test_c07_urban_pool_mix_recovered():
     )
     records, _ = generate(cfg)
     assessed = [(r, classify(r.samples, CFG).pool) for r in records]
-    trend = pool_trend(assessed, CFG)
+    trend = pool_trend(columns(*zip(*assessed)), CFG)
     assert len(trend.urban_medium_high) == 1
     _, fraction, count = trend.urban_medium_high[0]
     assert count == 1200
@@ -219,7 +219,7 @@ def test_c10_signal_throughput_independence():
     )
     records, _ = generate(cfg)
     assert len(records) == 10_080
-    report = signal_correlation(records, CFG)
+    report = signal_correlation(columns(records), CFG)
     assert report.pearson_r is not None
     assert abs(report.pearson_r) < 0.1
 

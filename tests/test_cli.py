@@ -83,6 +83,14 @@ class TestSynthCommand:
         assert capsys.readouterr().err == "error: records_per_hour must be at least 1 and at most 3600000\n"
         assert calls == [] and not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(-(2**64) + 1)])
+    def test_seed_beyond_64_bits_exits_2(self, tmp_path, capsys, seed):
+        # such a seed once gave the trace of the seed it equals modulo 2**64
+        capsys.readouterr()
+        assert main(["synth", "--scenario", "stationary24h", "--seed", seed, "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == "error: seed must be at least 0 and at most 18446744073709551615\n"
+        assert not (tmp_path / "s").exists()
+
     def test_invalid_record_leaves_the_out_dir_as_it_was(self, tmp_path, capsys):
         _, out = run_synth(tmp_path)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -330,6 +338,34 @@ def test_no_stage_loads_datetime_and_only_a_catalog_loads_csv(tmp_path):
     assert out.stdout.split() == ["False", "False"] * 2 + ["False", "True"] * 2
 
 
+def test_out_holding_another_commands_manifest_exits_2_before_any_write(tmp_path, capsys):
+    _, synth_out = run_synth(tmp_path)
+    trace, an = synth_out / "trace.jsonl", tmp_path / "an"
+    assert main(["analyze", "--in", str(trace), "--out", str(an)]) == 0
+    runs = {"synth": ["synth", "--scenario", "stationary24h", "--seed", "7", "--records-per-hour", "4"],
+            "analyze": ["analyze", "--in", str(trace)],
+            "report": ["report", "--in", str(an)]}
+    for out_dir, command in [(synth_out, "analyze"), (synth_out, "report"), (an, "synth"), (an, "report")]:
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        capsys.readouterr()
+        assert main([*runs[command], "--out", str(out_dir)]) == 2, command
+        assert capsys.readouterr().err == (f"error: {out_dir} holds another command's manifest.json; "
+                                           "give each stage its own --out\n")
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+    # a manifest.json this program did not write vouches for nothing either
+    rep = tmp_path / "rep"
+    rep.mkdir()
+    for text in ("not json", "[]", '{"tool": "mobitrace"}'):
+        (rep / "manifest.json").write_text(text)
+        assert main([*runs["report"], "--out", str(rep)]) == 2
+        assert (rep / "manifest.json").read_text() == text
+    # a stage run again into its own directory
+    (rep / "manifest.json").unlink()
+    for out_dir, command in [(synth_out, "synth"), (an, "analyze"), (rep, "report"), (rep, "report")]:
+        assert main([*runs[command], "--out", str(out_dir)]) == 0
+        assert json.loads((out_dir / "manifest.json").read_text())["command"] == command
+
+
 @pytest.mark.parametrize("size", [0, 65536, 3 * 65536 + 1])
 def test_sha256_matches_hashlib(tmp_path, size):
     path = tmp_path / "f"
@@ -434,6 +470,10 @@ def test_wrappers_set_on_post_init_see_every_decode(tmp_path, monkeypatch):
 # Bytes a row that report holds may grow by when its record has 400 samples instead of 20. report
 # checks the samples and then drops them; holding them took about 12 KB a row under Python 3.11.
 SAMPLE_BYTES_PER_ROW_MAX = 100
+
+# Bytes report may hold, when its first report starts, for each row it read. Its columns take about
+# 110 a row under Python 3.11, against about 440 while it held each row's record.
+REPORT_BYTES_PER_ROW_MAX = 128
 
 
 class TestReportCommand:
@@ -548,19 +588,54 @@ class TestReportCommand:
              "sample values must be at most 10000000 kbps"),
         ])
 
-    def test_reports_get_records_without_samples(self, tmp_path, monkeypatch):
+    def test_reports_start_with_no_record_or_samples_held(self, tmp_path, monkeypatch):
         an = self.analyzed_dir(tmp_path)
         rows = [json.loads(line) for line in (an / "analyzed.jsonl").read_text().splitlines()]
         assert all(row["record"]["samples"]["values"] for row in rows)
-        seen = []
+
+        def live():
+            gc.collect()
+            return Counter(type(o).__name__ for o in gc.get_objects()
+                           if type(o) in (AnalyzedRow, MeasurementRecord, SampleSeries))
+
+        held = []
         histogram = cli.throughput_histogram
 
-        def wrapper(records, cfg):
-            seen.extend(record.samples for record in records)
-            return histogram(records, cfg)
+        def wrapper(columns, cfg):  # the first report called
+            held.append(live() - before)
+            return histogram(columns, cfg)
         monkeypatch.setattr(cli, "throughput_histogram", wrapper)
-        assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep"), "--report", "histogram"]) == 0
-        assert seen == [None] * len(rows)
+        before = live()
+        assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep")]) == 0
+        assert held == [Counter()]
+
+    def test_held_memory_per_row_is_the_columns(self, tmp_path, monkeypatch):
+        dirs = {}
+        for rate in (4, 40):
+            _, synth_out = run_synth(tmp_path, f"s{rate}", "--records-per-hour", str(rate))
+            dirs[rate] = tmp_path / f"an{rate}"
+            assert main(["analyze", "--in", str(synth_out / "trace.jsonl"), "--out", str(dirs[rate])]) == 0
+
+        held = []
+        histogram = cli.throughput_histogram
+
+        def wrapper(columns, cfg):  # the first report called
+            held.append(tracemalloc.get_traced_memory()[0])
+            return histogram(columns, cfg)
+        monkeypatch.setattr(cli, "throughput_histogram", wrapper)
+
+        def report_holds(an):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(["report", "--in", str(an), "--out", str(tmp_path / "rep")]) == 0
+            finally:
+                tracemalloc.stop()
+            return held.pop()
+
+        report_holds(dirs[4])  # fills the caches a first report fills
+        grown = report_holds(dirs[40]) - report_holds(dirs[4])
+        assert grown / (24 * 40 - 24 * 4) < REPORT_BYTES_PER_ROW_MAX
 
     def test_held_memory_does_not_grow_with_samples(self, tmp_path, monkeypatch):
         short = self.analyzed_dir(tmp_path)
@@ -593,6 +668,25 @@ class TestReportCommand:
         report_holds(short)  # fills the caches a first report fills
         grown = report_holds(long) - report_holds(short)
         assert grown / len(rows) < SAMPLE_BYTES_PER_ROW_MAX
+
+    def test_integer_kbps_reports_as_the_float(self, tmp_path):
+        # a download is packed as a double, so 1005 and 1005.0 are one input and give the same report
+        short = self.analyzed_dir(tmp_path)
+        rows = [json.loads(line) for line in (short / "analyzed.jsonl").read_text().splitlines()]
+        reports = {}
+        for kind in (int, float):
+            an = tmp_path / f"an-{kind.__name__}"
+            an.mkdir()
+            (an / "handovers.jsonl").write_bytes((short / "handovers.jsonl").read_bytes())
+            for row in rows:
+                row["record"]["download_kbps"] = kind(round(row["record"]["download_kbps"]))
+            (an / "analyzed.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+            rep = tmp_path / f"rep-{kind.__name__}"
+            assert main(["report", "--in", str(an), "--out", str(rep)]) == 0
+            reports[kind] = {p.name: p.read_bytes() for p in rep.iterdir() if p.name != "manifest.json"}
+        (summary,) = json.loads(reports[int]["operators.json"])
+        assert type(summary["max_kbps"]) is float
+        assert reports[int] == reports[float]
 
     def test_manifest_hashes_both_inputs(self, tmp_path):
         an = self.analyzed_dir(tmp_path)

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import make_record
+from conftest import columns, make_record
 from mobitrace.coverage import (
     HandoverEvent,
     camping_stats,
@@ -142,36 +142,38 @@ class TestCampingStats:
     def test_half_time_below_4g(self):
         techs = [RadioTechnology.LTE] * 5 + [RadioTechnology.UMTS] * 3 + [RadioTechnology.EDGE] * 2
         session = session_from(["A"] * 10, techs=techs)
-        stats = camping_stats(session, TechnologyGroup.G4)
+        stats = camping_stats(columns(session.records).technologies, TechnologyGroup.G4)
         assert stats.total == 10
         assert stats.on_lower == 5
         assert stats.fraction_lower == 0.5
 
     def test_all_on_subscribed(self):
         session = session_from(["A"] * 4, techs=[RadioTechnology.LTE] * 4)
-        stats = camping_stats(session, TechnologyGroup.G4)
+        stats = camping_stats(columns(session.records).technologies, TechnologyGroup.G4)
         assert stats.fraction_lower == 0.0
         assert stats.on_subscribed == 4
 
     def test_3g_subscription(self):
         session = session_from(["A", "B"], techs=[RadioTechnology.UMTS, RadioTechnology.EDGE])
-        stats = camping_stats(session, TechnologyGroup.G3)
+        stats = camping_stats(columns(session.records).technologies, TechnologyGroup.G3)
         assert stats.fraction_lower == 0.5
 
     def test_wlan_and_unknown_excluded(self):
         techs = [RadioTechnology.WLAN, RadioTechnology.UNKNOWN, RadioTechnology.EDGE]
         session = session_from(["A"] * 3, techs=techs)
-        stats = camping_stats(session, TechnologyGroup.G4)
+        stats = camping_stats(columns(session.records).technologies, TechnologyGroup.G4)
         assert stats.total == 1
         assert stats.on_lower == 1
 
     def test_above_subscription_counts_on_subscribed(self):
         session = session_from(["A"], techs=[RadioTechnology.LTE])
-        stats = camping_stats(session, TechnologyGroup.G3)
+        stats = camping_stats(columns(session.records).technologies, TechnologyGroup.G3)
         assert stats.on_subscribed == 1
 
     def test_reorder_invariant(self):
         techs = [RadioTechnology.LTE, RadioTechnology.EDGE, RadioTechnology.UMTS]
-        a = camping_stats(session_from(["A"] * 3, techs=techs), TechnologyGroup.G4)
-        b = camping_stats(session_from(["A"] * 3, techs=list(reversed(techs))), TechnologyGroup.G4)
+        a = camping_stats(columns(session_from(["A"] * 3, techs=techs).records).technologies,
+                          TechnologyGroup.G4)
+        b = camping_stats(columns(session_from(["A"] * 3, techs=list(reversed(techs))).records).technologies,
+                          TechnologyGroup.G4)
         assert a.fraction_lower == b.fraction_lower

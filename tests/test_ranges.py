@@ -7,17 +7,18 @@ import ast
 import importlib
 import math
 import pkgutil
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 from pathlib import Path
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Union, get_args, get_origin, get_type_hints
 
 import pytest
 
 import mobitrace
 from conftest import make_record
 from mobitrace.coverage import HandoverEvent
-from mobitrace.model import AnalysisConfig, MeasurementRecord, RadioTechnology, Range, SampleSeries
+from mobitrace.model import (AnalysisConfig, MeasurementRecord, RadioTechnology, Range, SampleSeries,
+                             check_field_types, from_json)
 from mobitrace.synth import Scenario, ScenarioConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mobitrace"
@@ -90,6 +91,20 @@ def test_declared_bound_is_the_edge(cls, name, accepted, rejected, text):
     with pytest.raises(ValueError) as fault:
         MAKERS[cls](**{name: rejected})
     assert str(fault.value) == text
+
+
+@pytest.mark.parametrize("kind, rng", [(int, Range(0, above=5)), (float, Range(at_most=8, below=9)),
+                                       (float, Range(1, 9, 2, 8))])
+def test_two_bounds_on_one_side_refused_when_the_codec_is_built(kind, rng):
+    # which of the two would bind is not for the checker to guess
+    @dataclass
+    class Bounded:
+        value: Annotated[kind, rng]
+        __post_init__ = check_field_types
+
+    for build in (lambda: Bounded(3), lambda: from_json(Bounded, {"value": 3})):
+        with pytest.raises(TypeError, match="^Bounded.value: a Range takes at most one bound a side$"):
+            build()
 
 
 # ---------------------------------------------------------------------------

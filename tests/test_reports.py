@@ -3,7 +3,7 @@ from datetime import date, datetime, timezone
 import numpy as np
 import pytest
 
-from conftest import make_record
+from conftest import columns, make_record
 from mobitrace.congestion import Pool
 from mobitrace.model import (
     TIMESTAMP_END_MS,
@@ -40,24 +40,24 @@ def at_local_hour(hour, cfg=CFG, day_ms=1_451_865_600_000):
 class TestHistogram:
     def test_direct_binning(self):
         records = [make_record(download_kbps=v) for v in (200.0, 700.0, 1500.0)]
-        h = throughput_histogram(records, CFG)
+        h = throughput_histogram(columns(records), CFG)
         assert h.bins == ((0.0, 1), (500.0, 1), (1000.0, 0), (1500.0, 1))
         assert h.total == 3
         assert h.fraction_below_1mbps == pytest.approx(2 / 3)
 
     def test_empty_input(self):
-        h = throughput_histogram([], CFG)
+        h = throughput_histogram(columns([]), CFG)
         assert h.bins == () and h.total == 0 and h.fraction_below_1mbps is None
 
     def test_counts_conserved(self):
         rng = np.random.default_rng(3)
         records = [make_record(download_kbps=float(v)) for v in rng.uniform(0, 8000, 200)]
-        h = throughput_histogram(records, CFG)
+        h = throughput_histogram(columns(records), CFG)
         assert sum(c for _, c in h.bins) == h.total == 200
 
     def test_permutation_invariant(self):
         records = [make_record(download_kbps=float(v)) for v in (5, 900, 1700, 300, 2600)]
-        assert throughput_histogram(records, CFG) == throughput_histogram(records[::-1], CFG)
+        assert throughput_histogram(columns(records), CFG) == throughput_histogram(columns(records[::-1]), CFG)
 
 
 class TestHourlyProfile:
@@ -68,19 +68,19 @@ class TestHourlyProfile:
             for _ in range(3):
                 records.append(make_record(cell_id="c1", timestamp=at_local_hour(hour),
                                            download_kbps=kbps))
-        (profile,) = hourly_profile(records, "cell", CFG)
+        (profile,) = hourly_profile(columns(records), "cell", CFG)
         assert profile.busy_mean_kbps == pytest.approx(2000.0)
         assert profile.offpeak_mean_kbps == pytest.approx(5000.0)
         assert profile.dip_fraction == pytest.approx(0.6)
 
     def test_flat_trace_no_dip(self):
         records = [make_record(cell_id="c1", timestamp=at_local_hour(h)) for h in range(24)]
-        (profile,) = hourly_profile(records, "cell", CFG)
+        (profile,) = hourly_profile(columns(records), "cell", CFG)
         assert profile.dip_fraction == pytest.approx(0.0)
 
     def test_partial_data_has_absent_dip(self):
         records = [make_record(cell_id="c1", timestamp=at_local_hour(3))]
-        (profile,) = hourly_profile(records, "cell", CFG)
+        (profile,) = hourly_profile(columns(records), "cell", CFG)
         assert sum(1 for m in profile.hour_means_kbps if m is None) == 23
         assert profile.offpeak_mean_kbps is not None
         assert profile.busy_mean_kbps is None
@@ -89,7 +89,7 @@ class TestHourlyProfile:
     def test_operator_key(self):
         records = [make_record(network_operator=op, timestamp=at_local_hour(2))
                    for op in ("OpA", "OpB")]
-        profiles = hourly_profile(records, "operator", CFG)
+        profiles = hourly_profile(columns(records), "operator", CFG)
         assert [p.key for p in profiles] == ["OpA", "OpB"]
 
 
@@ -97,7 +97,7 @@ class TestQuarterlyTrend:
     def test_quarter_arithmetic(self):
         records = [make_record(timestamp=TS_2015_Q1, download_kbps=v, region_tag="urban")
                    for v in (1000.0, 3000.0)]
-        report = quarterly_trend(records, CFG)
+        report = quarterly_trend(columns(records), CFG)
         (series,) = report.series
         (point,) = series.points
         assert point.quarter == "2015-Q1"
@@ -108,13 +108,13 @@ class TestQuarterlyTrend:
     def test_network_type_partition(self):
         records = [make_record(technology=RadioTechnology.WLAN, timestamp=TS_2015_Q1),
                    make_record(technology=RadioTechnology.LTE, timestamp=TS_2015_Q1)]
-        report = quarterly_trend(records, CFG)
+        report = quarterly_trend(columns(records), CFG)
         assert sorted(s.network_type for s in report.series) == ["cellular", "wlan"]
 
     def test_unknown_excluded_and_counted(self):
         records = [make_record(technology=RadioTechnology.UNKNOWN, timestamp=TS_2015_Q1),
                    make_record(timestamp=TS_2015_Q1)]
-        report = quarterly_trend(records, CFG)
+        report = quarterly_trend(columns(records), CFG)
         assert report.excluded_unknown == 1
         assert sum(p.count for s in report.series for p in s.points) == 1
 
@@ -122,7 +122,7 @@ class TestQuarterlyTrend:
         ts_q3 = TS_2015_Q1 + 150 * 86_400_000
         records = [make_record(timestamp=ts, region_tag="r")
                    for ts in (ts_q3, TS_2015_Q1, TS_2015_Q1)]
-        (series,) = quarterly_trend(records, CFG).series
+        (series,) = quarterly_trend(columns(records), CFG).series
         assert [p.quarter for p in series.points] == ["2015-Q1", "2015-Q3"]
 
 
@@ -130,13 +130,13 @@ class TestOperatorSummary:
     def test_odd_length_median(self):
         records = [make_record(network_operator="OpA", download_kbps=v * 1000.0)
                    for v in (1, 2, 3, 4, 5)]
-        (summary,) = operator_summary(records)
+        (summary,) = operator_summary(columns(records))
         assert summary.median_kbps == 3000.0
         assert summary.q1_kbps == 2000.0
         assert summary.q3_kbps == 4000.0
 
     def test_single_record_degenerate(self):
-        (summary,) = operator_summary([make_record(download_kbps=777.0)])
+        (summary,) = operator_summary(columns([make_record(download_kbps=777.0)]))
         assert (summary.min_kbps == summary.q1_kbps == summary.median_kbps
                 == summary.q3_kbps == summary.max_kbps == 777.0)
 
@@ -144,7 +144,7 @@ class TestOperatorSummary:
         rng = np.random.default_rng(11)
         values = rng.uniform(0, 5000, 101)
         records = [make_record(download_kbps=float(v)) for v in values]
-        (summary,) = operator_summary(records)
+        (summary,) = operator_summary(columns(records))
         assert summary.q1_kbps == pytest.approx(np.quantile(values, 0.25), rel=1e-9)
         assert summary.median_kbps == pytest.approx(np.quantile(values, 0.5), rel=1e-9)
         assert summary.q3_kbps == pytest.approx(np.quantile(values, 0.75), rel=1e-9)
@@ -152,7 +152,7 @@ class TestOperatorSummary:
     def test_order_statistics_ordered(self):
         rng = np.random.default_rng(12)
         records = [make_record(download_kbps=float(v)) for v in rng.uniform(0, 9000, 40)]
-        (s,) = operator_summary(records)
+        (s,) = operator_summary(columns(records))
         assert s.min_kbps <= s.q1_kbps <= s.median_kbps <= s.q3_kbps <= s.max_kbps
 
 
@@ -160,7 +160,7 @@ class TestPoolTrend:
     def test_fraction_counting(self):
         pools = [Pool.HIGH, Pool.HIGH, Pool.MEDIUM, Pool.LOW]
         assessed = [(make_record(timestamp=TS_2015_Q1, region_tag="urban"), p) for p in pools]
-        trend = pool_trend(assessed, CFG)
+        trend = pool_trend(columns(*zip(*assessed)), CFG)
         (point,) = trend.points
         assert (point.fraction_low, point.fraction_medium, point.fraction_high) == (0.25, 0.25, 0.5)
         ((month, frac, count),) = trend.urban_medium_high
@@ -169,36 +169,36 @@ class TestPoolTrend:
 
     def test_all_low(self):
         assessed = [(make_record(timestamp=TS_2015_Q1, region_tag="urban"), Pool.LOW)] * 3
-        trend = pool_trend(assessed, CFG)
+        trend = pool_trend(columns(*zip(*assessed)), CFG)
         assert trend.urban_medium_high[0][1] == 0.0
 
     def test_fractions_sum_to_one(self):
         rng = np.random.default_rng(5)
         pools = [list(Pool)[i] for i in rng.integers(0, 3, 60)]
         assessed = [(make_record(timestamp=TS_2015_Q1), p) for p in pools]
-        for point in pool_trend(assessed, CFG).points:
+        for point in pool_trend(columns(*zip(*assessed)), CFG).points:
             total = point.fraction_low + point.fraction_medium + point.fraction_high
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_rural_not_in_urban_series(self):
         assessed = [(make_record(timestamp=TS_2015_Q1, region_tag="rural"), Pool.HIGH)]
-        assert pool_trend(assessed, CFG).urban_medium_high == ()
+        assert pool_trend(columns(*zip(*assessed)), CFG).urban_medium_high == ()
 
 
 class TestSignalCorrelation:
     def test_constant_throughput_no_r(self):
         records = [make_record(signal_dbm=float(d), download_kbps=900.0)
                    for d in range(-100, -60, 5)]
-        assert signal_correlation(records, CFG).pearson_r is None
+        assert signal_correlation(columns(records), CFG).pearson_r is None
 
     def test_perfect_colinearity(self):
         records = [make_record(signal_dbm=-80.0, download_kbps=1000.0),
                    make_record(signal_dbm=-60.0, download_kbps=2000.0)]
-        assert signal_correlation(records, CFG).pearson_r == pytest.approx(1.0)
+        assert signal_correlation(columns(records), CFG).pearson_r == pytest.approx(1.0)
 
     def test_missing_signal_counted(self):
         records = [make_record(), make_record(signal_dbm=-70.0)]
-        report = signal_correlation(records, CFG)
+        report = signal_correlation(columns(records), CFG)
         assert report.excluded_missing_signal == 1
         assert sum(c for _, _, c in report.bins) == 1
 
@@ -211,7 +211,7 @@ class TestSignalCorrelation:
     def test_tiny_variances_do_not_underflow(self):
         records = [make_record(signal_dbm=0.0, download_kbps=0.0),
                    make_record(signal_dbm=1e-100, download_kbps=1e-100)]
-        assert signal_correlation(records, CFG).pearson_r == 1.0
+        assert signal_correlation(columns(records), CFG).pearson_r == 1.0
 
 
 class TestQuantileOracle:
@@ -285,8 +285,8 @@ class TestPermutationInvariance:
         ]
         shuffled = list(records)
         rng.shuffle(shuffled)
-        assert throughput_histogram(records, CFG) == throughput_histogram(shuffled, CFG)
-        assert hourly_profile(records, "cell", CFG) == hourly_profile(shuffled, "cell", CFG)
-        assert quarterly_trend(records, CFG) == quarterly_trend(shuffled, CFG)
-        assert operator_summary(records) == operator_summary(shuffled)
-        assert signal_correlation(records, CFG) == signal_correlation(shuffled, CFG)
+        assert throughput_histogram(columns(records), CFG) == throughput_histogram(columns(shuffled), CFG)
+        assert hourly_profile(columns(records), "cell", CFG) == hourly_profile(columns(shuffled), "cell", CFG)
+        assert quarterly_trend(columns(records), CFG) == quarterly_trend(columns(shuffled), CFG)
+        assert operator_summary(columns(records)) == operator_summary(columns(shuffled))
+        assert signal_correlation(columns(records), CFG) == signal_correlation(columns(shuffled), CFG)

@@ -318,7 +318,7 @@ _EXAMPLES = {
                               handover_max_gap_ms=st.integers(0, 10**9), histogram_bin_kbps=st.floats(100, 1e6),
                               utc_offset_minutes=st.integers(-720, 840)),
     ScenarioConfig: st.builds(
-        ScenarioConfig, seed=st.integers(), scenario=st.just(Scenario.COMMUTE),
+        ScenarioConfig, seed=st.integers(0, 2**64 - 1), scenario=st.just(Scenario.COMMUTE),
         cells=st.lists(st.tuples(_plain_text, st.sampled_from(RadioTechnology), st.floats(1, 1e6)),
                        min_size=2, max_size=4).map(tuple),
         planted_pool_mix=st.none() | st.just({"LOW": 0.25, "HIGH": 0.75}),
