@@ -85,7 +85,7 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64), str(-(2**64) + 1)])
     def test_seed_beyond_64_bits_exits_2(self, tmp_path, capsys, seed):
-        # such a seed once gave the trace of the seed it equals modulo 2**64
+        # synth's stream takes 64 bits: such a seed would give the trace of the seed it equals modulo 2**64
         capsys.readouterr()
         assert main(["synth", "--scenario", "stationary24h", "--seed", seed, "--out", str(tmp_path / "s")]) == 2
         assert capsys.readouterr().err == "error: seed must be at least 0 and at most 18446744073709551615\n"
